@@ -14,6 +14,7 @@ package dtx
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/dataguide"
 	"repro/internal/harness"
 	"repro/internal/lock"
+	"repro/internal/mvcc"
 	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/txn"
@@ -721,28 +723,51 @@ func BenchmarkQueryCache(b *testing.B) {
 	})
 }
 
-// BenchmarkPersistSnapshot covers the two stages of the commit persist
-// pipeline: the arena snapshot taken under the document mutex and the
-// marshal+store write done outside it.
-func BenchmarkPersistSnapshot(b *testing.B) {
-	doc := benchDoc(b, 64<<10)
-	b.Run("snapshot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if doc.Snapshot() == nil {
-				b.Fatal("nil snapshot")
-			}
+// BenchmarkCheckpoint is one checkpoint of a 64KB document: the published
+// committed version saved to a FileStore inside the position bracket. A
+// journaled site pays it once per 64 commits, not per commit.
+func BenchmarkCheckpoint(b *testing.B) {
+	st, err := store.NewFileStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	chain := mvcc.NewChain(mvcc.Options{})
+	chain.Publish(benchDoc(b, 64<<10).Snapshot(), 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		image := chain.Head().Doc
+		if err := st.SaveMeta(image.Name, fmt.Sprintf("%d pending", i)); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("serialize-save", func(b *testing.B) {
-		st := store.NewMemStore()
-		snap := doc.Snapshot()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := st.Save(snap); err != nil {
-				b.Fatal(err)
-			}
+		if err := st.Save(image); err != nil {
+			b.Fatal(err)
 		}
-	})
+		if err := st.SaveMeta(image.Name, fmt.Sprintf("%d clean", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkJournalIntentOps is what a commit pays for durability: one
+// fsynced journal append of an intent carrying the commit's applied
+// operation.
+func BenchmarkJournalIntentOps(b *testing.B) {
+	journal, err := store.OpenJournal(filepath.Join(b.TempDir(), "commit.log"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer journal.Close()
+	op := txn.NewUpdate("d", &xupdate.Update{Kind: xupdate.Change, Target: "/site/people/person[1]/name", Value: "Bench"})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := txn.ID{Site: 0, Seq: int64(i + 1)}
+		rec := store.ReplRecord{Index: int64(i + 1), Txn: id, TS: txn.TS(i + 1), Ops: []txn.Operation{op}}
+		if err := journal.LogIntent(id.String(), []string{"d"}, rec); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkUpdateApplyUndo(b *testing.B) {

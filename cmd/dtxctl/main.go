@@ -18,9 +18,9 @@
 //
 // Operator commands (instead of -op):
 //
-//	dtxctl -addr localhost:7070 -status    # liveness, replication lag, in-doubt txns
+//	dtxctl -addr localhost:7070 -status    # liveness, replication lag, checkpoint vs journal head
 //	dtxctl -addr localhost:7070 -metrics   # dump the site's metrics (Prometheus text)
-//	dtxctl -addr localhost:7070 -recover   # drain + resolve in-doubt txns online
+//	dtxctl -addr localhost:7070 -recover   # checkpoint + settle dangling decisions online
 package main
 
 import (
@@ -48,9 +48,9 @@ func (s *stringList) Set(v string) error {
 func main() {
 	addr := flag.String("addr", "localhost:7070", "dtxd site address")
 	timeout := flag.Duration("timeout", 0, "overall transaction timeout (0 = none); on expiry the transaction is aborted and its locks released")
-	status := flag.Bool("status", false, "print the site's status (documents, replication lag, liveness view, in-doubt transactions) and exit")
+	status := flag.Bool("status", false, "print the site's status (documents with checkpoint position vs journal head, replication lag, liveness view) and exit")
 	metrics := flag.Bool("metrics", false, "dump the site's metrics registry in Prometheus text format and exit")
-	recoverPass := flag.Bool("recover", false, "run an online recovery pass on the site (drain + resolve journal in-doubt transactions) and exit")
+	recoverPass := flag.Bool("recover", false, "run an online recovery pass on the site (checkpoint every document, settle dangling coordinator decisions) and exit")
 	readOnly := flag.Bool("ro", false, "submit as a read-only snapshot transaction: queries only, served lock-free from committed document versions")
 	var opSpecs stringList
 	flag.Var(&opSpecs, "op", "operation (repeatable): query|insert|remove|rename|change|transpose ...")
@@ -167,16 +167,19 @@ func printStatus(ctx context.Context, node *transport.TCPNode) {
 			if d.Protocol != "" {
 				proto = fmt.Sprintf(" [%s]", d.Protocol)
 			}
+			// Checkpoint vs journal head: the records in between are what a
+			// restart of the site would replay onto the saved document.
+			log := fmt.Sprintf("checkpoint %d, journal head %d", d.Checkpoint, d.Applied)
 			if d.Role == "primary" {
-				fmt.Printf("  %s%s: primary, head %d\n", d.Name, proto, d.Head)
+				fmt.Printf("  %s%s: primary, %s\n", d.Name, proto, log)
 				continue
 			}
 			lag := "caught up"
 			if d.Behind > 0 {
 				lag = fmt.Sprintf("%d record(s) behind head %d", d.Behind, d.Head)
 			}
-			fmt.Printf("  %s%s: replica of site %d, applied %d, %s\n",
-				d.Name, proto, d.Primary, d.Applied, lag)
+			fmt.Printf("  %s%s: replica of site %d, %s, %s\n",
+				d.Name, proto, d.Primary, log, lag)
 		}
 	} else {
 		fmt.Printf("documents (%d): %s\n", len(st.Documents), strings.Join(st.Documents, ", "))
@@ -184,16 +187,6 @@ func printStatus(ctx context.Context, node *transport.TCPNode) {
 	for _, p := range st.Peers {
 		fmt.Printf("peer %d: %s\n", p.Site, p.Status)
 	}
-	if len(st.InDoubt) == 0 {
-		fmt.Println("in-doubt: none")
-		return
-	}
-	for _, d := range st.InDoubt {
-		fmt.Printf("in-doubt: %s (%s)\n", d.Txn, strings.Join(d.Docs, ", "))
-	}
-	// In-doubt transactions on a running site usually just mean persists in
-	// flight; `dtxctl -recover` drains and resolves whatever remains.
-	os.Exit(4)
 }
 
 // printMetrics dumps the site's registry in Prometheus text format — the

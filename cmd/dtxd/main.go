@@ -11,12 +11,14 @@
 // -place entries teach the catalog where every document (local and remote)
 // lives. Clients submit transactions with dtxctl.
 //
-// Crash recovery: dtxd write-ahead logs local commits to <store>/commit.log
-// (disable with -journal=false). After a crash, restart with -recover: the
-// site comes up refusing traffic, replays the journal, resolves its
-// in-doubt transactions with the presumed-abort termination protocol
-// against its peers, re-fetches its documents from live replicas, and only
-// then starts serving — peers readmit it on their next heartbeat
+// Crash recovery: dtxd logs every local commit's applied operations to
+// <store>/commit.log before acknowledging it (disable with -journal=false)
+// and saves documents by periodic checkpoint, so every start — with or
+// without -recover — loads the saved documents and replays the commits they
+// do not reflect. After a crash, restart with -recover to additionally come
+// up refusing traffic, settle a crashed coordinator's dangling decisions
+// against the peers, bring the documents up to the live replicas, and only
+// then start serving — peers readmit the site on their next heartbeat
 // (-heartbeat-ms). `dtxctl -status` and `dtxctl -recover` inspect and drive
 // the same machinery on a running site.
 package main
@@ -60,8 +62,8 @@ func main() {
 	adaptive := flag.Bool("adaptive", false, "adapt each document's locking protocol at run time from observed contention (-protocol sets the starting point)")
 	adaptWindow := flag.Duration("adapt-window", 0, "adaptive policy sampling window (0 uses the built-in default)")
 	deadlockMs := flag.Int("deadlock-ms", 50, "distributed deadlock check period (ms)")
-	journalOn := flag.Bool("journal", true, "write-ahead log commits to <store>/commit.log")
-	recoverFlag := flag.Bool("recover", false, "start in crash-recovery mode: resolve journal in-doubt transactions and catch documents up from live replicas before serving")
+	journalOn := flag.Bool("journal", true, "log commits to <store>/commit.log and save documents by checkpoint; a restart replays the log")
+	recoverFlag := flag.Bool("recover", false, "start in crash-recovery mode: settle dangling coordinator decisions and catch documents up from live replicas before serving")
 	heartbeatMs := flag.Int("heartbeat-ms", 500, "liveness heartbeat period (ms); 0 disables failure detection")
 	metricsAddr := flag.String("metrics-addr", "", "address to serve /metrics, /healthz and /debug/pprof/ on (empty disables)")
 	slowTxn := flag.Duration("slow-txn", -1, "trace transactions at or above this duration as JSON lines on stderr; 0 traces every transaction, negative disables")
@@ -133,18 +135,23 @@ func main() {
 	if !*recoverFlag {
 		if len(docs) == 0 {
 			// No explicit -doc flags: recover everything the store holds.
-			if _, err := site.Bootstrap(); err != nil {
+			replayed, err := site.Bootstrap()
+			if err != nil {
 				fatal(fmt.Errorf("bootstrap: %w", err))
 			}
 			for _, d := range site.Documents() {
 				fmt.Printf("dtxd: recovered document %s\n", d)
 			}
+			if replayed > 0 {
+				fmt.Printf("dtxd: replayed %d journal record(s)\n", replayed)
+			}
 		}
 		for _, d := range docs {
-			if err := site.LoadDocument(d); err != nil {
+			replayed, err := site.LoadDocument(d)
+			if err != nil {
 				fatal(fmt.Errorf("load %s: %w", d, err))
 			}
-			fmt.Printf("dtxd: loaded document %s\n", d)
+			fmt.Printf("dtxd: loaded document %s (%d journal record(s) replayed)\n", d, replayed)
 		}
 	}
 
@@ -159,7 +166,7 @@ func main() {
 					return transport.RecoverResp{Error: err.Error()}, nil
 				}
 				return transport.RecoverResp{
-					Resolved: len(report.Resolutions) + len(report.Decisions),
+					Resolved: len(report.Decisions),
 					Report:   report.String(),
 				}, nil
 			}
@@ -183,8 +190,8 @@ func main() {
 		fatal(err)
 	}
 	if *recoverFlag {
-		// Crash-recovery startup: bootstrap + journal replay + in-doubt
-		// resolution + replica catch-up, refusing traffic until done.
+		// Crash-recovery startup: bootstrap + journal replay + decision
+		// settlement + replica catch-up, refusing traffic until done.
 		report, err := recovery.Restart(site, recovery.DefaultOptions)
 		if err != nil {
 			fatal(fmt.Errorf("recover: %w", err))

@@ -33,9 +33,9 @@
 // The cluster survives site crashes: heartbeats feed a per-site liveness
 // view, reads route around dead replicas while writes touching them fail
 // fast with ErrReplicaUnavailable, and a crashed site (KillSite, or a real
-// fault under cmd/dtxd) restarts through internal/recovery — journal
-// replay, presumed-abort resolution of in-doubt transactions, document
-// catch-up from live replicas (RestartSite).
+// fault under cmd/dtxd) restarts through internal/recovery — saved
+// documents plus journal replay, settlement of a crashed coordinator's
+// dangling decisions, document catch-up from live replicas (RestartSite).
 //
 // Submit runs a whole operation list as one transaction (a convenience
 // wrapper over Begin/step/Commit), and SubmitWithRetry additionally
@@ -108,16 +108,13 @@ type Config struct {
 	// StoreDir, when set, persists each site's documents under
 	// StoreDir/site<N>/ instead of in memory.
 	StoreDir string
-	// Journal, together with StoreDir, write-ahead logs commits to
-	// StoreDir/site<N>/commit.log so a restarted site can detect in-doubt
-	// transactions with store.Recover.
+	// Journal, together with StoreDir, logs every commit's applied
+	// operations to StoreDir/site<N>/commit.log before acknowledging it;
+	// documents are then saved by periodic checkpoints instead of per
+	// commit, and a restarted site replays the commits its saved documents
+	// do not reflect — an acknowledged commit survives the crash of every
+	// replica.
 	Journal bool
-	// PersistDelay is the batching window of the commit persist pipeline:
-	// commits acknowledge immediately and each document is written to its
-	// store at most once per window, covering every commit that accumulated
-	// behind it. Zero selects the default (2ms); negative flushes with no
-	// window. Close drains the pipeline.
-	PersistDelay time.Duration
 	// HeartbeatInterval is the period of the per-site liveness heartbeat
 	// feeding failure detection: a crashed site (KillSite, or a real fault
 	// in a TCP deployment) is detected, reads route to the surviving
@@ -308,7 +305,6 @@ func (c *Cluster) buildSite(i int, recovering bool) (*sched.Site, error) {
 		DeadlockInterval:  c.cfg.DeadlockCheckInterval,
 		OpDelay:           c.cfg.ClientThinkTime,
 		Journal:           journal,
-		PersistDelay:      c.cfg.PersistDelay,
 		HeartbeatInterval: hb,
 		HeartbeatMisses:   c.cfg.HeartbeatMisses,
 		SnapshotVersions:  c.cfg.SnapshotVersions,
@@ -346,19 +342,18 @@ func (c *Cluster) allSites() []*sched.Site {
 	return append([]*sched.Site(nil), c.sites...)
 }
 
-// Sync blocks until every commit acknowledged before the call has been
-// written to its sites' stores (and, with Journal set, sealed with a commit
-// record). Use it to observe the persistent state at a quiescent point
-// without stopping the cluster.
+// Sync checkpoints every site: on a quiescent cluster the stores then hold
+// exactly the committed documents (and, with Journal set, the journals no
+// open intent). Use it to observe the persistent state without stopping the
+// cluster.
 func (c *Cluster) Sync() {
 	for _, s := range c.allSites() {
 		s.Sync()
 	}
 }
 
-// Close stops every site. Each site drains its persist pipeline and closes
-// its own journal only after the drain (a journal closed first could turn a
-// late covering write into a phantom in-doubt record).
+// Close stops every site. Each site takes a final checkpoint and closes its
+// own journal only after it.
 func (c *Cluster) Close() {
 	c.opMu.Lock()
 	defer c.opMu.Unlock()
@@ -383,16 +378,16 @@ func (c *Cluster) KillSite(site int) error {
 }
 
 // RecoveryReport summarises a RestartSite run: the documents recovered from
-// the store, how each in-doubt transaction was resolved, and which
-// documents were caught up from live replicas.
+// the store, how many journal records were replayed onto them, how each
+// dangling coordinator decision was settled, and which documents were caught
+// up from live replicas.
 type RecoveryReport = recovery.Report
 
 // RestartSite rebuilds a killed site through the crash-recovery subsystem:
-// documents reload from the site's store, the journal replays, in-doubt
-// transactions are resolved with the presumed-abort termination protocol
-// (coordinator decision records first, surviving participants second),
-// documents catch up from live replicas, and the site rejoins — peers
-// readmit it on their next heartbeat.
+// documents reload from the site's store, the journal's open intents replay
+// onto them, dangling coordinator decisions are settled against the
+// surviving participants, documents catch up from live replicas, and the
+// site rejoins — peers readmit it on their next heartbeat.
 func (c *Cluster) RestartSite(site int) (*RecoveryReport, error) {
 	if site < 0 || site >= len(c.ids) {
 		return nil, fmt.Errorf("%w: site %d (cluster has %d)", ErrSiteOutOfRange, site, len(c.ids))
@@ -407,8 +402,8 @@ func (c *Cluster) RestartSite(site int) (*RecoveryReport, error) {
 		return nil, fmt.Errorf("dtx: site %d is not killed; stop it with KillSite first", site)
 	}
 	// The dead instance shares its Store with the replacement: wait out any
-	// persist worker caught mid write, or its Save could land over the
-	// caught-up documents.
+	// checkpointer caught mid write, or its Save could land over the
+	// reloaded documents.
 	old.Quiesce()
 	fresh, err := c.buildSite(site, true)
 	if err != nil {
@@ -438,12 +433,13 @@ func (c *Cluster) PeerStatuses(site int) (map[int]string, error) {
 	return out, nil
 }
 
-// InDoubt re-exports the journal recovery record.
-type InDoubt = store.InDoubt
+// OpenIntent re-exports the journal's record of a commit no checkpoint
+// covers yet.
+type OpenIntent = store.OpenIntent
 
 // RecoverJournal scans a site's commit journal (written when Config.Journal
-// is set) for transactions whose persistence may be partial after a crash.
-func RecoverJournal(storeDir string, site int) ([]InDoubt, error) {
+// is set) for the commits a restart of the site would replay.
+func RecoverJournal(storeDir string, site int) ([]OpenIntent, error) {
 	return store.Recover(fmt.Sprintf("%s/site%d/commit.log", storeDir, site))
 }
 

@@ -172,7 +172,7 @@ func TestClusterFileStore(t *testing.T) {
 	}
 	defer c2.Close()
 	// Wire the stored document into memory.
-	if err := c2.sites[0].LoadDocument("d1"); err != nil {
+	if _, err := c2.sites[0].LoadDocument("d1"); err != nil {
 		t.Fatal(err)
 	}
 	c2.catalog.Place("d1", 0)
@@ -277,12 +277,12 @@ func TestClusterJournal(t *testing.T) {
 		t.Fatalf("%v %+v", err, res)
 	}
 	c.Close()
-	inDoubt, err := RecoverJournal(dir, 0)
+	open, err := RecoverJournal(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(inDoubt) != 0 {
-		t.Fatalf("clean shutdown left in-doubt txns: %+v", inDoubt)
+	if len(open) != 0 {
+		t.Fatalf("clean shutdown left open intents: %+v", open)
 	}
 	// Journal without a store directory is rejected.
 	if _, err := New(Config{Sites: 1, Journal: true}); err == nil {

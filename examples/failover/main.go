@@ -4,10 +4,10 @@
 // crash; monitoring reads keep flowing from the surviving replicas while
 // bids (writes, which must reach every copy) fail fast with the typed
 // dtx.ErrReplicaUnavailable. The dead site then restarts through
-// internal/recovery — journal replay, in-doubt resolution with the
-// presumed-abort termination protocol, document catch-up from a live
-// replica — and once the survivors readmit it, bidding resumes and every
-// replica holds identical XML.
+// internal/recovery — saved documents plus journal replay, settlement of
+// dangling coordinator decisions, document catch-up from a live replica —
+// and once the survivors readmit it, bidding resumes and every replica holds
+// identical XML.
 package main
 
 import (

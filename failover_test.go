@@ -31,7 +31,6 @@ func TestClusterFailover(t *testing.T) {
 		Sites:             3,
 		StoreDir:          t.TempDir(),
 		Journal:           true,
-		PersistDelay:      -1,
 		HeartbeatInterval: 10 * time.Millisecond,
 		HeartbeatMisses:   2,
 	})

@@ -267,7 +267,7 @@ func TestRunWithGuardAblationProtocol(t *testing.T) {
 	}
 }
 
-// TestCrashInjectionWorkload: a chaos run — a replica dies mid-persist
+// TestCrashInjectionWorkload: a chaos run — a replica dies mid-checkpoint
 // under the auction workload; the run completes, the survivors keep
 // committing, and the victim is verifiably dead.
 func TestCrashInjectionWorkload(t *testing.T) {
@@ -278,7 +278,7 @@ func TestCrashInjectionWorkload(t *testing.T) {
 		UpdateTxPct: 100,
 		BaseBytes:   32 << 10,
 		Heartbeat:   5 * time.Millisecond,
-		Crash:       &CrashSpec{Site: 1, Stage: CrashMidPersist},
+		Crash:       &CrashSpec{Site: 1, Stage: CrashMidCheckpoint},
 		Seed:        11,
 	}
 	cluster, err := BuildCluster(p.withDefaults(), nil)

@@ -157,12 +157,12 @@ const (
 	// CrashBeforeIntent kills a participant as a consolidation request
 	// arrives, before its journal intent record.
 	CrashBeforeIntent CrashStage = "before-intent"
-	// CrashAfterIntent kills a participant between its durable intent
-	// record and the persist pipeline.
+	// CrashAfterIntent kills a participant right after its intent record is
+	// durable: committed in its log, in no checkpoint yet.
 	CrashAfterIntent CrashStage = "after-intent"
-	// CrashMidPersist kills a site between a commit acknowledgement and the
-	// covering Store write.
-	CrashMidPersist CrashStage = "mid-persist"
+	// CrashMidCheckpoint kills a site inside a checkpoint, after the
+	// committed image is picked and before its Store write.
+	CrashMidCheckpoint CrashStage = "mid-checkpoint"
 	// CrashBeforeSwitch kills a site at an adaptive protocol switch's
 	// quiescent point: the document's lock table is drained and admissions
 	// are blocked, but the new protocol is not yet installed. Protocol
@@ -458,8 +458,8 @@ func armCrash(spec *CrashSpec, hooks *sched.CrashHooks, sites []*sched.Site) {
 		hooks.BeforeIntent = func(txn.ID, []string) { fire() }
 	case CrashAfterIntent:
 		hooks.AfterIntent = func(txn.ID, []string) { fire() }
-	case CrashMidPersist:
-		hooks.BeforeSave = func(string) { fire() }
+	case CrashMidCheckpoint:
+		hooks.BeforeCheckpoint = func(string) { fire() }
 	case CrashBeforeSwitch:
 		hooks.BeforeProtocolSwitch = func(string, string, string) { fire() }
 	}

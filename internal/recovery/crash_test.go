@@ -1,9 +1,11 @@
 package recovery
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -96,7 +98,6 @@ func (c *cluster) buildSite(i int, recovering bool) *sched.Site {
 		Store:             st,
 		Journal:           journal,
 		RetryInterval:     5 * time.Millisecond,
-		PersistDelay:      -1, // flush without a batching window
 		HeartbeatInterval: 10 * time.Millisecond,
 		HeartbeatMisses:   2,
 		IndexedKeys:       c.indexKeys,
@@ -112,11 +113,16 @@ func (c *cluster) buildSite(i int, recovering bool) *sched.Site {
 // restart rebuilds a killed site through the recovery subsystem.
 func (c *cluster) restart(i int) *Report {
 	c.t.Helper()
-	c.sites[i].Quiesce()             // no dead-incarnation Save may land over catch-up
+	return c.restartWith(i, Options{CatchUp: true, Timeout: time.Second})
+}
+
+func (c *cluster) restartWith(i int, opts Options) *Report {
+	c.t.Helper()
+	c.sites[i].Quiesce()             // no dead-incarnation Save may land over the reload
 	c.hooks[i] = &sched.CrashHooks{} // the crash already happened
 	s := c.buildSite(i, true)
 	c.sites[i] = s
-	report, err := Restart(s, Options{CatchUp: true, Timeout: time.Second})
+	report, err := Restart(s, opts)
 	if err != nil {
 		c.t.Fatalf("restart site %d: %v", i, err)
 	}
@@ -142,11 +148,13 @@ func eventually(t *testing.T, timeout time.Duration, what string, cond func() bo
 	t.Fatalf("timeout waiting for %s", what)
 }
 
-// TestCrashPoints is the fault-injection table: a participant or the
-// coordinator is killed at each 2PC stage boundary, the survivors keep
-// serving reads from the surviving replicas, the victim restarts through
-// internal/recovery, every in-doubt transaction is resolved, and all
-// replicas converge to identical document XML.
+// TestCrashPoints is the fault-injection table, one entry per stage: a site
+// is killed before or after the coordinator's decision, before or after a
+// participant's intent, mid commit fan-out, mid-checkpoint and mid protocol
+// switch (the value-index replay entry is TestCrashValueIndexReplay). The
+// survivors keep serving reads from the surviving replicas, the victim
+// restarts through internal/recovery, no intent stays open, and all replicas
+// converge to identical document XML.
 func TestCrashPoints(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -155,6 +163,11 @@ func TestCrashPoints(t *testing.T) {
 		// arm installs the kill hook on the cluster before the doomed
 		// transaction runs; fired signals the kill.
 		arm func(c *cluster, fired chan<- struct{})
+		// after, if set, runs once the doomed transaction returned — the
+		// trigger of a crash point the commit path itself does not reach.
+		after func(c *cluster)
+		// check, if set, inspects the victim's recovery report.
+		check func(t *testing.T, report *Report)
 	}{
 		{
 			// The participant dies as the consolidation request arrives,
@@ -170,10 +183,9 @@ func TestCrashPoints(t *testing.T) {
 			},
 		},
 		{
-			// The participant dies after its intent is durable but before
-			// the covering write: the coordinator commits, the victim
-			// restarts with an in-doubt record that resolves to commit and
-			// catches the document up from the survivors.
+			// The participant dies right after its intent is durable: the
+			// coordinator commits, the victim restarts, replays the intent
+			// onto its saved document and converges with the survivors.
 			name: "participant-after-intent", sites: 3, victim: 1,
 			arm: func(c *cluster, fired chan<- struct{}) {
 				var once sync.Once
@@ -183,13 +195,32 @@ func TestCrashPoints(t *testing.T) {
 			},
 		},
 		{
-			// The participant dies mid-persist: commit acknowledged, intent
-			// durable, Store write abandoned.
-			name: "participant-mid-persist", sites: 3, victim: 1,
+			// The site dies inside a checkpoint's Store write: the position
+			// bracket is open ("pending"), so the saved bytes sit at an
+			// unknown position. Nothing may be replayed onto them; the
+			// restart falls back to transferring the document from a live
+			// replica, which also voids the intents the old image needed.
+			name: "mid-checkpoint", sites: 3, victim: 1,
 			arm: func(c *cluster, fired chan<- struct{}) {
 				var once sync.Once
-				c.hooks[1].BeforeSave = func(string) {
-					once.Do(func() { c.sites[1].Kill(); close(fired) })
+				c.hooks[1].BeforeCheckpoint = func(doc string) {
+					once.Do(func() {
+						st, err := store.NewFileStore(filepath.Join(c.dir, "site1"))
+						if err == nil {
+							err = st.SaveMeta(doc, "1 pending")
+						}
+						if err != nil {
+							c.t.Error(err)
+						}
+						c.sites[1].Kill()
+						close(fired)
+					})
+				}
+			},
+			after: func(c *cluster) { c.sites[1].Sync() },
+			check: func(t *testing.T, report *Report) {
+				if report.Replayed != 0 || len(report.CaughtUp) != 1 {
+					t.Fatalf("want nothing replayed onto the untrusted image and d1 transferred, got: %s", report)
 				}
 			},
 		},
@@ -233,18 +264,6 @@ func TestCrashPoints(t *testing.T) {
 			},
 		},
 		{
-			// The coordinator dies while persisting its own replica after
-			// the participants consolidated: in-doubt at the coordinator,
-			// resolved commit from its own decision record.
-			name: "coordinator-mid-persist", sites: 3, victim: 0,
-			arm: func(c *cluster, fired chan<- struct{}) {
-				var once sync.Once
-				c.hooks[0].BeforeSave = func(string) {
-					once.Do(func() { c.sites[0].Kill(); close(fired) })
-				}
-			},
-		},
-		{
 			// The site dies at an adaptive protocol switch's quiescent
 			// point: the domain's lock table is drained and admissions are
 			// blocked, but the new protocol is not yet installed. The
@@ -277,6 +296,9 @@ func TestCrashPoints(t *testing.T) {
 			// point (committed, aborted or failed) — what the table asserts
 			// is convergence, not the label.
 			_, _ = c.sites[0].Submit([]txn.Operation{changeNameOp()})
+			if tc.after != nil {
+				tc.after(c)
+			}
 			select {
 			case <-fired:
 			case <-time.After(5 * time.Second):
@@ -296,8 +318,11 @@ func TestCrashPoints(t *testing.T) {
 
 			// Restart the victim through the recovery subsystem.
 			report := c.restart(tc.victim)
-			if inDoubt := c.sites[tc.victim].Journal().InDoubt(); len(inDoubt) != 0 {
-				t.Fatalf("in-doubt transactions survived recovery: %+v (report: %s)", inDoubt, report)
+			if open := c.sites[tc.victim].Journal().OpenIntents(); len(open) != 0 {
+				t.Fatalf("open intents survived recovery: %+v (report: %s)", open, report)
+			}
+			if tc.check != nil {
+				tc.check(t, report)
 			}
 
 			// All replicas hold identical XML.
@@ -382,7 +407,7 @@ func TestRestartSeqFence(t *testing.T) {
 }
 
 // TestResolveOnline: a healthy site's online recovery pass (dtxctl
-// -recover) drains the pipeline and reports nothing in doubt.
+// -recover) checkpoints its documents and finds no decision to settle.
 func TestResolveOnline(t *testing.T) {
 	c := newCrashCluster(t, 2)
 	if _, err := c.sites[0].Submit([]txn.Operation{changeNameOp()}); err != nil {
@@ -392,40 +417,78 @@ func TestResolveOnline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Resolutions) != 0 || len(report.Decisions) != 0 {
+	if len(report.Decisions) != 0 {
 		t.Fatalf("healthy site reported recovery work: %s", report)
+	}
+	if open := c.sites[0].Journal().OpenIntents(); len(open) != 0 {
+		t.Fatalf("open intents after the pass: %+v", open)
 	}
 }
 
-// TestSingleReplicaIntentStaysOpen: with no live replica to catch up from,
-// a committed in-doubt transaction must NOT be sealed durable — the intent
-// stays open as the record of the (possibly lost) covering write, while the
-// site still comes back serving.
-func TestSingleReplicaIntentStaysOpen(t *testing.T) {
-	c := newCrashCluster(t, 1)
-	fired := make(chan struct{})
-	var once sync.Once
-	c.hooks[0].BeforeSave = func(string) {
-		once.Do(func() { c.sites[0].Kill(); close(fired) })
+// TestCrashAllReplicasAfterAck: every replica dies right after its intent
+// became durable — the commit is acknowledged, no checkpoint has run. Each
+// site then restarts ALONE, with no live peer to catch up from, and must
+// read the acknowledged change back from its own saved document plus its
+// own journal.
+func TestCrashAllReplicasAfterAck(t *testing.T) {
+	c := newCrashCluster(t, 3)
+	for i := range c.sites {
+		i := i
+		var once sync.Once
+		c.hooks[i].AfterIntent = func(txn.ID, []string) { once.Do(c.sites[i].Kill) }
+		c.hooks[i].BeforeCheckpoint = func(string) { t.Error("a checkpoint ran before the crash") }
 	}
-	_, _ = c.sites[0].Submit([]txn.Operation{changeNameOp()})
-	select {
-	case <-fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("kill hook never fired")
-	}
-
-	report := c.restart(0)
-	if len(report.Resolutions) != 1 || report.Resolutions[0].Outcome != Committed {
-		t.Fatalf("resolutions = %+v", report.Resolutions)
-	}
-	inDoubt := c.sites[0].Journal().InDoubt()
-	if len(inDoubt) != 1 {
-		t.Fatalf("unrecoverable intent was sealed: inDoubt=%v (report %s)", inDoubt, report)
-	}
-	// The site serves regardless; the open intent is the operator's signal.
-	res, err := c.sites[0].Submit([]txn.Operation{txn.NewQuery("d1", "//person/name")})
+	res, err := c.sites[0].Submit([]txn.Operation{changeNameOp()})
 	if err != nil || res.State != txn.Committed {
-		t.Fatalf("restarted single-replica site not serving: %v %+v", err, res)
+		t.Fatalf("doomed transaction was not acknowledged: %v %+v", err, res)
+	}
+	for i, s := range c.sites {
+		if !s.Killed() {
+			t.Fatalf("site %d survived its intent", i)
+		}
+	}
+	for i := range c.sites {
+		report := c.restart(i)
+		if report.Replayed != 1 || len(report.CaughtUp) != 0 {
+			t.Fatalf("site %d: want 1 record replayed and no catch-up, got: %s", i, report)
+		}
+		got, err := c.sites[i].Submit([]txn.Operation{txn.NewQuery("d1", "//person[id='4']/name")})
+		if err != nil || got.State != txn.Committed || len(got.Results[0]) != 1 || got.Results[0][0] != "Zed" {
+			t.Fatalf("site %d lost the acknowledged change: %v %+v (report: %s)", i, err, got, report)
+		}
+		c.sites[i].Kill() // the next site restarts alone too
+	}
+}
+
+// TestCrashStoreHoldsOnlyCommitted: the Store must never hold uncommitted
+// state. Writer A is mid-transaction on d1, B commits on d1, the site is
+// checkpointed and killed, and restarts with every peer down: the loaded
+// document contains B's change and not A's.
+func TestCrashStoreHoldsOnlyCommitted(t *testing.T) {
+	c := newCrashCluster(t, 2)
+	a, err := c.sites[0].Begin(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Exec(txn.NewUpdate("d1", &xupdate.Update{
+		Kind: xupdate.Change, Target: "//person[id='7']/name", Value: "Uncommitted",
+	})); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.sites[1].Submit([]txn.Operation{changeNameOp()})
+	if err != nil || res.State != txn.Committed {
+		t.Fatalf("B: %v %+v", err, res)
+	}
+	c.sites[0].Sync() // whatever a checkpoint would save, it saves now
+	c.sites[0].Kill()
+	c.sites[1].Kill()
+
+	c.restart(0)
+	doc, err := c.sites[0].Document("d1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if xml := doc.String(); !strings.Contains(xml, "Zed") || strings.Contains(xml, "Uncommitted") {
+		t.Fatalf("restarted alone, site 0 holds:\n%s\nwant B's committed change (Zed) and not A's (Uncommitted)", xml)
 	}
 }

@@ -1,37 +1,32 @@
 // Package recovery makes a DTX cluster survive site crashes end to end: a
-// crashed site restarts from its Store snapshots plus journal replay, its
-// in-doubt transactions are resolved with a presumed-abort termination
-// protocol, and its documents catch up from surviving replicas before it
-// rejoins — while, on the surviving sites, failure detection (heartbeats,
-// internal/sched) reroutes reads around the dead replica and fails writes
-// fast. The paper defers durability and atomicity to future work (§5); this
-// package is that direction, built on the journal's intent/commit/decision
-// records.
+// crashed site restarts from its Store images plus journal replay, a crashed
+// coordinator's dangling commit decisions are settled against the
+// participants, and its documents catch up from surviving replicas before
+// it rejoins — while, on the surviving sites, failure detection
+// (heartbeats, internal/sched) reroutes reads around the dead replica and
+// fails writes fast. The paper defers durability and atomicity to future
+// work (§5); this package is that direction, built on the journal's
+// intent/decision records.
 //
-// # The termination protocol
+// # What a restart has to settle
 //
-// An in-doubt transaction is an intent record without a commit record: the
-// site acknowledged the consolidation, but the covering Store write may not
-// have landed before the crash. Its outcome is resolved in order of
-// authority:
+// A participant's intent is its redo record: it is written after the
+// coordinator's decision, it carries the operations the transaction applied
+// here, and Bootstrap replays every intent the saved image does not reflect
+// — so an open intent is replayable, never in doubt, and a site needs no
+// peer to get its own acknowledged commits back.
 //
-//  1. The coordinator's decision record. A coordinator logs a decision
-//     BEFORE fanning the commit out, so "decision present" proves commit
-//     and — the presumed-abort rule — "no decision at a ready coordinator"
-//     proves no participant can have consolidated, hence abort.
-//  2. Surviving participants. If the coordinator is unreachable, any site
-//     that reports the transaction committed proves the decision was
-//     commit (a participant can only consolidate after the decision).
-//  3. Presumed abort. Nobody knows the transaction: no decision can have
-//     been delivered, so abort is safe to presume.
+// What a journal cannot answer locally is a dangling decision: the
+// coordinator logged its commit decision but crashed before consolidating
+// here, so the fate depends on which participants the fan-out reached. The
+// question goes to them: if any consolidated, the commit stands (catch-up
+// pulls the committed bytes); if a reachable site resolved the transaction
+// aborted — the crash beat the whole fan-out and the survivors presumed
+// abort — the decision is voided; otherwise it is left for the next pass.
 //
-// Outcomes are sealed back into the journal (commit or abort records) so
-// the next restart does not re-resolve them. Document convergence is a
-// separate, simpler step: replicas that consolidated hold the
-// authoritative bytes, so the restarted site re-fetches each of its
-// documents from a live replica (catch-up) before rejoining — this also
-// repairs the half of a committed multi-document batch whose covering
-// write never landed.
+// Document convergence is a separate, simpler step: replicas that
+// consolidated hold the authoritative bytes, so the restarted site brings
+// each of its documents up to a live replica (catch-up) before rejoining.
 package recovery
 
 import (
@@ -48,9 +43,9 @@ import (
 
 // Options tunes a recovery run.
 type Options struct {
-	// CatchUp re-fetches every locally held document from a live replica
+	// CatchUp brings every locally held document up to a live replica
 	// before the site rejoins (default true via DefaultOptions). Without
-	// replicas the local store copy is served as-is.
+	// replicas the local image plus journal replay is served as-is.
 	CatchUp bool
 	// Timeout bounds each individual resolution / catch-up exchange.
 	Timeout time.Duration
@@ -66,24 +61,20 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Outcome is the resolved fate of an in-doubt transaction.
+// Outcome is the settled fate of a dangling decision.
 type Outcome string
 
 // Outcomes.
 const (
 	Committed Outcome = "committed"
 	Aborted   Outcome = "aborted"
-	Unknown   Outcome = "unknown"
 )
 
-// Resolution records how one in-doubt transaction (or dangling coordinator
-// decision) was settled.
+// Resolution records how one dangling coordinator decision was settled.
 type Resolution struct {
 	Txn     string
-	Docs    []string
 	Outcome Outcome
-	// Source names the authority: "decision-record", "coordinator",
-	// "participant", or "presumed-abort".
+	// Source names the authority: "participant" or "presumed-abort".
 	Source string
 }
 
@@ -92,8 +83,8 @@ type Report struct {
 	Site int
 	// Documents the site recovered from its store.
 	Documents []string
-	// Resolutions of the journal's in-doubt transactions, in intent order.
-	Resolutions []Resolution
+	// Replayed counts the journal records replayed onto the saved images.
+	Replayed int
 	// Decisions settles the dangling commit decisions of a crashed
 	// coordinator — decided transactions that never consolidated locally,
 	// whose fate depends on which participants the fan-out reached.
@@ -101,9 +92,9 @@ type Report struct {
 	// CaughtUp lists the documents refreshed from a live replica —
 	// incrementally (replication-log replay) or by whole-document transfer.
 	CaughtUp []string
-	// ReplRecords counts the replication-log records replayed by incremental
-	// catch-up (quorum mode); documents it made current avoid the
-	// whole-document transfer entirely.
+	// ReplRecords counts the replication-log records fetched and applied by
+	// incremental catch-up (quorum mode); documents it made current avoid
+	// the whole-document transfer entirely.
 	ReplRecords int
 	// SeqFloor is the identifier fence applied to the restarted site.
 	SeqFloor int64
@@ -116,8 +107,8 @@ func (r *Report) String() string {
 	if r.SeqFloor > 0 {
 		fmt.Fprintf(&b, ", seq fence %d", r.SeqFloor)
 	}
-	for _, res := range r.Resolutions {
-		fmt.Fprintf(&b, "\n  in-doubt %s -> %s (%s)", res.Txn, res.Outcome, res.Source)
+	if r.Replayed > 0 {
+		fmt.Fprintf(&b, "\n  replayed %d journal record(s)", r.Replayed)
 	}
 	for _, res := range r.Decisions {
 		fmt.Fprintf(&b, "\n  decision %s -> %s (%s)", res.Txn, res.Outcome, res.Source)
@@ -126,172 +117,73 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "\n  caught up: %s", strings.Join(r.CaughtUp, ", "))
 	}
 	if r.ReplRecords > 0 {
-		fmt.Fprintf(&b, "\n  replayed %d replication record(s)", r.ReplRecords)
+		fmt.Fprintf(&b, "\n  fetched %d replication record(s)", r.ReplRecords)
 	}
 	return b.String()
 }
 
 // Restart rebuilds a crashed site and resolves its past: Bootstrap the
-// documents from the Store, fence the identifier space past everything the
-// journal has seen, run the termination protocol over the in-doubt
-// transactions and dangling decisions, catch the documents up from live
-// replicas, and finally mark the site ready so heartbeats readmit it. The
-// site must be freshly constructed with Config.Recovering and already
-// attached to the transport.
+// documents from the Store and replay the journal onto them, settle the
+// dangling decisions, catch the documents up from live replicas, and
+// finally mark the site ready so heartbeats readmit it. The site must be
+// freshly constructed with Config.Recovering and already attached to the
+// transport.
 func Restart(s *sched.Site, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	if s.Ready() {
 		return nil, fmt.Errorf("recovery: site %d is already serving", s.ID())
 	}
-	if _, err := s.Bootstrap(); err != nil {
+	replayed, err := s.Bootstrap()
+	if err != nil {
 		return nil, fmt.Errorf("recovery: bootstrap site %d: %w", s.ID(), err)
 	}
-	report := &Report{Site: s.ID(), Documents: s.Documents()}
+	report := &Report{Site: s.ID(), Documents: s.Documents(), Replayed: replayed}
 	if j := s.Journal(); j != nil {
-		// Bootstrap already applied this fence; recorded here for the report.
+		// New already applied this fence; recorded here for the report.
 		report.SeqFloor = j.MaxSeq(s.ID()) + sched.SeqFenceGap
 	}
-	if err := resolve(s, opts, report, nil, false); err != nil {
+	if err := resolveDecisions(s, opts, report); err != nil {
 		return nil, err
 	}
 	if opts.CatchUp {
 		catchUp(s, opts, report)
 	}
-	if err := sealCommitted(s, report); err != nil {
-		return nil, err
-	}
 	s.FinishRecovery()
 	return report, nil
 }
 
-// sealCommitted writes the commit records for resolved-committed in-doubt
-// transactions whose documents are now authoritative — caught up from a
-// live replica. A document with no live replica leaves its intents OPEN: if
-// the covering write never landed, the committed bytes are gone with the
-// crash, and sealing would erase the only evidence of that loss. The intent
-// is re-reported on every restart and by dtxctl -status until a replica
-// appears to catch up from (or an operator intervenes).
-func sealCommitted(s *sched.Site, report *Report) error {
-	caught := make(map[string]bool, len(report.CaughtUp))
-	for _, d := range report.CaughtUp {
-		caught[d] = true
-	}
-	j := s.Journal()
-	for i := range report.Resolutions {
-		res := &report.Resolutions[i]
-		if res.Outcome != Committed {
-			continue
-		}
-		recovered := true
-		for _, doc := range res.Docs {
-			if !caught[doc] {
-				recovered = false
-				break
-			}
-		}
-		if !recovered {
-			res.Source += "; intent left open, no live replica to catch up from"
-			continue
-		}
-		if err := j.LogCommit(res.Txn); err != nil {
-			return fmt.Errorf("recovery: seal %s: %w", res.Txn, err)
-		}
-	}
-	return nil
-}
-
 // Resolve runs an online recovery pass on a live site (dtxctl -recover):
-// drain the persist pipeline, then settle what the journal still carries.
-// Only intents that were open BEFORE the drain and survived it are
-// resolved: traffic keeps committing while the pass runs, and a freshly
-// logged intent whose covering write is merely in flight must not be
-// sealed early — that would erase the very in-doubt window the intent
-// records. Options.CatchUp is ignored here — a serving site's in-memory
-// state is already authoritative; catch-up is a restart-only step.
+// checkpoint every document, then settle the dangling decisions the journal
+// still carries. Options.CatchUp is ignored here — a serving site's
+// in-memory state is already authoritative; catch-up is a restart-only step.
 func Resolve(s *sched.Site, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	if !s.Ready() {
-		// A still-recovering site must finish Restart first: its in-doubt
-		// intents are sealed only after catch-up there, and an online pass
-		// racing that would certify durability for bytes the Store lost.
 		return nil, fmt.Errorf("recovery: site %d is recovering; retry once startup recovery completes", s.ID())
-	}
-	var stale map[string]bool
-	if j := s.Journal(); j != nil {
-		stale = make(map[string]bool)
-		for _, d := range j.InDoubt() {
-			stale[d.Txn] = true
-		}
 	}
 	s.Sync()
 	report := &Report{Site: s.ID(), Documents: s.Documents()}
-	if err := resolve(s, opts, report, stale, true); err != nil {
+	if err := resolveDecisions(s, opts, report); err != nil {
 		return nil, err
 	}
 	return report, nil
 }
 
-// resolve settles the journal's in-doubt transactions and dangling
-// decisions and seals the outcomes back into the journal. A non-nil only
-// filter restricts resolution to the intents it names. Commit records are
-// sealed immediately only when sealCommits is set (the online pass, where
-// the drained Store provably holds the bytes); the restart path defers them
-// to sealCommitted, after catch-up has made the bytes authoritative.
-func resolve(s *sched.Site, opts Options, report *Report, only map[string]bool, sealCommits bool) error {
+// resolveDecisions settles the journal's dangling decisions (see the package
+// comment) and seals the outcomes back into the journal. A decision whose
+// local intent is still OPEN is not dangling at all: this site consolidated,
+// and the checkpoint that covers the intent seals both.
+func resolveDecisions(s *sched.Site, opts Options, report *Report) error {
 	j := s.Journal()
 	if j == nil {
 		return nil
 	}
-	for _, d := range j.InDoubt() {
-		if only != nil && !only[d.Txn] {
-			continue // logged after the pass began; its persist is in flight
-		}
-		res := resolveOne(s, opts, d.Txn)
-		res.Docs = d.Docs
-		if res.Outcome == Committed && s.PersistFailed(d.Docs) {
-			// The covering write FAILED (latched persist error): the Store
-			// provably does not hold the committed bytes, so certifying the
-			// intent durable would erase the exact signal it records. The
-			// intent stays open; a restart repairs the document by catch-up.
-			res.Outcome = Unknown
-			res.Source = "persist-failed"
-			report.Resolutions = append(report.Resolutions, res)
-			continue
-		}
-		switch res.Outcome {
-		case Committed:
-			if sealCommits {
-				if err := j.LogCommit(d.Txn); err != nil {
-					return fmt.Errorf("recovery: seal %s: %w", d.Txn, err)
-				}
-			}
-		case Aborted:
-			// An abort record claims no durability, only resolution; it is
-			// safe to seal regardless of the Store's state.
-			if err := j.LogAbort(d.Txn); err != nil {
-				return fmt.Errorf("recovery: seal %s: %w", d.Txn, err)
-			}
-		}
-		report.Resolutions = append(report.Resolutions, res)
-	}
-	// Dangling decisions: this site decided commit but never consolidated
-	// locally, so the fate depends on which participants the crashed
-	// fan-out reached. The question goes to the participants — NOT to this
-	// journal, whose decision record is exactly what is in doubt. If any
-	// participant consolidated, the commit stands and is sealed (catch-up
-	// pulls the committed bytes); if none did — the crash beat the whole
-	// fan-out, and the survivors have long since presumed abort — the
-	// decision is voided so it cannot resurface. A decision whose local
-	// intent is still OPEN is not dangling at all: the persist pipeline (or
-	// the intent loop above) owns its sealing, and writing a commit record
-	// here would close the in-doubt window while the covering write is in
-	// flight.
-	stillOpen := make(map[string]bool)
-	for _, d := range j.InDoubt() {
-		stillOpen[d.Txn] = true
+	open := make(map[string]bool)
+	for _, in := range j.OpenIntents() {
+		open[in.Txn] = true
 	}
 	for _, t := range j.Decisions() {
-		if stillOpen[t] {
+		if open[t] {
 			continue
 		}
 		id, err := txn.ParseID(t)
@@ -331,66 +223,15 @@ func resolve(s *sched.Site, opts Options, report *Report, only map[string]bool, 
 	return nil
 }
 
-// resolveOne settles one in-doubt transaction.
-func resolveOne(s *sched.Site, opts Options, t string) Resolution {
-	res := Resolution{Txn: t, Outcome: Unknown}
-	id, err := txn.ParseID(t)
-	if err != nil {
-		// Unparseable id (foreign journal edit): leave it open.
-		res.Source = "unparseable-id"
-		return res
-	}
-	j := s.Journal()
-	if id.Site == s.ID() {
-		// Our own coordination: the decision record is the whole truth. An
-		// intent can only follow a commit decision, so a missing decision
-		// here means it was already sealed by a later record — treat the
-		// presence of the intent itself as proof of commit.
-		res.Outcome = Committed
-		res.Source = "decision-record"
-		if j != nil && !j.Decision(t) {
-			res.Source = "intent-implies-decision"
-		}
-		return res
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
-	outcome := s.ResolveOutcome(ctx, id)
-	cancel()
-	switch outcome {
-	case transport.OutcomeCommitted:
-		res.Outcome = Committed
-		res.Source = "coordinator"
-	case transport.OutcomeAborted:
-		// An affirmative answer: the coordinator's presumed-abort rule (it
-		// is ready and has no decision), or a peer that already resolved
-		// the transaction aborted.
-		res.Outcome = Aborted
-		res.Source = "coordinator"
-	case transport.OutcomeActive:
-		res.Outcome = Unknown
-		res.Source = "still-active"
-	default:
-		// Unknown means nobody REACHABLE could answer — which is zero
-		// information, not a presumption. Sealing an abort on it would
-		// erase the in-doubt evidence exactly when it matters most (the
-		// coordinator is down too); the intent stays open and the next
-		// pass retries once peers return.
-		res.Outcome = Unknown
-		res.Source = "no live site could answer; left open"
-	}
-	return res
-}
-
 // catchUp converges every locally held document with the live replicas. In
 // quorum-replication mode the incremental path runs first: resume from the
-// position the store's meta record certifies and replay only the missing
-// replication-log span (from this site's own journal-reseeded log when it is
-// the document's primary, from the primary otherwise). Only when that cannot
-// converge the document — untrusted position, span compacted past the
-// horizon, unreachable primary, or legacy eager mode — does catch-up fall
+// position the saved image plus this site's own journal replay reached and
+// fetch only the missing replication-log span from the primary. Only when
+// that cannot converge the document — untrusted position, span past the
+// shipping horizon, unreachable primary, or eager mode — does catch-up fall
 // back to fetching the whole document from a live replica. A document with
-// no path to convergence keeps its local store copy (and the report omits
-// it).
+// no path to convergence keeps its local image plus replay (and the report
+// omits it).
 func catchUp(s *sched.Site, opts Options, report *Report) {
 	quorum := s.QuorumReplication()
 	for _, name := range report.Documents {

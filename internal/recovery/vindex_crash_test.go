@@ -12,22 +12,24 @@ import (
 )
 
 // TestCrashValueIndexReplay — the value-index entry of the crash-point
-// table: with indexed sites, a participant is killed mid-persist, after the
-// in-memory tree and index mutated (they change in one critical section) but
-// before the covering Store write. Restart replay reloads the document and
-// reconstructs the index from it, so the restarted site's indexed point
-// lookups must agree with a scan of its recovered tree and with the
-// survivors — before and after a post-recovery write.
+// table: with indexed sites, a participant is killed right after its intent,
+// after the in-memory tree and index mutated (they change in one critical
+// section) and before any checkpoint. The restart — without catch-up, so the
+// journal is all it has — reloads the saved document, rebuilds the index
+// from it and replays the intent through the same hooks that maintain the
+// index under traffic, so the restarted site's indexed point lookups must
+// agree with a scan of its recovered tree and with the survivors — before
+// and after a post-recovery write.
 func TestCrashValueIndexReplay(t *testing.T) {
 	c := newCrashClusterIndexed(t, 3, []string{"id", "name"})
 	fired := make(chan struct{})
 	var once sync.Once
-	c.hooks[1].BeforeSave = func(string) {
+	c.hooks[1].AfterIntent = func(txn.ID, []string) {
 		once.Do(func() { c.sites[1].Kill(); close(fired) })
 	}
 
 	// The doomed transaction: the tree+index mutation happens at every
-	// replica; site 1 dies before persisting it.
+	// replica; site 1 dies with it in its journal only.
 	_, _ = c.sites[0].Submit([]txn.Operation{changeNameOp()})
 	select {
 	case <-fired:
@@ -42,9 +44,9 @@ func TestCrashValueIndexReplay(t *testing.T) {
 		return err == nil && res.State == txn.Committed
 	})
 
-	report := c.restart(1)
-	if inDoubt := c.sites[1].Journal().InDoubt(); len(inDoubt) != 0 {
-		t.Fatalf("in-doubt transactions survived recovery: %+v (report: %s)", inDoubt, report)
+	report := c.restartWith(1, Options{Timeout: time.Second})
+	if report.Replayed != 1 {
+		t.Fatalf("want the doomed transaction replayed from the journal, got: %s", report)
 	}
 
 	assertIndexedMatchesScan := func(what string) {

@@ -504,7 +504,7 @@ func fanOut(sites []int, fn func(site int) bool) ([]bool, bool) {
 // if any refuses, abort. Returns true if the commit completed. The remote
 // consolidations are issued concurrently and joined — the commit phase
 // costs the slowest participant instead of the sum — but the coordinator's
-// own persist deliberately stays LAST, exactly as in the serial protocol:
+// own consolidation deliberately stays LAST, exactly as in the serial protocol:
 // a remote refusal then still finds the local replica unconsolidated.
 //
 // Refusal outcomes are reported honestly. If NO remote site consolidated
@@ -554,9 +554,9 @@ func (s *Site) commitTransaction(ct *coordTxn) bool {
 	// coordinator means abort") is only sound under that order. A site
 	// without a journal keeps the pre-recovery semantics (participants fall
 	// back to each other when this coordinator crashes). With no remote
-	// participants there is nobody the record could ever answer — and an
-	// in-doubt local intent proves the commit by itself — so the local-only
-	// commit path skips the extra fsync.
+	// participants there is nobody the record could ever answer — and the
+	// local intent proves the commit by itself — so the local-only commit
+	// path skips the extra fsync.
 	if s.cfg.Journal != nil && !readOnly && len(remote) > 0 {
 		dsp := s.m.reg.Span()
 		if err := s.cfg.Journal.LogDecision(id.String()); err != nil {
@@ -615,21 +615,21 @@ func (s *Site) commitTransaction(ct *coordTxn) bool {
 		fsp.Done(s.m.commitFanout)
 		ct.trace.add("2pc-commit-fanout", "", 0, fsp.Elapsed())
 	}
-	// Algorithm 5, l. 10–11: persist locally and release the locks.
+	// Algorithm 5, l. 10–11: consolidate locally and release the locks.
 	if allOK {
 		localErr := s.commitLocal(id)
 		if localErr == nil {
 			if s.cfg.Journal != nil && !readOnly {
-				// A transaction that persisted nothing at this site has no local
-				// commit record coming; seal the decision so it does not linger
-				// as unresolved across restarts.
+				// A transaction that changed nothing at this site has no intent
+				// for a checkpoint to seal; seal the decision so it does not
+				// linger as unresolved across restarts.
 				_ = s.cfg.Journal.SealDecision(id.String())
 			}
 			s.noteWrites(ct)
 			return true
 		}
 		if errors.Is(localErr, errQuorumShort) {
-			// The local consolidation itself is done — persisted, locks
+			// The local consolidation itself is done — journaled, locks
 			// released — only the replication quorum fell short.
 			maybeConsolidated = true
 		}

@@ -10,9 +10,10 @@ import (
 	"repro/internal/xupdate"
 )
 
-// TestCommitJournaling: a committed update produces an intent + commit pair
-// in the journal, an aborted one produces nothing, and recovery over the
-// resulting journal reports no in-doubt transactions.
+// TestCommitJournaling: a committed update produces one intent carrying its
+// operations — open until a checkpoint covers it — an aborted or read-only
+// transaction produces nothing, and after Sync the Store holds the committed
+// document and the journal no open intent.
 func TestCommitJournaling(t *testing.T) {
 	dir := t.TempDir()
 	journal, err := store.OpenJournal(filepath.Join(dir, "commit.log"))
@@ -42,52 +43,71 @@ func TestCommitJournaling(t *testing.T) {
 	if _, err := s.Submit([]txn.Operation{txn.NewQuery("d2", "//product")}); err != nil {
 		t.Fatal(err)
 	}
-	// The persist pipeline writes commit records asynchronously; drain it
-	// before closing the journal.
+	open := journal.OpenIntents()
+	if len(open) != 1 || open[0].Txn != res.Txn.String() || len(open[0].Docs) != 1 || open[0].Docs[0] != "d2" {
+		t.Fatalf("open intents after one commit = %+v", open)
+	}
+	if recs, err := journal.OpenRecords("d2"); err != nil || len(recs) != 1 || len(recs[0].Ops) != 1 {
+		t.Fatalf("intent carries %+v (err %v), want the one applied insert", recs, err)
+	}
+	// A snapshot reader materialises the committed version first; the
+	// checkpoint must save that very version, at the position it reflects.
+	if ro, err := s.SubmitReadOnly([]txn.Operation{txn.NewQuery("d2", "//product/id")}); err != nil || len(ro.Results[0]) != 3 {
+		t.Fatalf("snapshot read: %v %+v", err, ro)
+	}
 	s.Sync()
 	journal.Close()
 
-	inDoubt, err := store.Recover(journal.Path())
+	open, err = store.Recover(journal.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(inDoubt) != 0 {
-		t.Fatalf("in doubt after clean run: %+v", inDoubt)
+	if len(open) != 0 {
+		t.Fatalf("open intents after Sync: %+v", open)
+	}
+	saved, err := s.cfg.Store.Load("d2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, _ := s.Document("d2")
+	if saved.String() != live.String() {
+		t.Fatalf("Store after Sync differs from the committed tree:\n%s\nvs\n%s", saved, live)
 	}
 }
 
-// TestRecoveryDetectsTornCommit simulates a crash between the intent record
-// and the commit record: recovery flags the transaction.
-func TestRecoveryDetectsTornCommit(t *testing.T) {
+// TestRecoveryDetectsOpenIntent simulates a crash between the intent record
+// and the checkpoint that would have covered it: recovery reports the
+// intent.
+func TestRecoveryDetectsOpenIntent(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "commit.log")
 	journal, err := store.OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Write the intent by hand, as if the site crashed mid-persist.
+	// Write the intent by hand, as if the site crashed before a checkpoint.
 	if err := journal.LogIntent("t0.7", []string{"d2"}); err != nil {
 		t.Fatal(err)
 	}
 	journal.Close()
 
-	inDoubt, err := store.Recover(path)
+	open, err := store.Recover(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(inDoubt) != 1 || inDoubt[0].Txn != "t0.7" || inDoubt[0].Docs[0] != "d2" {
-		t.Fatalf("in doubt = %+v", inDoubt)
+	if len(open) != 1 || open[0].Txn != "t0.7" || open[0].Docs[0] != "d2" {
+		t.Fatalf("open = %+v", open)
 	}
 
 	// A restarted site over the same store can reload its documents and
-	// resume service while the in-doubt set is resolved out of band.
+	// resume service.
 	st := store.NewMemStore()
 	doc, _ := xmltree.ParseString("d2", productsXML)
 	if err := st.Save(doc); err != nil {
 		t.Fatal(err)
 	}
 	sites, _ := newCluster(t, 1, func(c *Config) { c.Store = st })
-	if err := sites[0].LoadDocument("d2"); err != nil {
+	if _, err := sites[0].LoadDocument("d2"); err != nil {
 		t.Fatal(err)
 	}
 	res, err := sites[0].Submit([]txn.Operation{txn.NewQuery("d2", "//product")})
@@ -97,7 +117,7 @@ func TestRecoveryDetectsTornCommit(t *testing.T) {
 }
 
 // TestBootstrap: a restarted site recovers every stored document and
-// reports journal in-doubt transactions.
+// replays the journal's open intents onto them.
 func TestBootstrap(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.NewFileStore(dir)
@@ -114,7 +134,10 @@ func TestBootstrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := journal.LogIntent("t0.3", []string{"d1"}); err != nil {
+	rec := store.ReplRecord{Index: 1, Txn: txn.ID{Site: 0, Seq: 3}, TS: 3, Ops: []txn.Operation{
+		txn.NewUpdate("d1", &xupdate.Update{Kind: xupdate.Change, Target: "//person[id='4']/name", Value: "Replayed"}),
+	}}
+	if err := journal.LogIntent("t0.3", []string{"d1"}, rec); err != nil {
 		t.Fatal(err)
 	}
 	journal.Close()
@@ -126,12 +149,16 @@ func TestBootstrap(t *testing.T) {
 		c.Store = st
 		c.Journal = journal2
 	})
-	inDoubt, err := sites[0].Bootstrap()
+	replayed, err := sites[0].Bootstrap()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(inDoubt) != 1 || inDoubt[0].Txn != "t0.3" {
-		t.Fatalf("in doubt = %+v", inDoubt)
+	if replayed != 1 {
+		t.Fatalf("replayed %d records, want 1", replayed)
+	}
+	if res, err := sites[0].Submit([]txn.Operation{txn.NewQuery("d1", "//person[id='4']/name")}); err != nil ||
+		len(res.Results[0]) != 1 || res.Results[0][0] != "Replayed" {
+		t.Fatalf("replayed change not visible: %v %+v", err, res)
 	}
 	if got := len(sites[0].Documents()); got != 2 {
 		t.Fatalf("recovered %d documents", got)

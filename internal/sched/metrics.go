@@ -5,7 +5,6 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -43,8 +42,8 @@ type siteMetrics struct {
 	commitFanout  *obs.Histogram    // 2PC: CommitReq fan-out until every ack
 	quorumAck     *obs.Histogram    // 2PC: shipQuorum wait for WriteQuorum acks
 	detectorCycle *obs.Histogram    // one distributed deadlock sweep
-	persistSave   *obs.HistogramVec // per doc: Store.Save of one snapshot
-	persistBatch  *obs.HistogramVec // per doc: commits covered per save
+	persistSave   *obs.HistogramVec // per doc: one checkpoint's Store write
+	persistBatch  *obs.HistogramVec // per doc: commits covered per checkpoint
 	replShip      *obs.HistogramVec // per peer: one LogShipReq round trip
 	replApply     *obs.HistogramVec // per doc: applying one shipped span
 }
@@ -99,7 +98,7 @@ func newSiteMetrics(s *Site, reg *obs.Registry) *siteMetrics {
 		remoteOpsSent:      reg.Counter("dtx_remote_ops_sent_total", "Operations shipped to remote participants."),
 		remoteOpsProcessed: reg.Counter("dtx_remote_ops_processed_total", "Remote operations processed at this participant."),
 		locksAcquired:      reg.Counter("dtx_locks_acquired_total", "Locks granted."),
-		persistErrors:      reg.Counter("dtx_persist_errors_total", "Background persist failures (latched per document)."),
+		persistErrors:      reg.Counter("dtx_persist_errors_total", "Failed checkpoints (latched per document)."),
 		snapshotReads:      reg.Counter("dtx_snapshot_reads_total", "Queries served lock-free from MVCC versions."),
 		snapshotPublishes:  reg.Counter("dtx_snapshot_publishes_total", "Committed versions materialised into an MVCC chain."),
 		logShipped:         reg.Counter("dtx_repl_records_shipped_total", "Replication records acked by a follower (per record, per follower)."),
@@ -118,8 +117,8 @@ func newSiteMetrics(s *Site, reg *obs.Registry) *siteMetrics {
 		commitFanout:  reg.Histogram("dtx_2pc_commit_fanout_seconds", "2PC commit phase: consolidation fan-out until every participant acked.", obs.LatencyBuckets),
 		quorumAck:     reg.Histogram("dtx_2pc_quorum_ack_seconds", "Quorum replication: shipQuorum wait for WriteQuorum durable acks.", obs.LatencyBuckets),
 		detectorCycle: reg.Histogram("dtx_deadlock_cycle_seconds", "One distributed deadlock-detection sweep (Alg. 4).", obs.LatencyBuckets),
-		persistSave:   reg.HistogramVec("dtx_persist_save_seconds", "Persist pipeline: one snapshot marshal+write to the Store.", "doc", obs.LatencyBuckets),
-		persistBatch:  reg.HistogramVec("dtx_persist_batch_size", "Persist pipeline: commits covered by one snapshot write.", "doc", obs.SizeBuckets),
+		persistSave:   reg.HistogramVec("dtx_persist_save_seconds", "Checkpoint: one committed image marshalled and written to the Store.", "doc", obs.LatencyBuckets),
+		persistBatch:  reg.HistogramVec("dtx_persist_batch_size", "Checkpoint: commits one saved image covered.", "doc", obs.SizeBuckets),
 		replShip:      reg.HistogramVec("dtx_repl_ship_seconds", "Replication: one LogShipReq round trip to a follower.", "peer", obs.LatencyBuckets),
 		replApply:     reg.HistogramVec("dtx_repl_apply_seconds", "Replication: applying one shipped span at this follower.", "doc", obs.LatencyBuckets),
 	}
@@ -132,8 +131,15 @@ func newSiteMetrics(s *Site, reg *obs.Registry) *siteMetrics {
 		}
 		return 0
 	})
-	reg.GaugeFunc("dtx_persist_queue_depth", "Persist pipeline: commits acknowledged but not yet covered by a Store write.", func() float64 {
-		return float64(atomic.LoadInt64(&s.persistCount))
+	reg.LabeledGaugeFunc("dtx_checkpoint_lag_records", "Records applied to the document that its saved image does not reflect yet (what a restart would replay).", "doc", func() []obs.LabeledValue {
+		var out []obs.LabeledValue
+		for _, ds := range s.allDocs() {
+			ds.mu.Lock()
+			lag := ds.replApplied - ds.savedIdx
+			ds.mu.Unlock()
+			out = append(out, obs.LabeledValue{Label: ds.name, Value: float64(lag)})
+		}
+		return out
 	})
 	reg.CounterFunc("dtx_mvcc_gc_reclaimed_total", "MVCC versions retired by chain GC.", func() float64 {
 		var n int64

@@ -205,13 +205,9 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 		// committed tree BEFORE mutating it — the last clean point until this
 		// writer (and any it overlaps with) consolidates. Commit itself stays
 		// O(1): it only advances the chain's commit clock (commitLocal), and
-		// whoever next needs the committed tree — this branch, or a snapshot
-		// reader at a clean point — pays for the copy.
-		if len(ds.dirty) == 0 && ds.versions.Stale() {
-			if ds.versions.Publish(ds.doc.Snapshot(), ds.versions.CommitTS()) {
-				s.m.snapshotPublishes.Inc()
-			}
-		}
+		// whoever next needs the committed tree — this branch, a snapshot
+		// reader or the checkpointer at a clean point — pays for the copy.
+		s.publishLocked(ds)
 		rec, _, aerr := xupdate.Apply(op.Update, ds.doc, ds.guide)
 		if aerr != nil {
 			// The update itself failed (not a lock problem): Algorithm 2
@@ -220,9 +216,7 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 			out.err = aerr.Error()
 		} else {
 			pt.addUndo(opIdx, undoEntry{doc: op.Doc, rec: rec})
-			if s.replLog != nil {
-				pt.addApplied(opIdx, op)
-			}
+			pt.addApplied(opIdx, op)
 			ds.dirty[id] = true
 			out.executed = true
 		}
@@ -404,15 +398,17 @@ func (s *Site) tombstone(id txn.ID, committed bool) (pt *partTxn, won bool, prev
 	return pt, won, prevCommitted
 }
 
-// commitLocal consolidates a transaction at this site: hand its documents
-// to the persist pipeline and release its locks (Algorithm 5, l. 10–11).
-// The commit path itself does no serialization and no I/O beyond the
-// journal intent — the pipeline snapshots the document under its mutex and
-// marshals + writes outside it, in commit order (persist.go).
+// commitLocal consolidates a transaction at this site: make its effects
+// durable with one journal intent and release its locks (Algorithm 5,
+// l. 10–11). The intent carries, per changed document, the operations the
+// transaction applied — the redo record a restart replays and the record
+// quorum mode ships — so the commit path does no serialization and no I/O
+// beyond that one fsynced append; documents reach the Store through
+// checkpoints (persist.go).
 //
-// Refusals (a latched background persist failure, a journal error) happen
-// before any teardown, so the coordinator's subsequent abort still finds
-// the participant state intact and rolls the transaction back cleanly. The
+// Refusals (a latched checkpoint failure, a journal error) happen before any
+// teardown, so the coordinator's subsequent abort still finds the
+// participant state intact and rolls the transaction back cleanly. The
 // coordinator only commits once every operation has completed at every
 // site, so no operation of the transaction is in flight here during the
 // dirty scan.
@@ -437,12 +433,14 @@ func (s *Site) commitLocal(id txn.ID) error {
 	}
 	defer s.exitCommit()
 
-	// Collect the documents with unpersisted changes and refuse if any of
-	// them has a latched background persist failure.
+	// Collect the documents the transaction changed and refuse if any of
+	// them has a latched checkpoint failure.
 	var names []string
-	var toPersist []*docState
+	var changed []*docState
+	var byDoc map[string][]txn.Operation
 	if pt != nil {
 		names = pt.docNames()
+		byDoc = pt.appliedByDoc()
 		for _, name := range names {
 			ds := s.doc(name)
 			if ds == nil {
@@ -456,99 +454,20 @@ func (s *Site) commitLocal(id txn.ID) error {
 				return perr
 			}
 			if dirty {
-				toPersist = append(toPersist, ds)
+				changed = append(changed, ds)
 			}
 		}
 	}
 
-	// WAL intent before any snapshot can reach the Store; written
-	// synchronously so a crash after the commit ack still leaves the
-	// in-doubt record Recover looks for.
-	var group *persistGroup
-	if s.cfg.Journal != nil && len(toPersist) > 0 {
-		docs := make([]string, len(toPersist))
-		for i, ds := range toPersist {
-			docs[i] = ds.doc.Name
-		}
-		if hooks := s.cfg.Hooks; hooks != nil && hooks.BeforeIntent != nil {
-			hooks.BeforeIntent(id, docs)
-		}
-		if err := s.cfg.Journal.LogIntent(id.String(), docs); err != nil {
-			return fmt.Errorf("sched: journal intent: %w", err)
-		}
-		if hooks := s.cfg.Hooks; hooks != nil && hooks.AfterIntent != nil {
-			hooks.AfterIntent(id, docs)
-		}
-		group = &persistGroup{id: id, remaining: int64(len(toPersist))}
-	}
-
-	// Point of no return: tombstone (see tombstone), then hand the
-	// documents to the persist pipeline, then release. The pipeline's next
-	// flush of each document necessarily includes this transaction's
-	// committed changes — the tree only moves forward from here (later
-	// commits add theirs; aborts undo only their own). The tombstone is
-	// also the decision point against a concurrent local resolution: the
-	// entry check above is advisory (TOCTOU), only winning the tombstone
-	// authorises the consolidation.
-	if _, won, prevCommitted := s.tombstone(id, true); !won {
-		if prevCommitted {
-			return nil // a duplicate consolidation already did the work
-		}
-		// An orphan abort slipped in after the entry check and rolled the
-		// transaction back; acknowledging the commit now would report
-		// consolidation over an undone state. Close our own intent record
-		// so it cannot dangle in-doubt.
-		if s.cfg.Journal != nil && group != nil {
-			_ = s.cfg.Journal.LogAbort(id.String())
-		}
-		return fmt.Errorf("sched: site %d: %s aborted during consolidation", s.id, id)
-	}
-	// Stamp the consolidation on each touched document's version chain —
-	// O(1) commit publication: only the chain's commit clock advances here;
-	// the committed tree is materialised lazily, by the next writer's first
-	// update at a clean point or by a snapshot reader (pinDocVersion). One
-	// clock tick stamps the whole local consolidation.
-	var cts txn.TS
-	if len(toPersist) > 0 {
-		s.mu.Lock()
-		cts = s.clock.Tick()
-		s.mu.Unlock()
-		for _, ds := range toPersist {
-			ds.versions.Advance(cts)
-		}
-	}
-	var byDoc map[string][]txn.Operation
-	if s.replLog != nil && pt != nil {
-		byDoc = pt.appliedByDoc()
-	}
-	var ships []shipItem
-	for _, ds := range toPersist {
-		ds.mu.Lock()
-		delete(ds.dirty, id)
-		if ops := byDoc[ds.doc.Name]; len(ops) > 0 {
-			// Quorum mode: append this transaction's effects on the document
-			// to the shipping log and journal the record, all under the
-			// domain mutex — racing commits on one document must hit the
-			// journal in index order, or the replayed tail would gap-reset
-			// and re-mint an index a follower already applied.
-			rec := store.ReplRecord{Txn: id, TS: cts, Ops: ops}
-			rec.Index = s.replLog.Append(ds.doc.Name, rec)
-			ds.replApplied = rec.Index
-			if j := s.cfg.Journal; j != nil && !s.Killed() {
-				if payload, perr := store.EncodeReplRecord(rec); perr == nil {
-					_ = j.LogRepl(ds.doc.Name, rec.Index, payload)
-				}
-			}
-			ships = append(ships, shipItem{ds: ds, rec: rec})
-		}
-		s.schedulePersistLocked(ds, group)
-		ds.mu.Unlock()
+	ships, won, err := s.consolidate(id, changed, byDoc)
+	if err != nil || !won {
+		return err // nil: a duplicate consolidation already did the work
 	}
 	wake := s.releaseLocks(id, names)
 	s.notifyWaiters(wake)
 	if len(ships) > 0 {
 		// Ship after the local point of no return: locks are released and
-		// the persist pipeline holds the changes, so a quorum shortfall is a
+		// the intent is durable, so a quorum shortfall is a
 		// consolidated-but-uncertain outcome (errQuorumShort), never a clean
 		// abort.
 		qsp := s.m.reg.Span()
@@ -559,6 +478,103 @@ func (s *Site) commitLocal(id txn.ID) error {
 		s.traceFor(id).add("2pc-quorum-ack", "", 0, qsp.Elapsed())
 	}
 	return nil
+}
+
+// consolidate is commitLocal's point of no return: journal the intent, win
+// the tombstone, advance the changed documents. With documents changed it
+// runs under commitMu, which makes "number the records, append the intent,
+// advance the documents" one step per site: a document's records reach the
+// journal in index order and a refused append consumes no index, so the
+// open intents past a saved image are always a gapless run. It returns the
+// records quorum mode still has to ship, and whether this call won the
+// consolidation (false with a nil error: a duplicate request).
+func (s *Site) consolidate(id txn.ID, changed []*docState, byDoc map[string][]txn.Operation) (ships []shipItem, won bool, err error) {
+	if len(changed) > 0 {
+		s.commitMu.Lock()
+		defer s.commitMu.Unlock()
+	}
+	var docs []string
+	var recs []store.ReplRecord
+	redo := make(map[*docState]store.ReplRecord, len(changed))
+	for _, ds := range changed {
+		// A document whose every update was undone again (a failed multi-site
+		// attempt) is dirty but has nothing to redo.
+		if ops := byDoc[ds.name]; len(ops) > 0 {
+			ds.mu.Lock()
+			rec := store.ReplRecord{Index: ds.replApplied + 1, Txn: id, Ops: ops}
+			ds.mu.Unlock()
+			redo[ds] = rec
+			docs = append(docs, ds.name)
+			recs = append(recs, rec)
+		}
+	}
+	journaled := s.cfg.Journal != nil && len(recs) > 0
+	if journaled {
+		// The journaled records carry the clock reading the consolidation
+		// will exceed; a replay only needs it positive.
+		s.mu.Lock()
+		logTS := s.clock.Tick()
+		s.mu.Unlock()
+		for i := range recs {
+			recs[i].TS = logTS
+		}
+		if hooks := s.cfg.Hooks; hooks != nil && hooks.BeforeIntent != nil {
+			hooks.BeforeIntent(id, docs)
+		}
+		if err := s.cfg.Journal.LogIntent(id.String(), docs, recs...); err != nil {
+			return nil, false, fmt.Errorf("sched: journal intent: %w", err)
+		}
+		if hooks := s.cfg.Hooks; hooks != nil && hooks.AfterIntent != nil {
+			hooks.AfterIntent(id, docs)
+		}
+	}
+
+	// The tombstone (see tombstone) is the decision point against a
+	// concurrent local resolution: commitLocal's entry check is advisory
+	// (TOCTOU), only winning the tombstone authorises the consolidation.
+	if _, first, prevCommitted := s.tombstone(id, true); !first {
+		if prevCommitted {
+			return nil, false, nil
+		}
+		// An orphan abort slipped in after the entry check and rolled the
+		// transaction back; acknowledging the commit now would report
+		// consolidation over an undone state. Void what we journaled so a
+		// restart does not replay it; its indexes were never taken.
+		if journaled {
+			_ = s.cfg.Journal.LogAbort(id.String(), docs...)
+		}
+		return nil, false, fmt.Errorf("sched: site %d: %s aborted during consolidation", s.id, id)
+	}
+	if len(changed) == 0 {
+		return nil, true, nil
+	}
+	// Stamp the consolidation on each changed document: its log position
+	// moves to the record just journaled and its version chain's commit
+	// clock advances — O(1) commit publication; the committed tree is
+	// materialised lazily at the next clean point (publishLocked). One tick
+	// taken AFTER the append stamps the whole local consolidation: a
+	// snapshot reader that began while the intent was being written has a
+	// timestamp below it and sees the transaction on none of its documents,
+	// instead of on those it happens to read late.
+	s.mu.Lock()
+	cts := s.clock.Tick()
+	s.mu.Unlock()
+	for _, ds := range changed {
+		ds.mu.Lock()
+		delete(ds.dirty, id)
+		if rec, ok := redo[ds]; ok {
+			rec.TS = cts
+			ds.replApplied = rec.Index
+			if s.replLog != nil {
+				s.replLog.Append(ds.name, rec)
+				ships = append(ships, shipItem{ds: ds, rec: rec})
+			}
+		}
+		ds.versions.Advance(cts)
+		s.checkpointIfDueLocked(ds)
+		ds.mu.Unlock()
+	}
+	return ships, true, nil
 }
 
 // abortLocal cancels a transaction at this site: undo every operation in
@@ -610,14 +626,8 @@ func (s *Site) abortLocal(id txn.ID) error {
 		for _, name := range names {
 			if ds := s.doc(name); ds != nil {
 				ds.mu.Lock()
-				if ds.dirty[id] {
-					delete(ds.dirty, id)
-					// A flush inside the batching window may have captured
-					// this transaction's now-undone changes; schedule a
-					// corrective write so the Store converges back to the
-					// committed state instead of retaining an aborted one.
-					s.schedulePersistLocked(ds, nil)
-				}
+				delete(ds.dirty, id)
+				s.checkpointIfDueLocked(ds) // the abort may have made a clean point
 				ds.mu.Unlock()
 			}
 		}

@@ -104,7 +104,7 @@ func TestPerDocumentProgress(t *testing.T) {
 
 // orderStore wraps a MemStore and records, per document, the number of
 // top-level children in every state saved — the observation the
-// persist-ordering test asserts on.
+// checkpoint-ordering test asserts on.
 type orderStore struct {
 	store.Store
 	mu    sync.Mutex
@@ -120,12 +120,13 @@ func (o *orderStore) Save(doc *xmltree.Document) error {
 	return o.Store.Save(doc)
 }
 
-// TestPersistOrdering drives many concurrent single-insert transactions on
-// one document and asserts that Store writes observe per-document commit
+// TestCheckpointOrdering drives many concurrent single-insert transactions
+// on one document of a site without a journal (so every clean point is
+// checkpointed) and asserts that Store writes observe per-document commit
 // order: every saved state has strictly more inserts than the previous one
-// (the pipeline may coalesce commits, so counts can skip, never regress),
-// and the final saved state contains every commit.
-func TestPersistOrdering(t *testing.T) {
+// (a checkpoint covers every commit since the last, so counts can skip,
+// never regress), and after Sync the saved state contains every commit.
+func TestCheckpointOrdering(t *testing.T) {
 	os := &orderStore{Store: store.NewMemStore(), seen: make(map[string][]int)}
 	sites, _ := newCluster(t, 1, func(cfg *Config) {
 		cfg.Store = os

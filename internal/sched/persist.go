@@ -2,104 +2,83 @@ package sched
 
 import (
 	"fmt"
-	"sync/atomic"
-	"time"
 
-	"repro/internal/store"
-	"repro/internal/txn"
+	"repro/internal/xmltree"
 )
 
-// The persist pipeline gets XML serialization out of the scheduling domain
-// and off the commit path entirely. A commit only marks its document
-// persist-pending (O(1) under the domain mutex); a per-document worker
-// wakes after a short batching window, snapshots the document under the
-// domain mutex (an arena tree copy, no I/O), and marshals + writes the
-// snapshot to the Store outside every scheduler mutex. Snapshots are
-// cumulative document states, so one write makes every commit of the
-// window durable — group persistence: under heavy commit traffic the Store
-// converges to the latest committed state through a subsequence of the
-// commit history instead of absorbing one full serialization per commit,
-// and the write rate per document is bounded by the window, not the load.
-// Writes per document are issued by a single worker, strictly in commit
-// order.
+// Persistence is journal-append plus periodic checkpoint. A commit makes
+// itself durable by appending one intent line carrying its applied
+// operations (commitLocal); it never rewrites a document. A per-document
+// checkpointer saves the document's committed image — the MVCC chain's
+// published head, never the live tree, so the Store cannot hold an undecided
+// transaction's change — stamps the log index the image reflects through the
+// Store's meta record, and seals every intent the image covers with one
+// journal line. A restart loads the image and replays the open intents past
+// its index (LoadDocument).
 //
-// The WAL contract holds around the pipeline: the journal intent record is
-// written synchronously in commitLocal before the commit is acknowledged,
-// and the commit record is written after the LAST of the transaction's
-// documents has actually been saved (persistGroup). Between the two — the
-// ack-to-write window — a crash leaves an in-doubt record, exactly the
-// recovery semantics the journal documents.
+// A checkpoint runs once checkpointEvery records have accumulated on a
+// document, on Sync and on Stop. A site without a journal has no log to
+// replay from, so there every clean point is checkpointed. At most one
+// checkpointer runs per document, which keeps Store writes in commit order,
+// and everything but picking the head happens outside the domain mutex.
 //
-// A background Save failure is latched on the document (persistErr) and
-// counted in Stats.PersistErrors: the document's persistent state can no
-// longer be assumed to converge, so subsequent commits touching it refuse
-// consolidation — the failure surfaces on the next commit instead of being
-// silently dropped. Site.Sync waits for every acknowledged commit to reach
-// the Store; Site.Stop drains the same way before returning.
+// A failed Save is latched on the document (persistErr) and counted in
+// Stats.PersistErrors: later commits touching the document refuse
+// consolidation, so the failure surfaces instead of being silently dropped.
 
-// persistGroup joins the per-document persists of one multi-document
-// commit: the flush that covers the last outstanding document writes the
-// journal commit record.
-type persistGroup struct {
-	id        txn.ID
-	remaining int64
-	failed    int64 // any Save covering the group failed: leave the txn in-doubt
-}
+// checkpointEvery is how many records may accumulate on a document of a
+// journaled site before its image is saved again: it bounds the replay work
+// of a restart and the intents the journal carries across compactions.
+const checkpointEvery = 64
 
-// Sync blocks until every persist pending from already-acknowledged commits
-// has reached the Store (and, with a journal configured, their commit
-// records are written). Commits acknowledged while Sync is blocked may or
-// may not be covered. Tools and tests use it to observe the Store at a
-// quiescent point without stopping the site.
+// Sync checkpoints every document that has records its saved image does not
+// reflect and returns once the checkpointers are idle. On a quiescent site
+// the Store then holds exactly the committed documents and the journal no
+// open intent; a document with a transaction in flight is saved as of its
+// last published clean point. Commits acknowledged while Sync is blocked may
+// or may not be covered.
 func (s *Site) Sync() {
-	s.persistMu.Lock()
-	for s.persistCount > 0 {
-		s.persistCond.Wait()
+	for _, ds := range s.allDocs() {
+		ds.mu.Lock()
+		s.scheduleCheckpointLocked(ds)
+		ds.mu.Unlock()
 	}
-	s.persistMu.Unlock()
+	s.Quiesce()
 }
 
-// schedulePersistLocked marks the document persist-pending on behalf of one
-// terminating transaction and starts the drain worker if none is running.
-// Callers hold ds.mu.
-func (s *Site) schedulePersistLocked(ds *docState, group *persistGroup) {
-	if group == nil && s.Killed() {
-		// A corrective (abort-path) persist on a crashed site: the store is
-		// abandoned mid-state anyway and recovery catch-up converges it;
-		// scheduling would only leave a write racing the wreckage.
+// checkpointIfDueLocked starts a checkpoint when the document has gone
+// checkpointEvery records without one or, on a site with no journal to
+// replay from, at every clean point. Callers hold ds.mu.
+func (s *Site) checkpointIfDueLocked(ds *docState) {
+	lag := ds.replApplied - ds.savedIdx
+	if lag >= checkpointEvery || (s.cfg.Journal == nil && lag > 0 && len(ds.dirty) == 0) {
+		s.scheduleCheckpointLocked(ds)
+	}
+}
+
+// scheduleCheckpointLocked asks for one more checkpoint of the document and
+// starts its checkpointer if none is running. Callers hold ds.mu.
+func (s *Site) scheduleCheckpointLocked(ds *docState) {
+	if s.Killed() {
 		return
 	}
-	ds.persistPending++
-	if group != nil {
-		ds.persistGroups = append(ds.persistGroups, group)
-	}
-	s.persistMu.Lock()
-	s.persistCount++
-	if !ds.persistActive {
-		ds.persistActive = true
+	ds.ckptWanted = true
+	if !ds.ckptActive {
+		ds.ckptActive = true
+		s.persistMu.Lock()
 		s.workerCount++
-		go s.persistWorker(ds)
+		s.persistMu.Unlock()
+		go s.checkpointer(ds)
 	}
-	s.persistMu.Unlock()
 }
 
-// workerDone retires one persist worker and wakes Quiesce waiters.
-func (s *Site) workerDone() {
-	s.persistMu.Lock()
-	s.workerCount--
-	if s.workerCount == 0 {
-		s.persistCond.Broadcast()
-	}
-	s.persistMu.Unlock()
-}
-
-// Quiesce blocks until no persist worker is running — including, after
-// Kill, a worker caught mid Store write. A crashed in-process site shares
-// its Store with the instance that will replace it, so the replacement must
-// not start catch-up while a dead incarnation's Save could still land over
-// the caught-up bytes (a real process crash needs nothing: the workers die
-// with the process). Do not call from inside a CrashHooks callback — the
-// BeforeSave hook runs on the worker being waited for.
+// Quiesce blocks until no checkpointer is running — including, after Kill,
+// one caught mid Store write. A crashed in-process site shares its Store
+// with the instance that will replace it, so the replacement must not load
+// while a dead incarnation's Save could still land (a real process crash
+// needs nothing: the checkpointers die with the process). Do not call from
+// inside a CrashHooks callback — BeforeCheckpoint runs on the goroutine
+// being waited for.
 func (s *Site) Quiesce() {
 	s.persistMu.Lock()
 	for s.workerCount > 0 {
@@ -108,112 +87,78 @@ func (s *Site) Quiesce() {
 	s.persistMu.Unlock()
 }
 
-// persistDone retires n pending persists and wakes Sync waiters at zero.
-func (s *Site) persistDone(n int64) {
-	s.persistMu.Lock()
-	s.persistCount -= n
-	if s.persistCount == 0 {
-		s.persistCond.Broadcast()
-	}
-	s.persistMu.Unlock()
-}
-
-// persistWorker flushes one document's pending commits and exits when none
-// remain. At most one worker runs per document (persistActive), which is
-// what keeps Store writes in commit order.
-func (s *Site) persistWorker(ds *docState) {
-	defer s.workerDone()
-	for {
-		// Batching window: let a burst of commits accumulate behind one
-		// snapshot. Stop short-circuits the wait so shutdown drains
-		// promptly.
-		if delay := s.cfg.PersistDelay; delay > 0 {
-			timer := time.NewTimer(delay)
-			select {
-			case <-timer.C:
-			case <-s.stopCh:
-				timer.Stop()
-			}
+// checkpointer saves the document's committed image for as long as
+// checkpoints are asked for, and exits when none is.
+func (s *Site) checkpointer(ds *docState) {
+	defer func() {
+		s.persistMu.Lock()
+		s.workerCount--
+		if s.workerCount == 0 {
+			s.persistCond.Broadcast()
 		}
-
+		s.persistMu.Unlock()
+	}()
+	for {
 		ds.mu.Lock()
-		if ds.persistPending == 0 {
-			ds.persistActive = false
+		if !ds.ckptWanted || s.Killed() {
+			ds.ckptActive = false
 			ds.mu.Unlock()
 			return
 		}
-		covered := ds.persistPending
-		groups := ds.persistGroups
-		ds.persistPending = 0
-		ds.persistGroups = nil
-		// The snapshot is the only persist work under the domain mutex: an
-		// arena copy of the tree. Marshal and I/O happen below, unlocked.
-		snap := ds.doc.Snapshot()
-		replIdx := ds.replApplied
+		ds.ckptWanted = false
+		s.publishLocked(ds)
+		head, idx := ds.versions.Head(), ds.headIdx
+		covered := idx - ds.savedIdx
 		ds.mu.Unlock()
+		if covered <= 0 {
+			continue // writers in flight since the last image: nothing newer is committed-clean yet
+		}
 
-		if hooks := s.cfg.Hooks; hooks != nil && hooks.BeforeSave != nil {
-			hooks.BeforeSave(snap.Name)
+		if hooks := s.cfg.Hooks; hooks != nil && hooks.BeforeCheckpoint != nil {
+			hooks.BeforeCheckpoint(ds.name)
 		}
 		if s.Killed() {
-			// The site crashed between the commit acknowledgement and the
-			// covering write: nothing may reach the Store or the journal —
-			// the open intents are exactly the in-doubt transactions a
-			// restart must resolve. The accounting (including anything that
-			// accumulated behind this flush) is still retired so a Stop
-			// after Kill cannot hang on the drain.
-			ds.mu.Lock()
-			covered += ds.persistPending
-			ds.persistPending = 0
-			ds.persistGroups = nil
-			ds.persistActive = false
-			ds.mu.Unlock()
-			s.persistDone(covered)
-			return
-		}
-
-		// Quorum mode: bracket the Save with the replication-position meta
-		// record. "pending" before means a crash mid-write leaves the bytes
-		// untrusted (recovery falls back to whole-document transfer); "clean"
-		// after certifies the saved bytes sit exactly at replIdx, the index
-		// incremental catch-up resumes from. replIdx was captured atomically
-		// with the snapshot, so the pair is consistent even as the document
-		// advances behind this flush.
-		var meta store.MetaStore
-		if s.replLog != nil {
-			meta, _ = s.cfg.Store.(store.MetaStore)
-		}
-		if meta != nil {
-			_ = meta.SaveMeta(snap.Name, fmt.Sprintf("%d pending", replIdx))
+			continue // the loop head retires the checkpointer
 		}
 		sp := s.m.reg.Span()
-		err := s.cfg.Store.Save(snap)
+		err := s.saveImage(head.Doc, idx)
 		sp.Done(ds.met.persistSave)
 		ds.met.persistBatch.Observe(float64(covered))
-		if err == nil && meta != nil {
-			_ = meta.SaveMeta(snap.Name, fmt.Sprintf("%d clean", replIdx))
-		}
-		if err != nil {
+		ds.mu.Lock()
+		switch {
+		case err == nil:
+			ds.savedIdx = idx
+		case s.Killed():
+			// The crash cut the checkpoint short (its journal is closed): not
+			// a Store failure.
+		case ds.persistErr == nil:
 			s.m.persistErrors.Inc()
-			ds.mu.Lock()
-			if ds.persistErr == nil {
-				ds.persistErr = fmt.Errorf("sched: persist %s: %w", ds.doc.Name, err)
-			}
-			ds.mu.Unlock()
+			ds.persistErr = fmt.Errorf("sched: checkpoint %s: %w", ds.name, err)
 		}
-		for _, group := range groups {
-			if err != nil {
-				atomic.StoreInt64(&group.failed, 1)
-			}
-			if atomic.AddInt64(&group.remaining, -1) == 0 &&
-				atomic.LoadInt64(&group.failed) == 0 {
-				// Sealing record once every document of the transaction is
-				// in the Store. Best effort, like the Save itself: a failed
-				// or skipped commit record leaves the transaction in-doubt,
-				// which Recover reports.
-				_ = s.cfg.Journal.LogCommit(group.id.String())
-			}
-		}
-		s.persistDone(covered)
+		ds.mu.Unlock()
 	}
+}
+
+// saveImage writes a committed image of a document that reflects its log up
+// to idx, bracketed by the position meta record: "pending" before the Save
+// means a crash mid-write leaves the bytes at an unknown position (the
+// restart falls back to whole-document transfer); "clean" after certifies
+// they sit exactly at idx, where replay resumes. The covered intents are
+// sealed last — an unsealed covered intent is skipped by replay, a sealed
+// uncovered one would be a lost commit.
+func (s *Site) saveImage(doc *xmltree.Document, idx int64) error {
+	st := s.cfg.Store
+	if err := st.SaveMeta(doc.Name, fmt.Sprintf("%d pending", idx)); err != nil {
+		return err
+	}
+	if err := st.Save(doc); err != nil {
+		return err
+	}
+	if err := st.SaveMeta(doc.Name, fmt.Sprintf("%d clean", idx)); err != nil {
+		return err
+	}
+	if j := s.cfg.Journal; j != nil {
+		return j.LogCheckpoint(doc.Name, idx)
+	}
+	return nil
 }

@@ -13,27 +13,29 @@ import (
 	"repro/internal/xupdate"
 )
 
-// This file is the quorum-replication subsystem: the recovery journal's
-// O-records turned into a continuously shipped replication log. In
-// ReplicationQuorum mode every operation of a read-write transaction runs at
-// its document's primary (the lowest-numbered catalog site); at commit the
-// primary appends one record per touched document — the transaction's
-// applied updates, in order — to an in-memory shipping log (store.ReplLog),
-// journals it, and streams the unacked suffix to each follower. The commit
-// acknowledges once Config.WriteQuorum replicas (primary included) have
-// durably acked, so a partially-down replica set keeps accepting writes —
-// the availability the eager mode's write-to-every-copy rule gives up.
+// This file is the quorum-replication subsystem: the journal's redo records
+// turned into a continuously shipped replication log. In ReplicationQuorum
+// mode every operation of a read-write transaction runs at its document's
+// primary (the lowest-numbered catalog site); at commit the primary journals
+// one record per changed document — the transaction's applied updates, in
+// order — inside its intent, mirrors it into an in-memory shipping window
+// (store.ReplLog), and streams the unacked suffix to each follower. The
+// commit acknowledges once Config.WriteQuorum replicas (primary included)
+// have durably acked, so a partially-down replica set keeps accepting writes
+// — the availability the eager mode's write-to-every-copy rule gives up.
 //
 // Followers apply records strictly in index order (idempotent on overlap,
-// NACK-with-NeedFrom on gaps), journal them for durability, advance their
-// MVCC chains with the primary's commit timestamp, and serve snapshot reads
-// as long as they are not knowingly behind for longer than
+// NACK-with-NeedFrom on gaps), journal them as intents of their own, advance
+// their MVCC chains with the primary's commit timestamp, and serve snapshot
+// reads as long as they are not knowingly behind for longer than
 // Config.MaxStaleness; past the bound they refuse with CodeReplicaStale and
 // the coordinator retries at the primary without marking them suspect. A
-// restarted follower resumes from the exact index its store's meta record
-// certifies (persist.go writes it around every Save) by fetching the missing
-// span from the primary's log; only past the compaction horizon does it fall
-// back to whole-document transfer.
+// restarted follower replays its own open intents onto its saved image and
+// fetches the rest of the span from the primary's log; only past the
+// shipping horizon does it fall back to whole-document transfer.
+//
+// applyRecords is the one replay path: follower ship, recovery catch-up and
+// load-time journal replay (both modes) all go through it.
 
 // Replication modes for Config.Replication.
 const (
@@ -46,7 +48,7 @@ const (
 )
 
 // errQuorumShort reports a commit that consolidated locally — past the point
-// of no return: persisted, locks released — but could not gather the write
+// of no return: journaled, locks released — but could not gather the write
 // quorum for its replication records. The outcome is "commit uncertain", not
 // a clean abort: the coordinator must fail the transaction, and convergence
 // is restored by follower catch-up or recovery.
@@ -82,23 +84,16 @@ func (s *Site) quorumFor(replicas int) int {
 	return q
 }
 
-// seedReplPosition initialises a freshly loaded document's replication
-// position from the store's meta record. Only a "clean" record is trusted —
-// it was written after the Save it describes completed; "pending" means the
-// crash hit mid-flush and the bytes sit between two positions, so the
+// seedReplPosition initialises a freshly loaded document's log position
+// from the store's meta record. Only a "clean" record is trusted — it was
+// written after the Save it describes completed; "pending" means the crash
+// hit mid-checkpoint and the bytes sit between two positions, so the
 // document is marked untrusted and recovery falls back to whole-document
 // transfer. Called before the docState is published, so no lock is needed.
 func (s *Site) seedReplPosition(ds *docState) {
-	if s.replLog == nil {
-		return
-	}
-	ms, ok := s.cfg.Store.(store.MetaStore)
-	if !ok {
-		return
-	}
-	data, ok, err := ms.LoadMeta(ds.doc.Name)
+	data, ok, err := s.cfg.Store.LoadMeta(ds.name)
 	if err != nil || !ok {
-		return // never persisted under quorum mode: position 0
+		return // never checkpointed: position 0
 	}
 	var idx int64
 	var state string
@@ -106,8 +101,7 @@ func (s *Site) seedReplPosition(ds *docState) {
 		ds.replUntrusted = true
 		return
 	}
-	ds.replApplied = idx
-	ds.knownHead = idx
+	ds.replApplied, ds.headIdx, ds.savedIdx, ds.knownHead = idx, idx, idx, idx
 }
 
 // noteWrites records the documents a just-committed read-write transaction
@@ -171,7 +165,7 @@ func (s *Site) replicaStale(docName string, ds *docState) (bool, string) {
 // shipQuorum streams freshly appended records to every follower of their
 // documents and blocks until each record has the write quorum (the primary
 // itself counts as one ack). Called by commitLocal AFTER the local point of
-// no return — locks released, persists scheduled — so a shortfall cannot
+// no return — intent durable, locks released — so a shortfall cannot
 // roll the commit back; it returns errQuorumShort and the coordinator fails
 // the transaction honestly.
 func (s *Site) shipQuorum(items []shipItem) error {
@@ -319,62 +313,26 @@ func (s *Site) handleLogShip(m transport.LogShipReq) transport.LogAck {
 		hooks.BeforeReplApply(m.Doc, m.From)
 	}
 
-	var fresh []store.ReplRecord
-	var maxTS txn.TS
 	asp := s.m.reg.Span()
+	n, err := s.applyRecords(ds, m.Records, false)
 	ds.mu.Lock()
-	for _, rec := range m.Records {
-		if rec.Index <= ds.replApplied {
-			continue
-		}
-		if rec.Index != ds.replApplied+1 {
-			ack.Applied = ds.replApplied
-			ack.NeedFrom = ds.replApplied + 1
-			ds.mu.Unlock()
-			return ack
-		}
-		if err := applyRecordLocked(ds, rec); err != nil {
-			ack.Applied = ds.replApplied
-			ack.Error = fmt.Sprintf("site %d: apply record %d of %q: %v", s.id, rec.Index, m.Doc, err)
-			ds.mu.Unlock()
-			return ack
-		}
-		ds.replApplied = rec.Index
-		if rec.TS > maxTS {
-			maxTS = rec.TS
-		}
-		fresh = append(fresh, rec)
-	}
 	ack.Applied = ds.replApplied
 	if ds.replApplied >= ds.knownHead {
 		ds.staleSince = time.Time{}
 	}
 	ds.mu.Unlock()
-
-	if len(fresh) > 0 {
-		s.m.logApplied.Add(int64(len(fresh)))
+	if n > 0 {
+		s.m.logApplied.Add(int64(n))
 		asp.Done(ds.met.replApply)
-		s.mu.Lock()
-		s.clock.Observe(maxTS)
-		s.mu.Unlock()
-		ds.versions.Advance(maxTS)
-		for _, rec := range fresh {
-			// Mirror the records into this replica's own shipping log and
-			// journal: the journal append is the durable ack the primary's
-			// quorum counts, and the mirrored log lets this site serve
-			// incremental catch-up (or survive its own restart) too.
-			s.replLog.Seed(m.Doc, rec)
-			if j := s.cfg.Journal; j != nil && !s.Killed() {
-				if payload, err := store.EncodeReplRecord(rec); err == nil {
-					_ = j.LogRepl(m.Doc, rec.Index, payload)
-				}
-			}
-		}
-		ds.mu.Lock()
-		s.schedulePersistLocked(ds, nil)
-		ds.mu.Unlock()
 	}
-	ack.OK = true
+	switch {
+	case errors.Is(err, errRecordGap):
+		ack.NeedFrom = ack.Applied + 1
+	case err != nil:
+		ack.Error = fmt.Sprintf("site %d: %q: %v", s.id, m.Doc, err)
+	default:
+		ack.OK = true
+	}
 	return ack
 }
 
@@ -393,19 +351,71 @@ func (s *Site) handleLogFetch(m transport.LogFetchReq) transport.LogFetchResp {
 	return transport.LogFetchResp{Found: true, Head: head, Records: recs}
 }
 
-// applyRecordLocked applies one replication record's updates to the
-// document, discarding the undo records — replicated effects are already
-// committed and are never rolled back. Callers hold ds.mu.
-func applyRecordLocked(ds *docState, rec store.ReplRecord) error {
-	for _, op := range rec.Ops {
-		if op.Kind != txn.OpUpdate || op.Update == nil {
+// errRecordGap reports a record span that does not continue the document's
+// log position.
+var errRecordGap = errors.New("record span starts past the applied position")
+
+// applyRecords is the single routine that applies ReplRecords to a document:
+// a follower's shipped span, a recovering replica's fetched span and the
+// open intents a restart replays onto a saved image. Records at or below the
+// document's position are overlap and skipped; the rest must continue it
+// without a gap. Their undo records are discarded — replayed effects are
+// already committed and never rolled back. Unless the records come from this
+// site's own journal (replay) they are journaled as intents — the durable
+// ack a primary's quorum counts — under commitMu like a local commit, so
+// the journal stays in index order. It returns how many records it applied,
+// and errRecordGap or the failure that stopped it short.
+func (s *Site) applyRecords(ds *docState, recs []store.ReplRecord, replay bool) (int, error) {
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	var err error
+	var fresh []store.ReplRecord
+	var maxTS txn.TS
+	ds.mu.Lock()
+apply:
+	for _, rec := range recs {
+		if rec.Index <= ds.replApplied {
 			continue
 		}
-		if _, _, err := xupdate.Apply(op.Update, ds.doc, ds.guide); err != nil {
-			return err
+		if rec.Index != ds.replApplied+1 {
+			err = errRecordGap
+			break
+		}
+		for _, op := range rec.Ops {
+			if op.Kind != txn.OpUpdate || op.Update == nil {
+				continue
+			}
+			if _, _, err = xupdate.Apply(op.Update, ds.doc, ds.guide); err != nil {
+				err = fmt.Errorf("apply record %d: %w", rec.Index, err)
+				break apply
+			}
+		}
+		ds.replApplied = rec.Index
+		maxTS = max(maxTS, rec.TS)
+		fresh = append(fresh, rec)
+	}
+	ds.mu.Unlock()
+	if len(fresh) == 0 {
+		return 0, err
+	}
+	s.mu.Lock()
+	s.clock.Observe(maxTS)
+	s.mu.Unlock()
+	ds.versions.Advance(maxTS)
+	for _, rec := range fresh {
+		if s.replLog != nil {
+			s.replLog.Append(ds.name, rec)
+		}
+		if j := s.cfg.Journal; j != nil && !replay {
+			if jerr := j.LogIntent(rec.Txn.String(), []string{ds.name}, rec); jerr != nil && err == nil {
+				err = jerr
+			}
 		}
 	}
-	return nil
+	ds.mu.Lock()
+	s.checkpointIfDueLocked(ds)
+	ds.mu.Unlock()
+	return len(fresh), err
 }
 
 // QuorumReplication reports whether the site runs in quorum-replication
@@ -413,12 +423,12 @@ func applyRecordLocked(ds *docState, rec store.ReplRecord) error {
 func (s *Site) QuorumReplication() bool { return s.replLog != nil }
 
 // ReplCatchUp attempts incremental catch-up of one document on a recovering
-// site: resume from the position the store's meta record certifies, fetch
-// the missing span — from this site's own journal-reseeded log when it is
-// the primary, from the primary otherwise — and apply it. It returns the
-// number of records applied and whether the document is now current; false
-// means the caller must fall back to whole-document transfer (untrusted
-// position, span past the compaction horizon, or an unreachable primary).
+// follower: resume from the position its saved image plus its own journal
+// replay reached, fetch the missing span from the primary and apply it. It
+// returns the number of records applied and whether the document is now
+// current; false means the caller must fall back to whole-document transfer
+// (untrusted position, span past the shipping horizon, or an unreachable
+// primary). A primary is current by its own replay.
 func (s *Site) ReplCatchUp(ctx context.Context, doc string) (int, bool) {
 	if s.replLog == nil || s.Ready() {
 		return 0, false
@@ -434,96 +444,51 @@ func (s *Site) ReplCatchUp(ctx context.Context, doc string) (int, bool) {
 	if untrusted {
 		return 0, false
 	}
-	var recs []store.ReplRecord
-	var head int64
-	if primary := s.primaryOf(doc); primary == s.id {
-		var ok bool
-		recs, ok = s.replLog.Since(doc, after)
-		if !ok {
-			return 0, false
-		}
-		head = s.replLog.Head(doc)
-	} else {
-		resp, err := s.Call(ctx, primary, transport.LogFetchReq{Doc: doc, After: after})
-		if err != nil {
-			return 0, false
-		}
-		fr, ok := resp.(transport.LogFetchResp)
-		if !ok || !fr.Found || fr.PastHorizon {
-			return 0, false
-		}
-		recs, head = fr.Records, fr.Head
+	primary := s.primaryOf(doc)
+	if primary == s.id {
+		return 0, true
 	}
-
-	var n int
-	var maxTS txn.TS
+	resp, err := s.Call(ctx, primary, transport.LogFetchReq{Doc: doc, After: after})
+	if err != nil {
+		return 0, false
+	}
+	fr, ok := resp.(transport.LogFetchResp)
+	if !ok || !fr.Found || fr.PastHorizon {
+		return 0, false
+	}
+	n, err := s.applyRecords(ds, fr.Records, false)
+	s.m.catchupRecords.Add(int64(n))
 	ds.mu.Lock()
-	for _, rec := range recs {
-		if rec.Index <= ds.replApplied {
-			continue
-		}
-		if rec.Index != ds.replApplied+1 || applyRecordLocked(ds, rec) != nil {
-			ds.mu.Unlock()
-			return n, false
-		}
-		ds.replApplied = rec.Index
-		if rec.TS > maxTS {
-			maxTS = rec.TS
-		}
-		n++
+	if fr.Head > ds.knownHead {
+		ds.knownHead = fr.Head
 	}
-	if head > ds.knownHead {
-		ds.knownHead = head
-	}
-	current := ds.replApplied >= ds.knownHead
+	current := err == nil && ds.replApplied >= ds.knownHead
 	if current {
 		ds.staleSince = time.Time{}
 	}
 	ds.mu.Unlock()
-	if n > 0 {
-		s.m.catchupRecords.Add(int64(n))
-		s.mu.Lock()
-		s.clock.Observe(maxTS)
-		s.mu.Unlock()
-		ds.versions.Advance(maxTS)
-		for _, rec := range recs {
-			s.replLog.Seed(doc, rec)
-			if j := s.cfg.Journal; j != nil && !s.Killed() {
-				if payload, err := store.EncodeReplRecord(rec); err == nil {
-					_ = j.LogRepl(doc, rec.Index, payload)
-				}
-			}
-		}
-		ds.mu.Lock()
-		s.schedulePersistLocked(ds, nil)
-		ds.mu.Unlock()
-	}
 	return n, current
 }
 
 // ResetReplPosition pins a freshly transferred document at the given
 // replication-log position: the whole-document fallback established the
-// bytes, so the incremental protocol resumes just past them. The local log
-// window restarts empty at that head (there is no record history behind a
-// full transfer).
+// bytes, so the incremental protocol resumes just past them. The local
+// shipping window restarts empty at that head (there is no record history
+// behind a full transfer).
 func (s *Site) ResetReplPosition(doc string, head int64) {
-	if s.replLog == nil {
-		return
-	}
 	ds := s.doc(doc)
-	if ds == nil {
+	if s.replLog == nil || ds == nil {
 		return
 	}
 	ds.mu.Lock()
-	ds.replApplied = head
-	ds.replUntrusted = false
+	ds.replApplied, ds.headIdx, ds.savedIdx = head, head, head
 	if head > ds.knownHead {
 		ds.knownHead = head
 	}
 	ds.staleSince = time.Time{}
 	ds.mu.Unlock()
 	s.replLog.Reset(doc, head)
-	if ms, ok := s.cfg.Store.(store.MetaStore); ok && !s.Killed() {
-		_ = ms.SaveMeta(doc, fmt.Sprintf("%d clean", head))
+	if !s.Killed() {
+		_ = s.cfg.Store.SaveMeta(doc, fmt.Sprintf("%d clean", head))
 	}
 }

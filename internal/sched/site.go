@@ -13,9 +13,9 @@
 // histories (operations of one transaction are sequential; operations of
 // different transactions interleave only at lock-manager granularity) in
 // idiomatic Go. Each document is its own scheduling domain: transactions
-// touching different documents at one site never contend on a mutex, and
-// commit-time persistence snapshots the document under its lock but
-// marshals and writes to the Store outside it (see persist.go). The slim
+// touching different documents at one site never contend on a mutex, and a
+// checkpoint picks the document's committed image under its lock but
+// marshals and writes it to the Store outside it (see persist.go). The slim
 // site mutex guards only site-lifecycle state — the clock, transaction
 // registries, and the finished-transaction tombstones.
 //
@@ -24,7 +24,9 @@
 // partTxn mutex is a leaf. The snapshot-read registry (roMu) may be held
 // while taking site.mu; an roPinSet mutex may be held while taking a
 // docState mutex; nothing takes roMu while holding site.mu or a docState
-// mutex. An mvcc.Chain mutex is a leaf below everything.
+// mutex. commitMu is outermost: it may be held while taking a docState mutex
+// or site.mu, never the reverse. An mvcc.Chain mutex is a leaf below
+// everything.
 package sched
 
 import (
@@ -93,17 +95,12 @@ type Config struct {
 	// paper's "most recent transaction in the circle" to the oldest — an
 	// ablation knob; both rules guarantee progress.
 	VictimOldest bool
-	// Journal, when set, write-ahead logs every local commit (intent before
-	// persisting, commit after) so a restarted site can detect in-doubt
-	// transactions — the durability direction of the paper's future work.
+	// Journal, when set, is the site's redo log: every local commit appends
+	// one intent carrying its applied operations before it acknowledges, and
+	// a restarted site replays the intents its saved documents do not cover
+	// — the durability direction of the paper's future work. Without it the
+	// documents are saved at every clean point instead (persist.go).
 	Journal *store.Journal
-	// PersistDelay is the batching window of the persist pipeline: commits
-	// acknowledge immediately and the document is written to the Store at
-	// most once per window, covering every commit that accumulated behind
-	// it (persist.go). Zero selects the default (2ms); negative flushes
-	// with no window (still asynchronous). Site.Sync / Site.Stop drain the
-	// pipeline.
-	PersistDelay time.Duration
 	// HeartbeatInterval is the period of the liveness heartbeat to every
 	// peer site; zero disables failure detection (every peer stays believed
 	// Up, the pre-recovery behaviour). With heartbeats on, a peer that
@@ -199,7 +196,7 @@ type Config struct {
 // outside every scheduler mutex, so a hook may call Site.Kill to simulate a
 // crash exactly at that stage; the code after the hook observes the death
 // the way it would observe a real one (journal writes fail, the transport
-// endpoint is gone, persists are abandoned). Nil hooks cost nothing.
+// endpoint is gone, checkpoints are abandoned). Nil hooks cost nothing.
 type CrashHooks struct {
 	// BeforeDecision fires at the coordinator after every operation
 	// executed, before the commit decision record is logged.
@@ -210,11 +207,12 @@ type CrashHooks struct {
 	// BeforeIntent fires in commitLocal before the journal intent record.
 	BeforeIntent func(id txn.ID, docs []string)
 	// AfterIntent fires in commitLocal once the intent record is durable,
-	// before the documents reach the persist pipeline.
+	// before the commit is acknowledged — durable in the log, in no
+	// checkpoint yet.
 	AfterIntent func(id txn.ID, docs []string)
-	// BeforeSave fires in the persist worker after the snapshot is taken,
-	// before the Store write — the "mid-persist" crash point.
-	BeforeSave func(doc string)
+	// BeforeCheckpoint fires in the checkpointer after the committed image
+	// is picked, before the Store write — the "mid-checkpoint" crash point.
+	BeforeCheckpoint func(doc string)
 	// BeforeReplApply fires at a follower when a shipped replication-log
 	// span for doc arrives from site from, after the follower has recorded
 	// how far ahead the primary is but before the records are applied — the
@@ -271,9 +269,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryInterval <= 0 {
 		c.RetryInterval = 25 * time.Millisecond
 	}
-	if c.PersistDelay == 0 {
-		c.PersistDelay = 2 * time.Millisecond
-	}
 	if c.HeartbeatMisses <= 0 {
 		c.HeartbeatMisses = 3
 	}
@@ -308,7 +303,7 @@ type Stats struct {
 	RemoteOpsSent      int64
 	RemoteOpsProcessed int64
 	LocksAcquired      int64
-	PersistErrors      int64 // background persist failures (see persist.go)
+	PersistErrors      int64 // failed checkpoints (see persist.go)
 	SnapshotReads      int64 // queries served from MVCC versions, lock-free
 	SnapshotPublishes  int64 // committed versions materialised into a chain
 	LogRecordsShipped  int64 // replication records acked by a follower (per record, per follower)
@@ -328,7 +323,7 @@ type Stats struct {
 // which is only possible if the local graphs are disjoint per document.
 //
 // Each docState is one scheduling domain: its mutex serialises every access
-// to the document, guide, table, graph, dirty set and persist queue, so
+// to the document, guide, table, graph, dirty set and log position, so
 // transactions on different documents at one site proceed fully in
 // parallel.
 type docState struct {
@@ -338,7 +333,7 @@ type docState struct {
 	guide *dataguide.DataGuide
 	table *lock.Table
 	graph *wfg.Graph
-	dirty map[txn.ID]bool // transactions with unpersisted changes
+	dirty map[txn.ID]bool // transactions with uncommitted changes in the tree
 
 	// proto is the lock protocol currently active on this domain, seeded
 	// from Config.Protocol and swapped at quiescent points by SwitchProtocol
@@ -362,33 +357,36 @@ type docState struct {
 	// mutex, so it is safe to touch with or without ds.mu held.
 	versions *mvcc.Chain
 
-	// Persist pipeline (persist.go). Commits bump persistPending under mu;
-	// a single on-demand worker snapshots and writes the document once per
-	// batching window, so Store writes observe per-document commit order
-	// while the marshal and I/O happen outside the domain mutex.
-	// persistErr latches the first background write failure: the document's
+	// Log position, guarded by mu like the rest of the domain. replApplied is
+	// the index of the newest record reflected in the live tree: commits
+	// number their records with it in both replication modes (site-local in
+	// eager mode, the primary's numbering in quorum mode). headIdx is the
+	// index the version chain's head reflects and savedIdx the one the Store
+	// image does; replApplied-savedIdx is the checkpoint lag. replUntrusted
+	// marks a loaded copy whose meta record was pending or unparseable — its
+	// bytes sit at an unknown position, so nothing may be replayed onto it.
+	replApplied   int64
+	headIdx       int64
+	savedIdx      int64
+	replUntrusted bool
+
+	// Checkpointer state (persist.go): ckptWanted asks for one more
+	// checkpoint, ckptActive marks the single checkpointer running.
+	// persistErr latches the first failed checkpoint: the document's
 	// persistent state can no longer be trusted to converge, so later
 	// commits on it are refused.
-	persistPending int64
-	persistGroups  []*persistGroup
-	persistActive  bool
-	persistErr     error
+	ckptWanted bool
+	ckptActive bool
+	persistErr error
 
-	// Quorum replication position (replication.go), guarded by mu like the
-	// rest of the domain. replApplied is the index of the newest
-	// replication-log record reflected in the document here (at the primary:
-	// the newest appended). knownHead and staleSince track, at a follower,
-	// the newest primary index heard of and since when the replica has known
-	// itself behind — the inputs of the bounded-staleness refusal. replAcked
-	// tracks, at the primary, each follower's durably acked index, so ships
-	// resend exactly the unacked suffix. replUntrusted marks a loaded copy
-	// whose meta record was pending or unparseable — its bytes sit at an
-	// unknown position, so incremental catch-up must not resume from it.
-	replApplied   int64
-	knownHead     int64
-	staleSince    time.Time
-	replAcked     map[int]int64
-	replUntrusted bool
+	// Quorum replication (replication.go). knownHead and staleSince track,
+	// at a follower, the newest primary index heard of and since when the
+	// replica has known itself behind — the inputs of the bounded-staleness
+	// refusal. replAcked tracks, at the primary, each follower's durably
+	// acked index, so ships resend exactly the unacked suffix.
+	knownHead  int64
+	staleSince time.Time
+	replAcked  map[int]int64
 }
 
 // undoEntry is one applied update of one operation, with its inverse.
@@ -420,7 +418,7 @@ type partTxn struct {
 	mu      sync.Mutex
 	undo    map[int][]undoEntry   // op index -> applied updates
 	docs    map[string]bool       // documents touched here
-	applied map[int]txn.Operation // op index -> executed update (quorum mode)
+	applied map[int]txn.Operation // op index -> executed update, the commit's redo record
 }
 
 // touch records a document as touched by the transaction at this site.
@@ -457,8 +455,9 @@ func (pt *partTxn) takeUndo(opIdx int) []undoEntry {
 	return entries
 }
 
-// addApplied records a successfully executed update operation so a quorum
-// commit can replicate exactly what ran here, in op-index order.
+// addApplied records a successfully executed update operation so the commit
+// can journal (and quorum mode ship) exactly what ran here, in op-index
+// order.
 func (pt *partTxn) addApplied(opIdx int, op txn.Operation) {
 	pt.mu.Lock()
 	if pt.applied == nil {
@@ -469,7 +468,7 @@ func (pt *partTxn) addApplied(opIdx int, op txn.Operation) {
 }
 
 // dropApplied forgets an operation that was undone (a failed multi-site
-// attempt): its effects are gone, so it must not be replicated.
+// attempt): its effects are gone, so it must not be redone.
 func (pt *partTxn) dropApplied(opIdx int) {
 	pt.mu.Lock()
 	delete(pt.applied, opIdx)
@@ -478,7 +477,7 @@ func (pt *partTxn) dropApplied(opIdx int) {
 
 // appliedByDoc groups the surviving update operations by document, each
 // group in op-index order — the order they executed against the tree, which
-// is the order followers must replay them in.
+// is the order a replay must apply them in.
 func (pt *partTxn) appliedByDoc() map[string][]txn.Operation {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
@@ -743,23 +742,25 @@ type Site struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	// persistMu/persistCond/persistCount track in-flight background
-	// persists so Sync and Stop can wait for every acknowledged commit to
-	// reach the Store. A plain counter with a condition variable, not a
-	// WaitGroup: commits keep incrementing while other goroutines wait,
-	// which WaitGroup forbids (Add racing Wait across a zero crossing).
-	// stopping/commitGate close the shutdown race between a late local
-	// consolidation and the journal close: once stopping is set no new
-	// commitLocal may begin, and Stop waits for the in-flight ones
-	// (commitGate) before the final drain — so the journal is closed only
-	// after every intent it will ever carry has been written and its
-	// covering persist drained.
-	persistMu    sync.Mutex
-	persistCond  *sync.Cond
-	persistCount int64
-	workerCount  int64 // running persist workers, for Quiesce
-	stopping     bool
-	commitGate   int64
+	// commitMu serialises the journal-ordered step of every local commit and
+	// of every applied record span: number the records, append the intent,
+	// advance the documents (commitLocal, applyRecords).
+	commitMu sync.Mutex
+	// persistMu/persistCond/workerCount track the running checkpointers so
+	// Sync, Stop and Quiesce can wait for them. A plain counter with a
+	// condition variable, not a WaitGroup: commits keep starting
+	// checkpointers while other goroutines wait, which WaitGroup forbids
+	// (Add racing Wait across a zero crossing). stopping/commitGate close
+	// the shutdown race between a late local consolidation and the journal
+	// close: once stopping is set no new commitLocal may begin, and Stop
+	// waits for the in-flight ones (commitGate) before the final checkpoint
+	// — so the journal is closed only after every intent it will ever carry
+	// has been written and covered.
+	persistMu   sync.Mutex
+	persistCond *sync.Cond
+	workerCount int64
+	stopping    bool
+	commitGate  int64
 }
 
 // New creates a site instance. Documents must be loaded with LoadDocument
@@ -797,26 +798,12 @@ func New(cfg Config) *Site {
 	if cfg.Replication == ReplicationQuorum {
 		s.replLog = store.NewReplLog(cfg.ReplHorizon)
 		s.recentWrites = make(map[string]time.Time)
-		if cfg.Journal != nil {
-			// Reseed the shipping log from the journal's O-record tail: a
-			// restarted primary keeps serving incremental catch-up over the
-			// span it journaled before the crash.
-			for _, doc := range cfg.Journal.ReplDocs() {
-				for _, e := range cfg.Journal.ReplTail(doc) {
-					rec, err := store.DecodeReplRecord(e.Payload)
-					if err != nil || rec.Index != e.Index {
-						continue
-					}
-					s.replLog.Seed(doc, rec)
-				}
-			}
-		}
 	}
 	if cfg.Journal != nil {
 		// Fence the identifier space on EVERY journaled construction, not
 		// just the recovery path: an incarnation that re-minted a prior ID
-		// would have its commit record silently seal the crashed
-		// incarnation's unrelated in-doubt intent.
+		// would have its seal silently close the crashed incarnation's
+		// unrelated open intent.
 		if m := cfg.Journal.MaxSeq(cfg.SiteID); m > 0 {
 			s.AdvancePast(m + SeqFenceGap)
 		}
@@ -933,12 +920,12 @@ func (s *Site) AttachNetwork(net *transport.Network) error {
 // Stop terminates background processes, drains in-flight work and detaches
 // from the network. Cancelling the lifecycle context unblocks a detector
 // poll that is waiting on an unresponsive peer, so Stop never hangs behind
-// it. Stop drains the persist pipeline — every commit acknowledged before
-// Stop is in the Store when Stop returns — and only then closes the site's
-// journal: the stopping flag refuses consolidations that would race the
-// close, and the commit gate waits out the ones already in flight, so no
-// intent record can ever chase a closed journal (which would manufacture a
-// phantom in-doubt transaction).
+// it. Stop takes a final checkpoint — on a quiescent site every commit
+// acknowledged before Stop is in the Store and the journal holds no open
+// intent when Stop returns — and only then closes the site's journal: the
+// stopping flag refuses consolidations that would race the close, and the
+// commit gate waits out the ones already in flight, so no intent record can
+// ever chase a closed journal.
 func (s *Site) Stop() {
 	s.persistMu.Lock()
 	s.stopping = true
@@ -946,7 +933,7 @@ func (s *Site) Stop() {
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	s.cancel()
 	s.wg.Wait()
-	// Wait for in-flight local consolidations, then drain their persists.
+	// Wait for in-flight local consolidations, then checkpoint them.
 	s.persistMu.Lock()
 	for s.commitGate > 0 {
 		s.persistCond.Wait()
@@ -964,11 +951,10 @@ func (s *Site) Stop() {
 // Kill crashes the site abruptly, simulating a process or machine failure:
 // the transport endpoint drops (peers' in-flight calls fail with
 // ErrPeerClosed and feed their suspicion state), the journal file handle
-// closes without any final records, and the persist pipeline abandons
-// writes that have not reached the Store — acknowledged commits whose
-// covering write never landed stay in-doubt in the journal, exactly as
-// after a real crash. The Store and journal files survive for a restart
-// through internal/recovery.
+// closes without any final records, and the checkpointers abandon writes
+// that have not reached the Store — acknowledged commits no checkpoint
+// covers stay open intents in the journal, exactly as after a real crash.
+// The Store and journal files survive for a restart, which replays them.
 func (s *Site) Kill() {
 	if !atomic.CompareAndSwapInt32(&s.killed, 0, 1) {
 		return
@@ -1041,7 +1027,7 @@ func (s *Site) Stats() Stats {
 // the as-installed state is committed by definition, and the floor version
 // lets a reader that begins before the first local commit pin something.
 // After a restart this makes versions survive trivially — the chain reseeds
-// from the latest persisted state the Store (or catch-up) hands back.
+// from the latest saved image the Store (or catch-up) hands back.
 func (s *Site) newDocState(doc *xmltree.Document, g *dataguide.DataGuide) *docState {
 	if len(s.cfg.IndexedKeys) > 0 || s.cfg.AutoIndexAfter > 0 {
 		// Attaching here covers both install paths — AddDocument and the
@@ -1071,12 +1057,30 @@ func (s *Site) newDocState(doc *xmltree.Document, g *dataguide.DataGuide) *docSt
 }
 
 // AddDocument installs a document at this site (in memory and in the store)
-// and registers it in the catalog for this site if absent.
+// and registers it in the catalog for this site if absent. The saved image
+// is stamped at the document's log position — that of the copy it replaces,
+// or past every record an earlier life of the store left in the journal —
+// so no stale intent is ever replayed onto the new bytes.
 func (s *Site) AddDocument(doc *xmltree.Document) error {
-	if err := s.cfg.Store.Save(doc); err != nil {
+	var pos int64
+	if old := s.doc(doc.Name); old != nil {
+		old.mu.Lock()
+		pos = old.replApplied
+		old.mu.Unlock()
+	} else if j := s.cfg.Journal; j != nil {
+		recs, err := j.OpenRecords(doc.Name)
+		if err != nil {
+			return err
+		}
+		if len(recs) > 0 {
+			pos = recs[len(recs)-1].Index
+		}
+	}
+	if err := s.saveImage(doc, pos); err != nil {
 		return err
 	}
 	ds := s.newDocState(doc, dataguide.Build(doc))
+	ds.replApplied, ds.headIdx, ds.savedIdx = pos, pos, pos
 	s.docsMu.Lock()
 	s.docs[doc.Name] = ds
 	s.docsMu.Unlock()
@@ -1089,21 +1093,44 @@ func (s *Site) AddDocument(doc *xmltree.Document) error {
 
 // LoadDocument recovers a document from the storage structure into memory —
 // the DataManager role of Fig. 1 — and registers this site as a holder in
-// the catalog.
-func (s *Site) LoadDocument(name string) error {
+// the catalog: the saved image, then the journal's open intents past the
+// image's position replayed onto it. It returns how many records it
+// replayed. An image at an untrusted position (a crash mid-checkpoint) is
+// loaded as it is; its log numbering continues past the journal's records.
+func (s *Site) LoadDocument(name string) (int, error) {
 	doc, err := s.cfg.Store.Load(name)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	ds := s.newDocState(doc, dataguide.Build(doc))
 	s.seedReplPosition(ds)
+	var replayed int
+	if j := s.cfg.Journal; j != nil {
+		recs, err := j.OpenRecords(name)
+		if err != nil {
+			return 0, err
+		}
+		switch {
+		case !ds.replUntrusted:
+			if s.replLog != nil {
+				s.replLog.Reset(name, ds.replApplied)
+			}
+			if replayed, err = s.applyRecords(ds, recs, true); err != nil {
+				return 0, fmt.Errorf("sched: replay %s: %w", name, err)
+			}
+		case len(recs) > 0 && (s.replLog == nil || s.primaryOf(name) == s.id):
+			// This site numbers the document's records itself: never mint an
+			// index a stale intent still carries.
+			ds.replApplied = recs[len(recs)-1].Index
+		}
+	}
 	s.docsMu.Lock()
 	s.docs[name] = ds
 	s.docsMu.Unlock()
 	if !s.cfg.Catalog.Holds(name, s.id) {
 		s.cfg.Catalog.Place(name, append(s.cfg.Catalog.Sites(name), s.id)...)
 	}
-	return nil
+	return replayed, nil
 }
 
 // SeqFenceGap is added to a journal's maximum recorded sequence number when
@@ -1113,45 +1140,24 @@ func (s *Site) LoadDocument(name string) error {
 const SeqFenceGap = 1 << 20
 
 // Bootstrap loads every document present in the site's store into memory
-// (the DataManager recovering state after a restart) and, when a journal is
-// configured, returns the in-doubt transactions found in it — transactions
-// whose persistence may be partial and must be resolved with the
-// presumed-abort termination protocol (internal/recovery) before their
-// documents are trusted. (The identifier-space fence past the journal's
-// records is applied by New on every journaled construction.)
-func (s *Site) Bootstrap() ([]store.InDoubt, error) {
+// (the DataManager recovering state after a restart), replaying the
+// journal's open intents onto the saved images, and returns how many records
+// it replayed. (The identifier-space fence past the journal's records is
+// applied by New on every journaled construction.)
+func (s *Site) Bootstrap() (int, error) {
 	names, err := s.cfg.Store.List()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
+	var replayed int
 	for _, name := range names {
-		if err := s.LoadDocument(name); err != nil {
-			return nil, err
+		n, err := s.LoadDocument(name)
+		if err != nil {
+			return replayed, err
 		}
+		replayed += n
 	}
-	if s.cfg.Journal == nil {
-		return nil, nil
-	}
-	return s.cfg.Journal.InDoubt(), nil
-}
-
-// PersistFailed reports whether any of the documents carries a latched
-// background persist failure — its Store bytes cannot be assumed to match
-// the committed state, so recovery must not certify its intents durable.
-func (s *Site) PersistFailed(docs []string) bool {
-	for _, name := range docs {
-		ds := s.doc(name)
-		if ds == nil {
-			continue
-		}
-		ds.mu.Lock()
-		failed := ds.persistErr != nil
-		ds.mu.Unlock()
-		if failed {
-			return true
-		}
-	}
-	return false
+	return replayed, nil
 }
 
 // ReplaceDocument installs a fresh copy of a document, replacing the
@@ -1163,6 +1169,9 @@ func (s *Site) ReplaceDocument(doc *xmltree.Document) error {
 	if s.Ready() {
 		return fmt.Errorf("sched: site %d: ReplaceDocument while serving", s.id)
 	}
+	// A long replay may have left the replaced copy's checkpointer running;
+	// its image must not land over the new one.
+	s.Quiesce()
 	return s.AddDocument(doc)
 }
 
@@ -1186,12 +1195,6 @@ func (s *Site) AdvancePast(seq int64) {
 // document catch-up.
 func (s *Site) Call(ctx context.Context, to int, msg any) (any, error) {
 	return s.send(ctx, to, msg)
-}
-
-// ResolveOutcome runs the read side of the termination protocol for one
-// transaction id (see liveness.go); exported for internal/recovery.
-func (s *Site) ResolveOutcome(ctx context.Context, id txn.ID) string {
-	return s.resolveOutcome(ctx, id)
 }
 
 // Document returns a deep copy of the current in-memory document, for
@@ -1374,11 +1377,11 @@ func (s *Site) send(ctx context.Context, to int, msg any) (any, error) {
 
 // handleFetchDoc serves a catch-up request: the current serialized form of
 // a locally held document. A recovering site refuses — it cannot vouch for
-// its copy until its own catch-up completes. In quorum mode the response
-// additionally carries the replication-log position the clone corresponds
-// to, captured under the same domain-mutex hold as the clone so the
-// (document, index) pair is atomic; the fetcher resumes incremental
-// replication from exactly that index. (A clone taken while writers are
+// its copy until its own catch-up completes. The response additionally
+// carries the log position the clone corresponds to, captured under the
+// same domain-mutex hold as the clone so the (document, index) pair is
+// atomic; a quorum-mode fetcher resumes incremental replication from
+// exactly that index. (A clone taken while writers are
 // mid-transaction can carry their uncommitted effects — the same caveat the
 // eager-mode catch-up has always had; quorum callers fetch at quiescent
 // points or accept convergence through subsequent ships.)
@@ -1424,6 +1427,7 @@ func (s *Site) siteStatus() transport.SiteStatusResp {
 		ds.mu.Lock()
 		d.Applied = ds.replApplied
 		d.Head = ds.knownHead
+		d.Checkpoint = ds.savedIdx
 		d.Protocol = ds.proto.Name()
 		ds.mu.Unlock()
 		if d.Applied > d.Head {
@@ -1432,11 +1436,6 @@ func (s *Site) siteStatus() transport.SiteStatusResp {
 		}
 		d.Behind = d.Head - d.Applied
 		resp.Docs = append(resp.Docs, d)
-	}
-	if s.cfg.Journal != nil {
-		for _, d := range s.cfg.Journal.InDoubt() {
-			resp.InDoubt = append(resp.InDoubt, transport.InDoubtTxn{Txn: d.Txn, Docs: d.Docs})
-		}
 	}
 	return resp
 }

@@ -163,22 +163,30 @@ func (s *Site) snapshotEval(ds *docState, q *xpath.Query, ver *mvcc.Version) ([]
 // newer than ts — the reader's snapshot has been GC'd away.
 func (s *Site) pinDocVersion(ds *docState, ts txn.TS) *mvcc.Version {
 	if ds.versions.Stale() {
-		ds.mu.Lock()
 		// Only a clean tree is materialisable: uncommitted writers mutate
 		// the document in place, and their undo records hold live node
 		// pointers, so a mid-transaction snapshot would leak exactly the
 		// state snapshot isolation exists to hide. When writers keep the
 		// document dirty the reader is served the best retained version
 		// instead of blocking behind them.
-		if len(ds.dirty) == 0 && ds.versions.Stale() {
-			snap := ds.doc.Snapshot()
-			if ds.versions.Publish(snap, ds.versions.CommitTS()) {
-				s.m.snapshotPublishes.Inc()
-			}
-		}
+		ds.mu.Lock()
+		s.publishLocked(ds)
 		ds.mu.Unlock()
 	}
 	return ds.versions.Pin(ts)
+}
+
+// publishLocked materialises the committed tree as the head of the
+// document's version chain when the domain is at a clean point and the chain
+// lags it — the one tree copy that serves snapshot readers, the next
+// writer's copy-on-first-write and the checkpointer alike. headIdx records
+// the log index the head reflects. Callers hold ds.mu.
+func (s *Site) publishLocked(ds *docState) {
+	if len(ds.dirty) == 0 && ds.versions.Stale() &&
+		ds.versions.Publish(ds.doc.Snapshot(), ds.versions.CommitTS()) {
+		ds.headIdx = ds.replApplied
+		s.m.snapshotPublishes.Inc()
+	}
 }
 
 // snapshotRelease releases every version a read-only transaction pinned at

@@ -2,10 +2,12 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
-	"io"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,67 +16,88 @@ import (
 	"repro/internal/txn"
 )
 
-// Journal is a write-ahead commit log for multi-document transactions —
-// the durability/atomicity direction the paper defers to future work ("the
-// authors intend to develop solutions for DTX to work with the properties
-// of atomicity and durability", §5).
+// Journal is the site's one commit log — the durability/atomicity direction
+// the paper defers to future work ("the authors intend to develop solutions
+// for DTX to work with the properties of atomicity and durability", §5).
 //
-// A site logs an intent record naming every document a transaction will
-// persist, persists the documents (each individually atomic via the
-// FileStore's temp-file + rename), then logs a commit record. After a
-// crash, the open intents are the in-doubt transactions: their document set
-// may be partially persisted and their outcome must be resolved with the
-// presumed-abort termination protocol (internal/recovery).
+// A local commit appends ONE intent line, fsynced once, carrying the
+// transaction's applied operations for every document it changed here: the
+// intent is the redo record. Documents are not rewritten per commit; a
+// checkpoint (internal/sched/persist.go) periodically saves a document's
+// committed image together with the index of the newest record the image
+// reflects, and then seals every intent the image covers. After a crash the
+// open intents past the saved position are replayed onto the image, so an
+// acknowledged commit needs nothing but this site's own checkpoint and log.
 //
 // A coordinator additionally logs a decision record BEFORE fanning the
 // commit out to the participants. The decision record is what makes
-// presumed abort sound: a recovering participant asks the coordinator, and
+// presumed abort sound: a participant that lost its coordinator asks, and
 // the coordinator answers commit if (and only if) a decision record exists —
 // no record means no participant can have consolidated, so abort is safe to
 // presume.
 //
 // Record format, one per line:
 //
-//	I <txn> <doc>...   intent: the transaction is about to persist the docs
-//	C <txn>            commit: every document of the transaction is persisted
-//	A <txn>            abort: the transaction was resolved as aborted
-//	                   (closes the intent and voids any decision)
+//	I <txn> <crc> (<doc> <index> <payload>)...
+//	                   intent: the redo record of one local commit — per
+//	                   changed document the record's log index and its
+//	                   encoded ReplRecord ("0 -" when the caller logs no
+//	                   payload); crc is the CRC-32 of everything else on
+//	                   the line
+//	C <txn>...         seal: checkpoints cover every document of each intent
+//	A <txn> [<doc>...] abort: the transaction was resolved as aborted
+//	                   (closes the intent and voids any decision); with
+//	                   documents, only the intent's entries for them
 //	D <txn>            coordinator commit decision
-//	K <site>:<seq>,... checkpoint marker carrying the max sequence number
+//	K <site>:<seq>,... compaction marker carrying the max sequence number
 //	                   seen per site, for restart identifier fencing
 //
-// The journal keeps its live state (open intents, live decisions, max
-// sequence numbers) in memory, rebuilt by OpenJournal from the file, so a
-// restarted site resumes from the last checkpoint without a full replay by
-// its callers. Once every intent of a batch is sealed the file is compacted:
-// a checkpoint record plus the still-live records are rewritten atomically
-// (temp file + rename), so the journal does not grow without bound.
+// The journal keeps its live state (open intents with their payloads, live
+// decisions, max sequence numbers) in memory, rebuilt by OpenJournal from
+// the file. Once enough records are sealed the file is compacted: a marker
+// plus the still-live records are rewritten atomically (temp file + rename),
+// so the journal does not grow without bound.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
 	path string
 
 	// Live state, maintained across appends and rebuilt on open.
-	open          map[string][]string // in-doubt intents: txn -> docs
-	openOrder     []string            // intent order, for deterministic reports
-	decisions     map[string]bool     // live coordinator commit decisions
+	open          map[string]*openIntent // txn -> intent not yet fully covered
+	openOrder     []string               // intent order, for deterministic reports
+	decisions     map[string]bool        // live coordinator commit decisions
 	decisionOrder []string
-	decisionHead  int                    // decisionOrder index of the oldest possibly-live entry
-	maxSeq        map[int]int64          // max sequence number seen per site
-	repl          map[string][]ReplEntry // bounded per-doc replication-record tail (O records)
+	decisionHead  int           // decisionOrder index of the oldest possibly-live entry
+	maxSeq        map[int]int64 // max sequence number seen per site
 
 	// records counts appended lines since the last compaction; when it
-	// passes checkpointEvery and the journal has at least one sealed record
-	// to drop, the file is compacted in place.
-	records         int
-	checkpointEvery int
+	// passes compactEvery and at least half of them are sealed, the file is
+	// compacted in place.
+	records      int
+	compactEvery int
 }
 
+// openIntent is the live state of one transaction's intent line(s). A
+// follower journals each shipped record as it arrives, so one transaction
+// that changed two documents can own two lines.
+type openIntent struct {
+	lines []string      // the I lines as written, copied verbatim by compaction
+	docs  []intentEntry // the documents no checkpoint covers yet
+}
+
+// intentEntry is one document's share of an intent.
+type intentEntry struct {
+	doc     string
+	index   int64  // the record's per-document log index; 0 without payload
+	payload string // EncodeReplRecord output, or noPayload
+}
+
+const noPayload = "-"
+
 // maxDecisions bounds the live decision set. Decisions for cleanly completed
-// local transactions are dropped as their commit record lands; the cap
-// protects against a pathological run of decided transactions that never
-// seal (each one would otherwise be carried across every checkpoint
-// forever).
+// local transactions are dropped as their seal lands; the cap protects
+// against a pathological run of decided transactions that never seal (each
+// one would otherwise be carried across every compaction forever).
 //
 // Both discard rules approximate the textbook protocol, which retains a
 // decision until every PARTICIPANT acknowledges its own durability: here the
@@ -87,29 +110,35 @@ type Journal struct {
 // honest fix is participant acks; until then this comment is the contract.
 const maxDecisions = 8192
 
-// defaultCheckpointEvery is the compaction threshold in appended records.
-const defaultCheckpointEvery = 4096
+// defaultCompactEvery is the compaction threshold in appended records.
+const defaultCompactEvery = 4096
 
-// replTailLen bounds the per-document replication-record tail retained
-// across compactions. The tail only has to cover the lag a follower can
-// accumulate while the primary restarts — anything longer falls back to
-// whole-document transfer anyway — so it is kept much shorter than the
-// in-memory shipping log's horizon.
-const replTailLen = 128
+func newJournal(path string) *Journal {
+	return &Journal{
+		path:         path,
+		open:         make(map[string]*openIntent),
+		decisions:    make(map[string]bool),
+		maxSeq:       make(map[int]int64),
+		compactEvery: defaultCompactEvery,
+	}
+}
 
 // OpenJournal opens (creating if needed) a journal file for appending and
 // rebuilds the live state — open intents, live decisions, per-site sequence
-// fences — from its records, resuming from the last checkpoint.
+// fences — from its records. A torn final line (a crash mid-append) is cut
+// off; a damaged record anywhere else is a lost commit, so opening fails.
 func OpenJournal(path string) (*Journal, error) {
-	j := &Journal{
-		path:            path,
-		open:            make(map[string][]string),
-		decisions:       make(map[string]bool),
-		maxSeq:          make(map[int]int64),
-		checkpointEvery: defaultCheckpointEvery,
-	}
-	if err := j.replay(); err != nil {
+	j := newJournal(path)
+	good, size, err := j.replay()
+	if err != nil {
 		return nil, err
+	}
+	if good < size {
+		// Without the cut the next append would fuse with the fragment into
+		// one damaged interior line.
+		if err := os.Truncate(path, good); err != nil {
+			return nil, fmt.Errorf("store: journal: %w", err)
+		}
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -122,79 +151,106 @@ func OpenJournal(path string) (*Journal, error) {
 // Path returns the journal file path.
 func (j *Journal) Path() string { return j.path }
 
-// SetCheckpointEvery overrides the compaction threshold (records appended
-// between compactions). Values below 1 restore the default.
-func (j *Journal) SetCheckpointEvery(n int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if n < 1 {
-		n = defaultCheckpointEvery
-	}
-	j.checkpointEvery = n
-}
-
 func validToken(s string) bool {
 	return s != "" && !strings.ContainsAny(s, " \n\r\t")
 }
 
-// replay rebuilds the live state from the journal file. A missing file means
-// a fresh journal; torn trailing lines (a crash mid-append) are skipped.
-func (j *Journal) replay() error {
-	f, err := os.Open(j.path)
+// replay rebuilds the live state from the journal file and returns how many
+// leading bytes hold intact records, and the file size. A missing file means
+// a fresh journal. The final line is forgiven when it is unterminated or
+// does not parse — an append the crash interrupted, never acknowledged;
+// anywhere else such a line is damage and an error.
+func (j *Journal) replay() (good, size int64, err error) {
+	data, err := os.ReadFile(j.path)
 	if os.IsNotExist(err) {
-		return nil
+		return 0, 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("store: journal: %w", err)
+		return 0, 0, fmt.Errorf("store: journal: %w", err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		j.applyLine(sc.Text())
+	pos := 0
+	for line := 1; pos < len(data); line++ {
+		nl := bytes.IndexByte(data[pos:], '\n')
+		if nl < 0 {
+			break
+		}
+		end := pos + nl + 1
+		if err := j.applyLine(string(data[pos : end-1])); err != nil {
+			if end == len(data) {
+				break
+			}
+			return 0, 0, fmt.Errorf("store: journal %s: line %d: %w", j.path, line, err)
+		}
 		j.records++
+		pos = end
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("store: journal: %w", err)
+	return int64(pos), int64(len(data)), nil
+}
+
+// applyLine folds one record into the live state, or reports why it is not a
+// record.
+func (j *Journal) applyLine(line string) error {
+	fields := strings.Fields(line)
+	if len(fields) < 2 {
+		return fmt.Errorf("not a record: %.40q", line)
+	}
+	switch kind := fields[0]; {
+	case kind == "I":
+		docs, err := parseIntent(fields)
+		if err != nil {
+			return err
+		}
+		j.noteIntent(fields[1], line, docs)
+	case kind == "C":
+		for _, t := range fields[1:] {
+			j.noteSealed(t)
+		}
+	case kind == "A":
+		j.noteAborted(fields[1], fields[2:])
+	case kind == "D" && len(fields) == 2:
+		j.noteDecision(fields[1])
+	case kind == "K" && len(fields) == 2:
+		for _, part := range strings.Split(fields[1], ",") {
+			site, seq, ok := strings.Cut(part, ":")
+			s, err1 := strconv.Atoi(site)
+			n, err2 := strconv.ParseInt(seq, 10, 64)
+			if !ok || err1 != nil || err2 != nil {
+				return fmt.Errorf("bad sequence fence %q", part)
+			}
+			if n > j.maxSeq[s] {
+				j.maxSeq[s] = n
+			}
+		}
+	default:
+		return fmt.Errorf("not a record: %.40q", line)
 	}
 	return nil
 }
 
-// applyLine folds one record into the live state. Unknown or torn lines are
-// ignored, matching Recover.
-func (j *Journal) applyLine(line string) {
-	fields := strings.Fields(line)
-	if len(fields) < 2 {
-		return
+// intentSum is the checksum an intent line carries over its transaction and
+// its document entries.
+func intentSum(t, entries string) string {
+	return fmt.Sprintf("%08x", crc32.ChecksumIEEE([]byte(t+" "+entries)))
+}
+
+// parseIntent checks an intent line's shape and checksum and returns its
+// document entries.
+func parseIntent(fields []string) ([]intentEntry, error) {
+	if len(fields) < 3 || len(fields)%3 != 0 {
+		return nil, fmt.Errorf("intent %s: %d fields", fields[1], len(fields))
 	}
-	switch fields[0] {
-	case "I":
-		j.noteIntent(fields[1], fields[2:])
-	case "C":
-		j.noteSealed(fields[1])
-	case "A":
-		j.noteSealed(fields[1])
-	case "D":
-		j.noteDecision(fields[1])
-	case "O":
-		if len(fields) == 4 {
-			if idx, err := strconv.ParseInt(fields[2], 10, 64); err == nil {
-				j.noteRepl(fields[1], idx, fields[3])
-			}
-		}
-	case "K":
-		for _, part := range strings.Split(fields[1], ",") {
-			colon := strings.IndexByte(part, ':')
-			if colon < 0 {
-				continue
-			}
-			site, err1 := strconv.Atoi(part[:colon])
-			seq, err2 := strconv.ParseInt(part[colon+1:], 10, 64)
-			if err1 == nil && err2 == nil && seq > j.maxSeq[site] {
-				j.maxSeq[site] = seq
-			}
-		}
+	if intentSum(fields[1], strings.Join(fields[3:], " ")) != fields[2] {
+		return nil, fmt.Errorf("intent %s: checksum mismatch", fields[1])
 	}
+	docs := make([]intentEntry, 0, len(fields)/3-1)
+	for i := 3; i < len(fields); i += 3 {
+		index, err := strconv.ParseInt(fields[i+1], 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("intent %s: bad index %q", fields[1], fields[i+1])
+		}
+		docs = append(docs, intentEntry{doc: fields[i], index: index, payload: fields[i+2]})
+	}
+	return docs, nil
 }
 
 func (j *Journal) noteID(t string) {
@@ -203,22 +259,42 @@ func (j *Journal) noteID(t string) {
 	}
 }
 
-func (j *Journal) noteIntent(t string, docs []string) {
-	if _, seen := j.open[t]; !seen {
+func (j *Journal) noteIntent(t, line string, docs []intentEntry) {
+	in := j.open[t]
+	if in == nil {
+		// t is a slice of the line; openOrder outlives the intent, and must
+		// not keep the whole line (payload included) alive with it.
+		t = strings.Clone(t)
+		in = &openIntent{}
+		j.open[t] = in
 		j.openOrder = append(j.openOrder, t)
 	}
-	j.open[t] = docs
+	in.lines = append(in.lines, line)
+	in.docs = append(in.docs, docs...)
 	j.noteID(t)
 }
 
 // noteSealed closes an intent and voids any decision for the transaction: a
-// commit record means the covering write landed (the decision is no longer
-// needed for in-doubt queries about a cleanly completed transaction), an
-// abort record means the transaction was resolved as aborted.
+// seal means checkpoints cover it (the decision is no longer needed to
+// answer for a cleanly completed transaction), an abort record means the
+// transaction was resolved as aborted.
 func (j *Journal) noteSealed(t string) {
 	delete(j.open, t)
 	delete(j.decisions, t)
 	j.noteID(t)
+}
+
+// noteAborted folds an abort record: without documents the transaction is
+// closed whole; with them only those entries of its intent are dropped, and
+// the transaction is closed once none is left.
+func (j *Journal) noteAborted(t string, docs []string) {
+	if in := j.open[t]; in != nil && len(docs) > 0 {
+		in.docs = slices.DeleteFunc(in.docs, func(e intentEntry) bool { return slices.Contains(docs, e.doc) })
+		if len(in.docs) > 0 {
+			return
+		}
+	}
+	j.noteSealed(t)
 }
 
 func (j *Journal) noteDecision(t string) {
@@ -235,58 +311,112 @@ func (j *Journal) noteDecision(t string) {
 	}
 }
 
-// noteRepl folds one O record into the per-doc tail, keeping it contiguous
-// (a gap resets the window to the newer record — followers must never be
-// served a span with holes) and bounded at replTailLen.
-func (j *Journal) noteRepl(doc string, index int64, payload string) {
-	if j.repl == nil {
-		j.repl = make(map[string][]ReplEntry)
-	}
-	tail := j.repl[doc]
-	if n := len(tail); n > 0 && index != tail[n-1].Index+1 {
-		tail = tail[:0]
-	}
-	tail = append(tail, ReplEntry{Index: index, Payload: payload})
-	if len(tail) > replTailLen {
-		tail = append([]ReplEntry(nil), tail[len(tail)-replTailLen:]...)
-	}
-	j.repl[doc] = tail
-}
-
-// LogIntent records that the transaction is about to persist the documents.
-// The record is flushed to stable storage before returning.
-func (j *Journal) LogIntent(t string, docs []string) error {
+// LogIntent appends the redo record of one local commit: the documents the
+// transaction changed here and, with recs given (one per document, in the
+// same order), what it applied to each. Without recs the intent only names
+// the documents. The whole commit is one line, flushed to stable storage
+// before returning, so a torn tail cannot split a multi-document commit.
+func (j *Journal) LogIntent(t string, docs []string, recs ...ReplRecord) error {
 	if !validToken(t) {
 		return fmt.Errorf("store: journal: invalid txn id %q", t)
 	}
-	for _, d := range docs {
+	if len(recs) > 0 && len(recs) != len(docs) {
+		return fmt.Errorf("store: journal: %d records for %d documents", len(recs), len(docs))
+	}
+	var b strings.Builder
+	for i, d := range docs {
 		if !validToken(d) {
 			return fmt.Errorf("store: journal: invalid document name %q", d)
 		}
+		index, payload := int64(0), noPayload
+		if len(recs) > 0 {
+			var err error
+			if payload, err = EncodeReplRecord(recs[i]); err != nil {
+				return err
+			}
+			index = recs[i].Index
+		}
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s %d %s", d, index, payload)
 	}
-	line := "I " + t
-	if len(docs) > 0 {
-		line += " " + strings.Join(docs, " ")
+	line := "I " + t + " " + intentSum(t, b.String())
+	if b.Len() > 0 {
+		line += " " + b.String()
 	}
 	return j.append(line)
 }
 
-// LogCommit records that every document of the transaction is persisted.
-func (j *Journal) LogCommit(t string) error {
-	if !validToken(t) {
-		return fmt.Errorf("store: journal: invalid txn id %q", t)
+// LogCommit seals the intents of the given transactions: whatever they
+// changed is in the saved documents.
+func (j *Journal) LogCommit(t string, more ...string) error {
+	ids := append([]string{t}, more...)
+	for _, id := range ids {
+		if !validToken(id) {
+			return fmt.Errorf("store: journal: invalid txn id %q", id)
+		}
 	}
-	return j.append("C " + t)
+	return j.append("C " + strings.Join(ids, " "))
 }
 
-// LogAbort records that the transaction was resolved as aborted — written by
-// the recovery termination protocol when it presumes (or learns of) an
-// abort, so a later restart does not re-report the transaction in-doubt.
-func (j *Journal) LogAbort(t string) error {
-	if !validToken(t) {
-		return fmt.Errorf("store: journal: invalid txn id %q", t)
+// LogCheckpoint records that the saved image of doc reflects every record of
+// the document up to index: the intents it was the last uncovered document
+// of are sealed, all with one line.
+func (j *Journal) LogCheckpoint(doc string, index int64) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	var sealed []string
+	for t, in := range j.open {
+		in.docs = slices.DeleteFunc(in.docs, func(e intentEntry) bool { return e.doc == doc && e.index <= index })
+		if len(in.docs) == 0 {
+			sealed = append(sealed, t)
+		}
 	}
-	return j.append("A " + t)
+	if len(sealed) == 0 {
+		return nil
+	}
+	return j.appendLocked("C " + strings.Join(sealed, " "))
+}
+
+// OpenRecords returns the records the open intents carry for doc, in index
+// order — what a restart replays onto the document's saved image.
+func (j *Journal) OpenRecords(doc string) ([]ReplRecord, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	var out []ReplRecord
+	for t, in := range j.open {
+		for _, e := range in.docs {
+			if e.doc != doc || e.payload == noPayload {
+				continue
+			}
+			rec, err := DecodeReplRecord(e.payload)
+			if err != nil {
+				return nil, fmt.Errorf("store: journal: intent %s: %w", t, err)
+			}
+			if rec.Index != e.index {
+				return nil, fmt.Errorf("store: journal: intent %s: %s record %d filed under index %d", t, doc, rec.Index, e.index)
+			}
+			out = append(out, rec)
+		}
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Index < out[b].Index })
+	return out, nil
+}
+
+// LogAbort records that the transaction was resolved as aborted, voiding its
+// decision and closing its intent — or, with docs given, only the intent's
+// entries for those documents: a consolidation that lost to a concurrent
+// local abort takes back exactly what it journaled, not a record of the
+// same transaction a primary shipped here for another document.
+func (j *Journal) LogAbort(t string, docs ...string) error {
+	toks := append([]string{t}, docs...)
+	for _, tok := range toks {
+		if !validToken(tok) {
+			return fmt.Errorf("store: journal: invalid token %q in abort record", tok)
+		}
+	}
+	return j.append("A " + strings.Join(toks, " "))
 }
 
 // LogDecision records the coordinator's commit decision for the transaction.
@@ -300,52 +430,10 @@ func (j *Journal) LogDecision(t string) error {
 	return j.append("D " + t)
 }
 
-// LogRepl records one shipped replication record: the primary writes an O
-// line per quorum commit so a restarted primary can reseed its in-memory
-// shipping log and keep serving incremental catch-up. The payload must be a
-// single whitespace-free token (EncodeReplRecord produces one).
-func (j *Journal) LogRepl(doc string, index int64, payload string) error {
-	if !validToken(doc) {
-		return fmt.Errorf("store: journal: invalid document name %q", doc)
-	}
-	if !validToken(payload) {
-		return fmt.Errorf("store: journal: invalid repl payload for %q", doc)
-	}
-	return j.append(fmt.Sprintf("O %s %d %s", doc, index, payload))
-}
-
-// ReplEntry is one retained replication record: its log index and the
-// encoded payload as written to the journal.
-type ReplEntry struct {
-	Index   int64
-	Payload string
-}
-
-// ReplTail returns the retained replication-record tail for the document,
-// oldest first — the contiguous span a restarted primary reseeds its
-// shipping log from.
-func (j *Journal) ReplTail(doc string) []ReplEntry {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]ReplEntry(nil), j.repl[doc]...)
-}
-
-// ReplDocs lists the documents with a retained replication tail, sorted.
-func (j *Journal) ReplDocs() []string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]string, 0, len(j.repl))
-	for doc := range j.repl {
-		out = append(out, doc)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// SealDecision closes a live decision whose transaction persisted nothing at
-// the coordinator's own site (so no local commit record will ever seal it).
-// With an intent still open the seal is deferred to the persist pipeline's
-// commit record — sealing early would erase the in-doubt window.
+// SealDecision closes a live decision whose transaction changed nothing at
+// the coordinator's own site (so no checkpoint will ever seal it). With an
+// intent still open the seal is left to the checkpoint that covers it —
+// sealing early would drop a redo record no saved image reflects yet.
 func (j *Journal) SealDecision(t string) error { return j.closeDecision(t, "C") }
 
 // VoidDecision writes an abort record for the transaction if (and only if)
@@ -359,7 +447,7 @@ func (j *Journal) VoidDecision(t string) error { return j.closeDecision(t, "A") 
 // under one critical section: a no-op if the decision was already sealed,
 // and deferred if an intent appeared since the caller's snapshot — the
 // transaction is consolidating after all, and this record would close its
-// in-doubt window; the persist pipeline owns the sealing then.
+// redo record; the checkpointer owns the sealing then.
 func (j *Journal) closeDecision(t, rec string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -396,22 +484,26 @@ func (j *Journal) Decisions() []string {
 	return out
 }
 
-// InDoubt returns the open intents — transactions whose persistence may be
-// partial — in intent order.
-func (j *Journal) InDoubt() []InDoubt {
+// OpenIntents returns the intents no checkpoint has fully covered yet — the
+// commits a restart replays — in intent order.
+func (j *Journal) OpenIntents() []OpenIntent {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var out []InDoubt
+	var out []OpenIntent
 	for _, t := range j.openOrder {
-		if docs, ok := j.open[t]; ok {
-			out = append(out, InDoubt{Txn: t, Docs: docs})
+		if in, ok := j.open[t]; ok {
+			docs := make([]string, len(in.docs))
+			for i, e := range in.docs {
+				docs[i] = e.doc
+			}
+			out = append(out, OpenIntent{Txn: t, Docs: docs})
 		}
 	}
 	return out
 }
 
 // MaxSeq returns the highest transaction sequence number the journal has
-// seen for the site, across checkpoints. A restarted site fences its
+// seen for the site, across compactions. A restarted site fences its
 // identifier space past this so new transactions cannot collide with
 // journaled ones from the previous incarnation.
 func (j *Journal) MaxSeq(site int) int64 {
@@ -437,17 +529,15 @@ func (j *Journal) appendLocked(line string) error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("store: journal: %w", err)
 	}
-	j.applyLine(line)
+	if err := j.applyLine(line); err != nil {
+		return fmt.Errorf("store: journal: wrote a line it cannot read back: %w", err)
+	}
 	j.records++
 	// Compact once the threshold is reached AND at least half the file is
 	// droppable (sealed records); without the second condition a journal
 	// whose live state alone exceeds the threshold would rewrite itself on
 	// every append. The factor keeps compaction amortised O(1) per record.
-	live := 1 + len(j.open) + len(j.decisions)
-	for _, tail := range j.repl {
-		live += len(tail)
-	}
-	if j.records >= j.checkpointEvery && j.records >= 2*live {
+	if live := 1 + len(j.open) + len(j.decisions); j.records >= j.compactEvery && j.records >= 2*live {
 		// Best effort: a failed compaction leaves the (valid, longer) file
 		// in place and the next append retries.
 		_ = j.compactLocked()
@@ -455,38 +545,24 @@ func (j *Journal) appendLocked(line string) error {
 	return nil
 }
 
-// Checkpoint forces a compaction: the file is rewritten as a checkpoint
-// record plus the still-live records (open intents, live decisions).
-func (j *Journal) Checkpoint() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("store: journal is closed")
-	}
-	return j.compactLocked()
-}
-
-// compactLocked rewrites the journal to its live state. Callers hold j.mu.
+// compactLocked rewrites the journal to its live state: the sequence fence,
+// the open intents as written, the live decisions. Callers hold j.mu.
 func (j *Journal) compactLocked() error {
 	tmp, err := os.CreateTemp(filepath.Dir(j.path), ".journal-*")
 	if err != nil {
-		return fmt.Errorf("store: journal: checkpoint: %w", err)
+		return fmt.Errorf("store: journal: compact: %w", err)
 	}
 	defer os.Remove(tmp.Name())
 	w := bufio.NewWriter(tmp)
 	lines := 1
 	fmt.Fprintf(w, "K %s\n", j.seqFenceLocked())
 	for _, t := range j.openOrder {
-		docs, ok := j.open[t]
-		if !ok {
-			continue
+		if in, ok := j.open[t]; ok {
+			for _, line := range in.lines {
+				fmt.Fprintln(w, line)
+				lines++
+			}
 		}
-		line := "I " + t
-		if len(docs) > 0 {
-			line += " " + strings.Join(docs, " ")
-		}
-		fmt.Fprintln(w, line)
-		lines++
 	}
 	for _, t := range j.decisionOrder {
 		if j.decisions[t] {
@@ -494,27 +570,16 @@ func (j *Journal) compactLocked() error {
 			lines++
 		}
 	}
-	docs := make([]string, 0, len(j.repl))
-	for d := range j.repl {
-		docs = append(docs, d)
-	}
-	sort.Strings(docs)
-	for _, d := range docs {
-		for _, e := range j.repl[d] {
-			fmt.Fprintf(w, "O %s %d %s\n", d, e.Index, e.Payload)
-			lines++
-		}
-	}
 	if err := w.Flush(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("store: journal: checkpoint: %w", err)
+		return fmt.Errorf("store: journal: compact: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("store: journal: checkpoint: %w", err)
+		return fmt.Errorf("store: journal: compact: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: journal: checkpoint: %w", err)
+		return fmt.Errorf("store: journal: compact: %w", err)
 	}
 	// Open the replacement append handle on the temp file BEFORE the
 	// rename: the handle follows the inode, so after the rename it is the
@@ -525,11 +590,11 @@ func (j *Journal) compactLocked() error {
 	// invisible to recovery.
 	f, err := os.OpenFile(tmp.Name(), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("store: journal: checkpoint: %w", err)
+		return fmt.Errorf("store: journal: compact: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), j.path); err != nil {
 		f.Close()
-		return fmt.Errorf("store: journal: checkpoint: %w", err)
+		return fmt.Errorf("store: journal: compact: %w", err)
 	}
 	j.f.Close()
 	j.f = f
@@ -552,7 +617,7 @@ func liveOrder(order []string, live func(string) bool) []string {
 }
 
 // seqFenceLocked renders the per-site max sequence numbers for the
-// checkpoint record. Callers hold j.mu.
+// compaction marker. Callers hold j.mu.
 func (j *Journal) seqFenceLocked() string {
 	sites := make([]int, 0, len(j.maxSeq))
 	for s := range j.maxSeq {
@@ -584,44 +649,21 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// InDoubt describes a transaction found in the journal with an intent
-// record but no commit record: its persistence may be partial.
-type InDoubt struct {
+// OpenIntent describes a commit found in the journal with an intent record
+// that no checkpoint covers yet: a restart replays it.
+type OpenIntent struct {
 	Txn  string
 	Docs []string
 }
 
-// Recover scans a journal file and returns the in-doubt transactions, in
-// intent order. A missing journal file means nothing to recover. Torn
-// trailing lines (a crash mid-append) are ignored. Recover is the offline
-// view; a live Journal answers the same question from memory with InDoubt.
-func Recover(path string) ([]InDoubt, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
+// Recover scans a journal file and returns its open intents, in intent
+// order. A missing journal file means nothing to recover. Recover is the
+// offline view; a live Journal answers the same question from memory with
+// OpenIntents.
+func Recover(path string) ([]OpenIntent, error) {
+	j := newJournal(path)
+	if _, _, err := j.replay(); err != nil {
+		return nil, err
 	}
-	if err != nil {
-		return nil, fmt.Errorf("store: journal: %w", err)
-	}
-	defer f.Close()
-	return recoverFrom(f)
-}
-
-func recoverFrom(r io.Reader) ([]InDoubt, error) {
-	// One record grammar: the offline view folds records through the same
-	// applyLine the live journal uses, over a detached state.
-	j := &Journal{
-		open:      make(map[string][]string),
-		decisions: make(map[string]bool),
-		maxSeq:    make(map[int]int64),
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		j.applyLine(sc.Text())
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("store: journal: %w", err)
-	}
-	return j.InDoubt(), nil
+	return j.OpenIntents(), nil
 }

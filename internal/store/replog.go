@@ -10,11 +10,12 @@ import (
 	"repro/internal/txn"
 )
 
-// ReplRecord is one replicated commit: the ordered update operations a
-// transaction applied to one document, stamped with the primary's per-doc
-// log index (contiguous, starting at 1) and the commit timestamp. Followers
-// apply records strictly in index order, so the pair (doc, index) is the
-// whole replication protocol's notion of position.
+// ReplRecord is one commit's effect on one document: the ordered update
+// operations the transaction applied, stamped with the per-document log
+// index (contiguous, starting at 1) and the commit timestamp. It is the
+// payload of a journal intent and the unit quorum replication ships.
+// Records apply strictly in index order, so the pair (doc, index) is the
+// whole notion of position — of a follower, and of a saved image.
 type ReplRecord struct {
 	Index int64
 	Txn   txn.ID
@@ -22,12 +23,12 @@ type ReplRecord struct {
 	Ops   []txn.Operation
 }
 
-// ReplLog is the primary-side in-memory shipping log for one site: a bounded
-// per-document record window. Records older than the horizon are discarded
-// (compaction); a follower asking for records past the horizon must fall
-// back to whole-document transfer. The log is rebuilt from the journal's
-// O-record tail on restart, so a primary crash narrows — but does not
-// poison — the incremental catch-up window.
+// ReplLog is the in-memory shipping window of one quorum-mode site: a bounded
+// per-document span of recent records. Records older than the horizon are
+// discarded; a follower asking for records past the horizon must fall back
+// to whole-document transfer. A restart refills it with the records it
+// replays from the journal's open intents, so a primary crash narrows — but
+// does not poison — the incremental catch-up window.
 type ReplLog struct {
 	mu      sync.Mutex
 	horizon int
@@ -47,42 +48,20 @@ func NewReplLog(horizon int) *ReplLog {
 	return &ReplLog{horizon: horizon, docs: make(map[string]*docLog)}
 }
 
-// Append stamps the record with the next index for doc, appends it, and
-// returns the assigned index (the new head).
-func (l *ReplLog) Append(doc string, rec ReplRecord) int64 {
+// Append adds a record that already carries its index. Records must arrive
+// in index order; a gap restarts the window at the newer record (the
+// retained span must stay contiguous or followers would apply holes).
+func (l *ReplLog) Append(doc string, rec ReplRecord) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	d := l.docs[doc]
 	if d == nil {
-		d = &docLog{floor: 1}
+		d = &docLog{}
 		l.docs[doc] = d
 	}
-	rec.Index = d.floor + int64(len(d.recs))
-	d.recs = append(d.recs, rec)
-	if len(d.recs) > l.horizon {
-		drop := len(d.recs) - l.horizon
-		d.recs = append([]ReplRecord(nil), d.recs[drop:]...)
-		d.floor += int64(drop)
-	}
-	return rec.Index
-}
-
-// Seed reinstates a record tail recovered from the journal. Records must be
-// presented in index order; gaps reset the window to the newer record (the
-// incremental span must stay contiguous or followers would apply holes).
-func (l *ReplLog) Seed(doc string, rec ReplRecord) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	d := l.docs[doc]
-	if d == nil {
-		d = &docLog{floor: rec.Index}
-		l.docs[doc] = d
-	}
-	if want := d.floor + int64(len(d.recs)); len(d.recs) > 0 && rec.Index != want {
+	if rec.Index != d.floor+int64(len(d.recs)) {
 		d.floor = rec.Index
 		d.recs = d.recs[:0]
-	} else if len(d.recs) == 0 {
-		d.floor = rec.Index
 	}
 	d.recs = append(d.recs, rec)
 	if len(d.recs) > l.horizon {

@@ -22,9 +22,9 @@ func mkRec(site int, seq int64) ReplRecord {
 func TestReplLogAppendSince(t *testing.T) {
 	l := NewReplLog(4)
 	for i := int64(1); i <= 6; i++ {
-		if got := l.Append("d1", mkRec(0, i)); got != i {
-			t.Fatalf("Append #%d assigned index %d", i, got)
-		}
+		rec := mkRec(0, i)
+		rec.Index = i
+		l.Append("d1", rec)
 	}
 	if h := l.Head("d1"); h != 6 {
 		t.Fatalf("Head = %d, want 6", h)
@@ -52,7 +52,7 @@ func TestReplLogAppendSince(t *testing.T) {
 	}
 }
 
-func TestReplLogSeedContiguity(t *testing.T) {
+func TestReplLogAppendContiguity(t *testing.T) {
 	l := NewReplLog(8)
 	r5 := mkRec(0, 5)
 	r5.Index = 5
@@ -60,22 +60,29 @@ func TestReplLogSeedContiguity(t *testing.T) {
 	r6.Index = 6
 	r9 := mkRec(0, 9)
 	r9.Index = 9
-	l.Seed("d1", r5)
-	l.Seed("d1", r6)
-	l.Seed("d1", r9) // gap: window must reset to [9,9]
+	l.Append("d1", r5)
+	l.Append("d1", r6)
+	l.Append("d1", r9) // gap: window must reset to [9,9]
 	if h := l.Head("d1"); h != 9 {
 		t.Fatalf("Head = %d, want 9", h)
 	}
 	if _, ok := l.Since("d1", 5); ok {
-		t.Fatal("span across the seeded gap must report past-horizon")
+		t.Fatal("span across the gap must report past-horizon")
 	}
 	recs, ok := l.Since("d1", 8)
 	if !ok || len(recs) != 1 || recs[0].Index != 9 {
 		t.Fatalf("Since(8) = %v, ok=%v", recs, ok)
 	}
-	// Appending after a seed continues from the seeded head.
-	if got := l.Append("d1", mkRec(0, 10)); got != 10 {
-		t.Fatalf("Append after seed assigned %d, want 10", got)
+	// A window restarted empty at a known head continues from it.
+	l.Reset("d1", 20)
+	if h := l.Head("d1"); h != 20 {
+		t.Fatalf("Head after Reset = %d, want 20", h)
+	}
+	r21 := mkRec(0, 21)
+	r21.Index = 21
+	l.Append("d1", r21)
+	if recs, ok := l.Since("d1", 20); !ok || len(recs) != 1 || recs[0].Index != 21 {
+		t.Fatalf("Since(20) after Reset+Append = %v, ok=%v", recs, ok)
 	}
 }
 
@@ -110,7 +117,7 @@ func TestMetaStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ms := range []MetaStore{NewMemStore(), fs} {
+	for _, ms := range []Store{NewMemStore(), fs} {
 		if _, ok, err := ms.LoadMeta("d1"); err != nil || ok {
 			t.Fatalf("%T: fresh LoadMeta = ok=%v err=%v", ms, ok, err)
 		}
@@ -127,61 +134,35 @@ func TestMetaStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJournalReplTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "commit.log")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= 3; i++ {
-		payload, err := EncodeReplRecord(mkRec(0, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := j.LogRepl("d1", i, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.LogRepl("d1", 1, "gap-resets-window"); err != nil {
-		t.Fatal(err)
-	}
-	tail := j.ReplTail("d1")
-	if len(tail) != 1 || tail[0].Index != 1 || tail[0].Payload != "gap-resets-window" {
-		t.Fatalf("tail after gap = %+v", tail)
-	}
-	if err := j.LogRepl("d1", 2, "x2"); err != nil {
-		t.Fatal(err)
-	}
-	// The tail must survive a compaction and a reopen.
-	if err := j.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	tail = j2.ReplTail("d1")
-	if len(tail) != 2 || tail[0].Index != 1 || tail[1].Payload != "x2" {
-		t.Fatalf("tail after checkpoint+reopen = %+v", tail)
-	}
-	if err := j2.LogRepl("d1", 3, "x x"); err == nil {
-		t.Fatal("whitespace payload must be rejected")
-	}
-}
-
 // FuzzJournalReplay feeds arbitrary bytes through the journal replay path:
 // whatever the file contains — torn lines, hostile records, binary noise —
 // opening it must not panic, and the live-state queries must stay callable.
 func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte("I t0.1 d1 d2\nD t0.1\nC t0.1\n"))
-	f.Add([]byte("O d1 1 cGF5bG9hZA==\nO d1 2 x\nO d1 9 y\n"))
 	f.Add([]byte("K 0:5,1:9\nI t1.3 d7"))
 	f.Add([]byte("O d1\nO d1 notanint z\nI\n\x00\xff\n"))
+	// Intents as the journal writes them: without payload, with one
+	// document's operations, with two documents' in one line, then sealed.
+	dir := f.TempDir()
+	j, err := OpenJournal(filepath.Join(dir, "seed.log"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	r1, r2 := mkRec(0, 1), mkRec(0, 2)
+	r1.Index, r2.Index = 1, 2
+	j.LogIntent("t0.1", []string{"d1"})
+	j.LogIntent("t0.2", []string{"d1"}, r1)
+	j.LogIntent("t0.3", []string{"d1", "d2"}, r2, r1)
+	j.LogDecision("t0.3")
+	j.LogCheckpoint("d1", 1)
+	j.LogCommit("t0.1", "t0.3")
+	j.Close()
+	seed, err := os.ReadFile(j.Path())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "commit.log")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -189,17 +170,23 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		j, err := OpenJournal(path)
 		if err != nil {
-			return // unreadable is fine; panics are not
+			return // damaged is fine; panics are not
 		}
 		defer j.Close()
-		_ = j.InDoubt()
+		_ = j.OpenIntents()
 		_ = j.Decisions()
 		_ = j.MaxSeq(0)
-		for _, e := range j.ReplTail("d1") {
-			_, _ = DecodeReplRecord(e.Payload)
-		}
+		_, _ = j.OpenRecords("d1")
 		if _, err := Recover(path); err != nil {
 			t.Fatalf("Recover after OpenJournal succeeded: %v", err)
+		}
+		// Whatever survived must be appendable and reopenable: a torn tail
+		// was cut, not left to fuse with the next record.
+		if err := j.LogDecision("t9.9"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Recover(path); err != nil {
+			t.Fatalf("Recover after append: %v", err)
 		}
 	})
 }

@@ -32,17 +32,11 @@ type Store interface {
 	Save(doc *xmltree.Document) error
 	// Delete removes a document. Deleting a missing document is an error.
 	Delete(name string) error
-}
-
-// MetaStore is the optional side-channel a Store may offer for small named
-// metadata blobs — replication uses it to record, next to each document, the
-// exact log index the persisted bytes correspond to. LoadMeta returns
-// ("", false, nil) when no value was ever saved; both backends implement it.
-type MetaStore interface {
-	// SaveMeta persists a metadata blob under the name, replacing any
-	// previous value.
+	// SaveMeta persists a small metadata blob next to the document of that
+	// name, replacing any previous value — a checkpoint records there the
+	// log index the saved document reflects.
 	SaveMeta(name, data string) error
-	// LoadMeta retrieves a metadata blob; ok is false when absent.
+	// LoadMeta retrieves a metadata blob; ok is false when none was saved.
 	LoadMeta(name string) (data string, ok bool, err error)
 }
 
@@ -113,7 +107,7 @@ func (s *MemStore) Delete(name string) error {
 	return nil
 }
 
-// SaveMeta implements MetaStore.
+// SaveMeta implements Store.
 func (s *MemStore) SaveMeta(name, data string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -124,7 +118,7 @@ func (s *MemStore) SaveMeta(name, data string) error {
 	return nil
 }
 
-// LoadMeta implements MetaStore.
+// LoadMeta implements Store.
 func (s *MemStore) LoadMeta(name string) (string, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -212,7 +206,7 @@ func (s *FileStore) Save(doc *xmltree.Document) error {
 	return nil
 }
 
-// SaveMeta implements MetaStore: the blob lands in <name>.meta via the same
+// SaveMeta implements Store: the blob lands in <name>.meta via the same
 // temp + rename discipline as Save, so a crash never leaves a torn value.
 func (s *FileStore) SaveMeta(name, data string) error {
 	p, err := s.path(name)
@@ -238,7 +232,7 @@ func (s *FileStore) SaveMeta(name, data string) error {
 	return nil
 }
 
-// LoadMeta implements MetaStore.
+// LoadMeta implements Store.
 func (s *FileStore) LoadMeta(name string) (string, bool, error) {
 	p, err := s.path(name)
 	if err != nil {

@@ -171,38 +171,33 @@ type PeerStatus struct {
 	Status string // "up" | "suspect" | "down"
 }
 
-// InDoubtTxn mirrors store.InDoubt for the wire.
-type InDoubtTxn struct {
-	Txn  string
-	Docs []string
-}
-
-// DocStatus is one document's replication view at a site: its role there
-// (primary or replica), the last replication-log record it applied, the
-// newest record it knows the primary holds, and the gap between the two.
-// Outside quorum mode Applied/Head/Behind stay zero. Protocol names the lock
+// DocStatus is one document's log view at a site: its role there (primary
+// or replica), the last log record it applied (the journal head), the record
+// its saved image reflects (Checkpoint — a restart replays the records
+// between the two), the newest record it knows the primary holds, and the
+// gap to it. Outside quorum mode Head equals Applied. Protocol names the lock
 // protocol currently active on the document's scheduling domain — under
 // adaptive concurrency control it can differ per document and change over a
 // run.
 type DocStatus struct {
-	Name     string
-	Primary  int
-	Role     string // "primary" | "replica"
-	Applied  int64
-	Head     int64
-	Behind   int64
-	Protocol string
+	Name       string
+	Primary    int
+	Role       string // "primary" | "replica"
+	Applied    int64
+	Checkpoint int64
+	Head       int64
+	Behind     int64
+	Protocol   string
 }
 
-// SiteStatusResp reports a site's documents, liveness view, journal
-// in-doubt set and headline counters.
+// SiteStatusResp reports a site's documents, liveness view and headline
+// counters.
 type SiteStatusResp struct {
 	Site      int
 	Ready     bool
 	Documents []string
 	Docs      []DocStatus
 	Peers     []PeerStatus
-	InDoubt   []InDoubtTxn
 	Committed int64
 	Aborted   int64
 	Failed    int64
@@ -220,9 +215,9 @@ type MetricsResp struct {
 	Text string
 }
 
-// RecoverReq asks a site to run an online recovery pass: drain the persist
-// pipeline, then resolve any journal in-doubt transactions with the
-// termination protocol. (Document catch-up is a restart-only step — a
+// RecoverReq asks a site to run an online recovery pass: checkpoint every
+// document, then settle the journal's dangling coordinator decisions with
+// the termination protocol. (Document catch-up is a restart-only step — a
 // serving site's in-memory state is already authoritative.)
 type RecoverReq struct{}
 

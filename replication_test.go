@@ -18,7 +18,6 @@ func quorumConfig(t *testing.T) dtx.Config {
 		Sites:             3,
 		StoreDir:          t.TempDir(),
 		Journal:           true,
-		PersistDelay:      -1,
 		HeartbeatInterval: 10 * time.Millisecond,
 		HeartbeatMisses:   2,
 		Replication:       dtx.ReplicationQuorum,
