@@ -809,6 +809,7 @@ func BenchmarkSingleSiteTxn(b *testing.B) {
 	if err := cluster.LoadXML("x", doc.String()); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := cluster.Submit(0,
@@ -821,6 +822,42 @@ func BenchmarkSingleSiteTxn(b *testing.B) {
 		if !res.Committed {
 			b.Fatal("txn did not commit")
 		}
+	}
+}
+
+// BenchmarkTxnDocSize is one single-site write transaction — one change, on a
+// journaled site — against documents of growing size. The commit path is
+// meant to cost O(change): what still grows with the document is the target
+// path's evaluation and the one tree copy per checkpoint (1/64 of a copy per
+// commit).
+func BenchmarkTxnDocSize(b *testing.B) {
+	for _, size := range []struct {
+		name  string
+		bytes int
+	}{{"64K", 64 << 10}, {"1M", 1 << 20}, {"4M", 4 << 20}} {
+		b.Run(size.name, func(b *testing.B) {
+			cluster, err := New(Config{Sites: 1, StoreDir: b.TempDir(), Journal: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cluster.Close()
+			if err := cluster.LoadXML("x", benchDoc(b, size.bytes).String()); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := cluster.Submit(0,
+					Change("x", "/site/open_auctions/open_auction[1]/current", "42.00"),
+				)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Committed {
+					b.Fatal("txn did not commit")
+				}
+			}
+		})
 	}
 }
 
@@ -881,6 +918,7 @@ func BenchmarkDistributedTxn(b *testing.B) {
 	if err := cluster.LoadXML("x", doc.String()); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := cluster.Submit(0,

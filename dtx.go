@@ -131,10 +131,6 @@ type Config struct {
 	// versions: a version pinned by a live reader is never retired under it.
 	// Zero selects the default (4).
 	SnapshotVersions int
-	// SnapshotRetention, when positive, additionally ages unpinned versions
-	// out of the chain once they have been superseded for this long, even
-	// while the chain is under SnapshotVersions.
-	SnapshotRetention time.Duration
 	// Replication selects the write-replication mode. Empty or "eager" is
 	// the original semantics: every write executes at every replica, and a
 	// partially-down replica set refuses writes with ErrReplicaUnavailable.
@@ -308,7 +304,6 @@ func (c *Cluster) buildSite(i int, recovering bool) (*sched.Site, error) {
 		HeartbeatInterval: hb,
 		HeartbeatMisses:   c.cfg.HeartbeatMisses,
 		SnapshotVersions:  c.cfg.SnapshotVersions,
-		SnapshotRetention: c.cfg.SnapshotRetention,
 		Replication:       c.cfg.Replication,
 		WriteQuorum:       c.cfg.WriteQuorum,
 		MaxStaleness:      c.cfg.MaxStaleness,

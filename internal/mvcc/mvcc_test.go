@@ -111,20 +111,6 @@ func TestGCBoundedUnderPinnedReader(t *testing.T) {
 	}
 }
 
-func TestGCRetentionAgesOutOldVersions(t *testing.T) {
-	c := NewChain(Options{MaxVersions: 10, Retention: time.Millisecond})
-	c.Publish(doc(t, "a"), 1)
-	c.Publish(doc(t, "b"), 2)
-	time.Sleep(5 * time.Millisecond)
-	c.Publish(doc(t, "c"), 3)
-	if n := c.Len(); n != 1 {
-		t.Fatalf("aged versions survived: Len = %d, want 1", n)
-	}
-	if h := c.Head(); h == nil || h.TS != 3 {
-		t.Fatalf("head = %v, want version 3", h)
-	}
-}
-
 // TestConcurrentPublishPinRetire hammers the chain from publishers, readers
 // and an advancing writer at once; run under -race it is the subsystem's
 // race test.

@@ -1,7 +1,11 @@
 package sched
 
 import (
+	"context"
+	"fmt"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/store"
@@ -166,5 +170,76 @@ func TestBootstrap(t *testing.T) {
 	res, err := sites[0].Submit([]txn.Operation{txn.NewQuery("d2", "//person")})
 	if err != nil || res.State != txn.Committed {
 		t.Fatalf("recovered site not serving: %v %+v", err, res)
+	}
+}
+
+// TestCheckpointProgressUnderOverlappingWriters: a checkpoint lags by at most
+// checkpointEvery records whatever writers are in flight. Two writers on one
+// document hand over so that it always carries an uncommitted change; the
+// checkpoint lag must stay bounded all the same, and no saved image may hold
+// a change that was uncommitted when it was cut.
+func TestCheckpointProgressUnderOverlappingWriters(t *testing.T) {
+	// Predicate-disjoint writers on one document need xdgl's guarded locks.
+	sites, _ := newClusterWithProtocol(t, 1, "xdgl", withJournal(t))
+	s := sites[0]
+	addDoc(t, s, "d1", peopleXML)
+
+	begin := func(i int) (*Session, string) {
+		t.Helper()
+		sess, err := s.Begin(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		person, val := []string{"4", "7"}[i%2], fmt.Sprintf("v%d", i)
+		if _, err := sess.Exec(txn.NewUpdate("d1", &xupdate.Update{
+			Kind: xupdate.Change, Target: "//person[id='" + person + "']/name", Value: val,
+		})); err != nil {
+			t.Fatal(err)
+		}
+		return sess, ">" + val + "<"
+	}
+	lagOf := func() int {
+		t.Helper()
+		const series = `dtx_checkpoint_lag_records{site="0",doc="d1"} `
+		_, rest, ok := strings.Cut(s.MetricsText(), series)
+		if !ok {
+			t.Fatalf("no %s in the exposition", series)
+		}
+		line, _, _ := strings.Cut(rest, "\n")
+		lag, err := strconv.Atoi(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lag
+	}
+
+	const commits = 4 * checkpointEvery
+	open, openVal := begin(0)
+	for i := 1; i <= commits; i++ {
+		next, nextVal := begin(i) // the document is dirty before and after every commit
+		if err := open.Commit(); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+		open, openVal = next, nextVal
+		s.Quiesce() // let a checkpoint this commit made due finish
+		if lag := lagOf(); lag > 2*checkpointEvery {
+			t.Fatalf("after %d commits the checkpoint lags %d records, want <= %d", i, lag, 2*checkpointEvery)
+		}
+		if i%checkpointEvery == 0 {
+			saved, err := s.cfg.Store.Load("d1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			xml := saved.String()
+			if strings.Contains(xml, openVal) {
+				t.Fatalf("after %d commits the Store holds the uncommitted %s:\n%s", i, openVal, xml)
+			}
+			if want := fmt.Sprintf(">v%d<", i-1); !strings.Contains(xml, want) {
+				t.Fatalf("after %d commits the Store lacks the committed %s:\n%s", i, want, xml)
+			}
+		}
+	}
+	if err := open.Abort(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -95,7 +96,6 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 			ts:          ts,
 			coordinator: coordinator,
 			created:     time.Now(),
-			undo:        make(map[int][]undoEntry),
 			docs:        make(map[string]bool),
 		}
 		s.part[id] = pt
@@ -200,14 +200,6 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 		}
 		out.executed = true
 	case txn.OpUpdate:
-		// Copy-on-first-write materialisation: the first update on a clean
-		// document whose version chain lags its commit clock snapshots the
-		// committed tree BEFORE mutating it — the last clean point until this
-		// writer (and any it overlaps with) consolidates. Commit itself stays
-		// O(1): it only advances the chain's commit clock (commitLocal), and
-		// whoever next needs the committed tree — this branch, a snapshot
-		// reader or the checkpointer at a clean point — pays for the copy.
-		s.publishLocked(ds)
 		rec, _, aerr := xupdate.Apply(op.Update, ds.doc, ds.guide)
 		if aerr != nil {
 			// The update itself failed (not a lock problem): Algorithm 2
@@ -215,9 +207,7 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 			out.failed = true
 			out.err = aerr.Error()
 		} else {
-			pt.addUndo(opIdx, undoEntry{doc: op.Doc, rec: rec})
-			pt.addApplied(opIdx, op)
-			ds.dirty[id] = true
+			ds.pending = append(ds.pending, pendingOp{txn: id, opIdx: opIdx, op: op, rec: rec})
 			out.executed = true
 		}
 	}
@@ -231,9 +221,6 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 // undoOpLocal undoes the effects of one operation of a transaction and
 // releases the locks that operation acquired (Algorithm 1, l. 16: an
 // operation that could not lock everywhere is undone wherever it ran).
-// cleanupMu serialises the undo application against a concurrent abort of
-// the same transaction: whichever takes the entries applies them, and the
-// abort cannot release the transaction's locks in between.
 func (s *Site) undoOpLocal(id txn.ID, opIdx int) {
 	s.mu.Lock()
 	pt := s.part[id]
@@ -243,25 +230,6 @@ func (s *Site) undoOpLocal(id txn.ID, opIdx int) {
 		// cleanup released everything, including this operation's locks.
 		return
 	}
-	pt.cleanupMu.Lock()
-	entries := pt.takeUndo(opIdx)
-	pt.dropApplied(opIdx)
-	for i := len(entries) - 1; i >= 0; i-- {
-		e := entries[i]
-		if ds := s.doc(e.doc); ds != nil {
-			ds.mu.Lock()
-			// Undo failures here would mean corrupted undo state; the
-			// tree operations involved cannot fail on records produced
-			// by a successful apply.
-			if err := e.rec.Undo(ds.doc, ds.guide); err != nil {
-				ds.mu.Unlock()
-				pt.cleanupMu.Unlock()
-				panic(fmt.Sprintf("sched: undo of %s op %d failed: %v", id, opIdx, err))
-			}
-			ds.mu.Unlock()
-		}
-	}
-	pt.cleanupMu.Unlock()
 	var released int
 	var waiters []txn.ID
 	for _, name := range pt.docNames() {
@@ -270,6 +238,7 @@ func (s *Site) undoOpLocal(id txn.ID, opIdx int) {
 			continue
 		}
 		ds.mu.Lock()
+		ds.revertLocked(id, opIdx)
 		released += ds.table.ReleaseOp(id, opIdx)
 		waiters = collectWaitersLocked(ds, id, waiters)
 		ds.mu.Unlock()
@@ -411,7 +380,7 @@ func (s *Site) tombstone(id txn.ID, committed bool) (pt *partTxn, won bool, prev
 // participant state intact and rolls the transaction back cleanly. The
 // coordinator only commits once every operation has completed at every
 // site, so no operation of the transaction is in flight here during the
-// dirty scan.
+// scan.
 func (s *Site) commitLocal(id txn.ID) error {
 	s.mu.Lock()
 	pt := s.part[id]
@@ -433,14 +402,13 @@ func (s *Site) commitLocal(id txn.ID) error {
 	}
 	defer s.exitCommit()
 
-	// Collect the documents the transaction changed and refuse if any of
-	// them has a latched checkpoint failure.
+	// Collect the documents the transaction changed — those still carrying
+	// pending updates of it, with the operations to redo — and refuse if any
+	// has a latched checkpoint failure.
 	var names []string
-	var changed []*docState
-	var byDoc map[string][]txn.Operation
+	var changed []shipItem
 	if pt != nil {
 		names = pt.docNames()
-		byDoc = pt.appliedByDoc()
 		for _, name := range names {
 			ds := s.doc(name)
 			if ds == nil {
@@ -448,18 +416,18 @@ func (s *Site) commitLocal(id txn.ID) error {
 			}
 			ds.mu.Lock()
 			perr := ds.persistErr
-			dirty := ds.dirty[id]
+			ops := ds.pendingOpsLocked(id)
 			ds.mu.Unlock()
 			if perr != nil {
 				return perr
 			}
-			if dirty {
-				changed = append(changed, ds)
+			if len(ops) > 0 {
+				changed = append(changed, shipItem{ds: ds, rec: store.ReplRecord{Txn: id, Ops: ops}})
 			}
 		}
 	}
 
-	ships, won, err := s.consolidate(id, changed, byDoc)
+	ships, won, err := s.consolidate(id, changed)
 	if err != nil || !won {
 		return err // nil: a duplicate consolidation already did the work
 	}
@@ -488,34 +456,29 @@ func (s *Site) commitLocal(id txn.ID) error {
 // open intents past a saved image are always a gapless run. It returns the
 // records quorum mode still has to ship, and whether this call won the
 // consolidation (false with a nil error: a duplicate request).
-func (s *Site) consolidate(id txn.ID, changed []*docState, byDoc map[string][]txn.Operation) (ships []shipItem, won bool, err error) {
+func (s *Site) consolidate(id txn.ID, changed []shipItem) (ships []shipItem, won bool, err error) {
 	if len(changed) > 0 {
 		s.commitMu.Lock()
 		defer s.commitMu.Unlock()
 	}
-	var docs []string
-	var recs []store.ReplRecord
-	redo := make(map[*docState]store.ReplRecord, len(changed))
-	for _, ds := range changed {
-		// A document whose every update was undone again (a failed multi-site
-		// attempt) is dirty but has nothing to redo.
-		if ops := byDoc[ds.name]; len(ops) > 0 {
-			ds.mu.Lock()
-			rec := store.ReplRecord{Index: ds.replApplied + 1, Txn: id, Ops: ops}
-			ds.mu.Unlock()
-			redo[ds] = rec
-			docs = append(docs, ds.name)
-			recs = append(recs, rec)
-		}
+	docs := make([]string, len(changed))
+	for i := range changed {
+		ds := changed[i].ds
+		ds.mu.Lock()
+		changed[i].rec.Index = ds.replApplied + 1
+		ds.mu.Unlock()
+		docs[i] = ds.name
 	}
-	journaled := s.cfg.Journal != nil && len(recs) > 0
+	journaled := s.cfg.Journal != nil && len(changed) > 0
 	if journaled {
 		// The journaled records carry the clock reading the consolidation
 		// will exceed; a replay only needs it positive.
 		s.mu.Lock()
 		logTS := s.clock.Tick()
 		s.mu.Unlock()
-		for i := range recs {
+		recs := make([]store.ReplRecord, len(changed))
+		for i := range changed {
+			recs[i] = changed[i].rec
 			recs[i].TS = logTS
 		}
 		if hooks := s.cfg.Hooks; hooks != nil && hooks.BeforeIntent != nil {
@@ -548,86 +511,55 @@ func (s *Site) consolidate(id txn.ID, changed []*docState, byDoc map[string][]tx
 	if len(changed) == 0 {
 		return nil, true, nil
 	}
-	// Stamp the consolidation on each changed document: its log position
-	// moves to the record just journaled and its version chain's commit
-	// clock advances — O(1) commit publication; the committed tree is
-	// materialised lazily at the next clean point (publishLocked). One tick
-	// taken AFTER the append stamps the whole local consolidation: a
-	// snapshot reader that began while the intent was being written has a
-	// timestamp below it and sees the transaction on none of its documents,
-	// instead of on those it happens to read late.
+	// Stamp the consolidation on each changed document: its pending updates
+	// become committed (dropped from the list), its log position moves to the
+	// record just journaled and its version chain's commit clock advances —
+	// O(1) commit publication; the committed tree is materialised only on
+	// demand (snapshot.go). One tick taken AFTER the append stamps the
+	// whole local consolidation: a snapshot reader that began while the
+	// intent was being written has a timestamp below it and sees the
+	// transaction on none of its documents, instead of on those it happens to
+	// read late.
 	s.mu.Lock()
 	cts := s.clock.Tick()
 	s.mu.Unlock()
-	for _, ds := range changed {
+	for i := range changed {
+		ds, rec := changed[i].ds, &changed[i].rec
+		rec.TS = cts
 		ds.mu.Lock()
-		delete(ds.dirty, id)
-		if rec, ok := redo[ds]; ok {
-			rec.TS = cts
-			ds.replApplied = rec.Index
-			if s.replLog != nil {
-				s.replLog.Append(ds.name, rec)
-				ships = append(ships, shipItem{ds: ds, rec: rec})
-			}
+		ds.pending = slices.DeleteFunc(ds.pending, func(p pendingOp) bool { return p.txn == id })
+		ds.replApplied = rec.Index
+		if s.replLog != nil {
+			s.replLog.Append(ds.name, *rec)
 		}
 		ds.versions.Advance(cts)
 		s.checkpointIfDueLocked(ds)
 		ds.mu.Unlock()
 	}
-	return ships, true, nil
+	if s.replLog == nil {
+		return nil, true, nil
+	}
+	return changed, true, nil
 }
 
 // abortLocal cancels a transaction at this site: undo every operation in
 // reverse order and release all locks (Algorithm 6, l. 13–14). Unlike
 // commit, an abort CAN race a stale in-flight operation of the same
-// transaction (an exchange abandoned by cancellation); the tombstone plus
-// the per-document barrier below make the undo set complete.
+// transaction (an exchange abandoned by cancellation). The tombstone plus
+// the document mutex make the undo set complete: an in-flight operation that
+// passed its tombstone re-check holds the document mutex from that check
+// through recording its pending update, so the revert below sees it;
+// operations arriving later are refused by the tombstone.
 func (s *Site) abortLocal(id txn.ID) error {
 	pt, _, _ := s.tombstone(id, false)
 	var names []string
 	if pt != nil {
 		names = pt.docNames()
-		pt.cleanupMu.Lock()
-		// Barrier: an in-flight operation that passed its tombstone
-		// re-check holds the document mutex from that check through its
-		// undo recording, so acquiring each touched document's mutex once
-		// orders every such operation's effects before the undo snapshot
-		// below; operations arriving later are refused by the tombstone.
+		// Every effect is undone, on every document, before any lock goes.
 		for _, name := range names {
 			if ds := s.doc(name); ds != nil {
 				ds.mu.Lock()
-				_ = ds // the empty critical section is the barrier
-				ds.mu.Unlock()
-			}
-		}
-		// Undo operations newest-first.
-		undo := pt.takeAllUndo()
-		var opIdxs []int
-		for idx := range undo {
-			opIdxs = append(opIdxs, idx)
-		}
-		sort.Sort(sort.Reverse(sort.IntSlice(opIdxs)))
-		for _, idx := range opIdxs {
-			entries := undo[idx]
-			for i := len(entries) - 1; i >= 0; i-- {
-				e := entries[i]
-				if ds := s.doc(e.doc); ds != nil {
-					ds.mu.Lock()
-					if err := e.rec.Undo(ds.doc, ds.guide); err != nil {
-						ds.mu.Unlock()
-						pt.cleanupMu.Unlock()
-						panic(fmt.Sprintf("sched: undo of %s op %d failed: %v", id, idx, err))
-					}
-					ds.mu.Unlock()
-				}
-			}
-		}
-		pt.cleanupMu.Unlock()
-		for _, name := range names {
-			if ds := s.doc(name); ds != nil {
-				ds.mu.Lock()
-				delete(ds.dirty, id)
-				s.checkpointIfDueLocked(ds) // the abort may have made a clean point
+				ds.revertLocked(id, -1)
 				ds.mu.Unlock()
 			}
 		}

@@ -121,8 +121,8 @@ func (o *orderStore) Save(doc *xmltree.Document) error {
 }
 
 // TestCheckpointOrdering drives many concurrent single-insert transactions
-// on one document of a site without a journal (so every clean point is
-// checkpointed) and asserts that Store writes observe per-document commit
+// on one document of a site without a journal (so every commit asks for a
+// checkpoint) and asserts that Store writes observe per-document commit
 // order: every saved state has strictly more inserts than the previous one
 // (a checkpoint covers every commit since the last, so counts can skip,
 // never regress), and after Sync the saved state contains every commit.

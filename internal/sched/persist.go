@@ -10,17 +10,20 @@ import (
 // itself durable by appending one intent line carrying its applied
 // operations (commitLocal); it never rewrites a document. A per-document
 // checkpointer saves the document's committed image — the MVCC chain's
-// published head, never the live tree, so the Store cannot hold an undecided
-// transaction's change — stamps the log index the image reflects through the
-// Store's meta record, and seals every intent the image covers with one
-// journal line. A restart loads the image and replays the open intents past
-// its index (LoadDocument).
+// published head, the live tree minus the uncommitted updates, so the Store
+// cannot hold an undecided transaction's change — stamps the log index the
+// image reflects through the Store's meta record, and seals every intent the
+// image covers with one journal line. A restart loads the image and replays
+// the open intents past its index (LoadDocument).
 //
 // A checkpoint runs once checkpointEvery records have accumulated on a
-// document, on Sync and on Stop. A site without a journal has no log to
-// replay from, so there every clean point is checkpointed. At most one
-// checkpointer runs per document, which keeps Store writes in commit order,
-// and everything but picking the head happens outside the domain mutex.
+// document, on Sync and on Stop, whatever writers are in flight: a checkpoint
+// lags by at most checkpointEvery records plus those committed while one
+// image is being written (TestCheckpointProgressUnderOverlappingWriters). A
+// site without a journal has no log to replay from, so there every commit
+// asks for one. At most one checkpointer runs per document, which keeps
+// Store writes in commit order, and everything but cutting the head happens
+// outside the domain mutex.
 //
 // A failed Save is latched on the document (persistErr) and counted in
 // Stats.PersistErrors: later commits touching the document refuse
@@ -34,9 +37,9 @@ const checkpointEvery = 64
 // Sync checkpoints every document that has records its saved image does not
 // reflect and returns once the checkpointers are idle. On a quiescent site
 // the Store then holds exactly the committed documents and the journal no
-// open intent; a document with a transaction in flight is saved as of its
-// last published clean point. Commits acknowledged while Sync is blocked may
-// or may not be covered.
+// open intent; a document with a transaction in flight is saved without that
+// transaction's changes. Commits acknowledged while Sync is blocked may or
+// may not be covered.
 func (s *Site) Sync() {
 	for _, ds := range s.allDocs() {
 		ds.mu.Lock()
@@ -48,10 +51,10 @@ func (s *Site) Sync() {
 
 // checkpointIfDueLocked starts a checkpoint when the document has gone
 // checkpointEvery records without one or, on a site with no journal to
-// replay from, at every clean point. Callers hold ds.mu.
+// replay from, has any record its image lacks. Callers hold ds.mu.
 func (s *Site) checkpointIfDueLocked(ds *docState) {
 	lag := ds.replApplied - ds.savedIdx
-	if lag >= checkpointEvery || (s.cfg.Journal == nil && lag > 0 && len(ds.dirty) == 0) {
+	if lag >= checkpointEvery || (s.cfg.Journal == nil && lag > 0) {
 		s.scheduleCheckpointLocked(ds)
 	}
 }
@@ -111,7 +114,7 @@ func (s *Site) checkpointer(ds *docState) {
 		covered := idx - ds.savedIdx
 		ds.mu.Unlock()
 		if covered <= 0 {
-			continue // writers in flight since the last image: nothing newer is committed-clean yet
+			continue // the saved image is current
 		}
 
 		if hooks := s.cfg.Hooks; hooks != nil && hooks.BeforeCheckpoint != nil {

@@ -33,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -99,7 +100,7 @@ type Config struct {
 	// one intent carrying its applied operations before it acknowledges, and
 	// a restarted site replays the intents its saved documents do not cover
 	// — the durability direction of the paper's future work. Without it the
-	// documents are saved at every clean point instead (persist.go).
+	// documents are saved after every commit instead (persist.go).
 	Journal *store.Journal
 	// HeartbeatInterval is the period of the liveness heartbeat to every
 	// peer site; zero disables failure detection (every peer stays believed
@@ -119,9 +120,6 @@ type Config struct {
 	// kept; a reader whose begin timestamp falls below every retained
 	// version is aborted with ErrSnapshotUnavailable.
 	SnapshotVersions int
-	// SnapshotRetention, when positive, additionally retires unpinned old
-	// versions past this age even while the chain is under SnapshotVersions.
-	SnapshotRetention time.Duration
 	// Replication selects the write-replication mode. The default ("", or
 	// ReplicationEager explicitly) keeps the original semantics: every write
 	// executes at every replica and a partially-down replica set refuses
@@ -323,7 +321,7 @@ type Stats struct {
 // which is only possible if the local graphs are disjoint per document.
 //
 // Each docState is one scheduling domain: its mutex serialises every access
-// to the document, guide, table, graph, dirty set and log position, so
+// to the document, guide, table, graph, pending list and log position, so
 // transactions on different documents at one site proceed fully in
 // parallel.
 type docState struct {
@@ -333,7 +331,13 @@ type docState struct {
 	guide *dataguide.DataGuide
 	table *lock.Table
 	graph *wfg.Graph
-	dirty map[txn.ID]bool // transactions with uncommitted changes in the tree
+	// pending is every uncommitted update applied to the tree, in apply
+	// order: the one record of what each transaction changed here. A commit
+	// journals its entries' operations and drops them, an undo or abort
+	// reverts and drops them newest-first, and the committed tree at any
+	// moment is the live tree with the remaining entries peeled off
+	// (publishLocked).
+	pending []pendingOp
 
 	// proto is the lock protocol currently active on this domain, seeded
 	// from Config.Protocol and swapped at quiescent points by SwitchProtocol
@@ -351,10 +355,10 @@ type docState struct {
 	// versions is the document's MVCC chain: committed immutable snapshots
 	// that read-only transactions pin and query without entering the lock
 	// table or the wait-for graph (snapshot.go). Commits advance the chain's
-	// commit timestamp in O(1); materialisation of a fresh version is
-	// deferred to the next clean point — a reader needing it, or the next
-	// writer's first change (processOperation). The chain has its own leaf
-	// mutex, so it is safe to touch with or without ds.mu held.
+	// commit timestamp in O(1); a fresh version is materialised only when a
+	// reader pins a stale head or a checkpoint is due (publishLocked). The
+	// chain has its own leaf mutex, so it is safe to touch with or without
+	// ds.mu held.
 	versions *mvcc.Chain
 
 	// Log position, guarded by mu like the rest of the domain. replApplied is
@@ -389,36 +393,65 @@ type docState struct {
 	replAcked  map[int]int64
 }
 
-// undoEntry is one applied update of one operation, with its inverse.
-type undoEntry struct {
-	doc string
-	rec *xupdate.UndoRec
+// pendingOp is one uncommitted update on a document's tree: the operation as
+// executed — the commit's redo record — and its inverse.
+type pendingOp struct {
+	txn   txn.ID
+	opIdx int
+	op    txn.Operation
+	rec   *xupdate.UndoRec
+}
+
+// pendingOpsLocked returns the operations of the transaction's pending
+// updates in apply order — the order a replay must redo them in. Callers
+// hold ds.mu.
+func (ds *docState) pendingOpsLocked(id txn.ID) []txn.Operation {
+	var ops []txn.Operation
+	for i := range ds.pending {
+		if ds.pending[i].txn == id {
+			ops = append(ops, ds.pending[i].op)
+		}
+	}
+	return ops
+}
+
+// revertLocked undoes, newest first, and drops the transaction's pending
+// updates on the document — those of one operation, or all of them when
+// opIdx is negative. Undoing and dropping inside one hold of ds.mu is what
+// lets an operation-level undo and the transaction's abort race: each entry
+// is reverted exactly once, and neither can release a lock over an effect
+// still in the tree. Callers hold ds.mu.
+func (ds *docState) revertLocked(id txn.ID, opIdx int) {
+	mine := func(p pendingOp) bool { return p.txn == id && (opIdx < 0 || p.opIdx == opIdx) }
+	for i := len(ds.pending) - 1; i >= 0; i-- {
+		if p := ds.pending[i]; mine(p) {
+			// A failure here would mean a corrupted undo record: the tree
+			// operations involved cannot fail on records a successful apply
+			// produced.
+			if err := p.rec.Undo(ds.doc, ds.guide); err != nil {
+				panic(fmt.Sprintf("sched: undo of %s op %d failed: %v", id, p.opIdx, err))
+			}
+		}
+	}
+	ds.pending = slices.DeleteFunc(ds.pending, mine)
 }
 
 // partTxn is the participant-side record of a transaction that has executed
 // (or tried to execute) operations at this site. The coordinator's own site
-// keeps one too, so commit/abort treat all sites uniformly. The mutex (a
-// leaf in the lock order) guards undo and docs: concurrent batched reads of
-// one transaction, and a stale operation racing the transaction's cleanup,
-// can touch them from different document domains.
+// keeps one too, so commit/abort treat all sites uniformly. What the
+// transaction changed lives on the documents (docState.pending); this only
+// remembers which documents to look at. The mutex (a leaf in the lock order)
+// guards docs: concurrent batched reads of one transaction, and a stale
+// operation racing the transaction's cleanup, can touch it from different
+// document domains.
 type partTxn struct {
 	id          txn.ID
 	ts          txn.TS
 	coordinator int
 	created     time.Time // for the orphan sweep's age threshold
 
-	// cleanupMu serialises undo application between an operation-level undo
-	// (undoOpLocal) and the transaction-level abort: whichever takes an
-	// op's undo entries applies them before the other proceeds, so an
-	// abort can never release locks while an operation undo is still being
-	// applied. Ordering: cleanupMu may be held while taking a docState
-	// mutex; never the reverse.
-	cleanupMu sync.Mutex
-
-	mu      sync.Mutex
-	undo    map[int][]undoEntry   // op index -> applied updates
-	docs    map[string]bool       // documents touched here
-	applied map[int]txn.Operation // op index -> executed update, the commit's redo record
+	mu   sync.Mutex
+	docs map[string]bool // documents touched here
 }
 
 // touch records a document as touched by the transaction at this site.
@@ -437,73 +470,6 @@ func (pt *partTxn) docNames() []string {
 		out = append(out, name)
 	}
 	return out
-}
-
-// addUndo appends one applied update of one operation.
-func (pt *partTxn) addUndo(opIdx int, e undoEntry) {
-	pt.mu.Lock()
-	pt.undo[opIdx] = append(pt.undo[opIdx], e)
-	pt.mu.Unlock()
-}
-
-// takeUndo removes and returns the undo entries of one operation.
-func (pt *partTxn) takeUndo(opIdx int) []undoEntry {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	entries := pt.undo[opIdx]
-	delete(pt.undo, opIdx)
-	return entries
-}
-
-// addApplied records a successfully executed update operation so the commit
-// can journal (and quorum mode ship) exactly what ran here, in op-index
-// order.
-func (pt *partTxn) addApplied(opIdx int, op txn.Operation) {
-	pt.mu.Lock()
-	if pt.applied == nil {
-		pt.applied = make(map[int]txn.Operation)
-	}
-	pt.applied[opIdx] = op
-	pt.mu.Unlock()
-}
-
-// dropApplied forgets an operation that was undone (a failed multi-site
-// attempt): its effects are gone, so it must not be redone.
-func (pt *partTxn) dropApplied(opIdx int) {
-	pt.mu.Lock()
-	delete(pt.applied, opIdx)
-	pt.mu.Unlock()
-}
-
-// appliedByDoc groups the surviving update operations by document, each
-// group in op-index order — the order they executed against the tree, which
-// is the order a replay must apply them in.
-func (pt *partTxn) appliedByDoc() map[string][]txn.Operation {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	if len(pt.applied) == 0 {
-		return nil
-	}
-	idxs := make([]int, 0, len(pt.applied))
-	for idx := range pt.applied {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	out := make(map[string][]txn.Operation)
-	for _, idx := range idxs {
-		op := pt.applied[idx]
-		out[op.Doc] = append(out[op.Doc], op)
-	}
-	return out
-}
-
-// takeAllUndo removes and returns every undo entry, keyed by operation.
-func (pt *partTxn) takeAllUndo() map[int][]undoEntry {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	undo := pt.undo
-	pt.undo = make(map[int][]undoEntry)
-	return undo
 }
 
 // coordTxn is the coordinator-side state of a transaction submitted here.
@@ -1038,10 +1004,7 @@ func (s *Site) newDocState(doc *xmltree.Document, g *dataguide.DataGuide) *docSt
 		g.AttachIndex(vindex.New(s.cfg.IndexedKeys, s.cfg.AutoIndexAfter))
 		g.ReindexAll(doc)
 	}
-	ch := mvcc.NewChain(mvcc.Options{
-		MaxVersions: s.cfg.SnapshotVersions,
-		Retention:   s.cfg.SnapshotRetention,
-	})
+	ch := mvcc.NewChain(mvcc.Options{MaxVersions: s.cfg.SnapshotVersions})
 	ch.Publish(doc.Snapshot(), 0)
 	return &docState{
 		name:     doc.Name,
@@ -1049,7 +1012,6 @@ func (s *Site) newDocState(doc *xmltree.Document, g *dataguide.DataGuide) *docSt
 		guide:    g,
 		table:    lock.NewTable(g),
 		graph:    wfg.New(),
-		dirty:    make(map[txn.ID]bool),
 		proto:    s.cfg.Protocol,
 		versions: ch,
 		met:      s.m.docMetrics(doc.Name),

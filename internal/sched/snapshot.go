@@ -24,10 +24,14 @@ import (
 // Consistency: every read observes a committed prefix of its document's
 // history — never a writer's mid-transaction state — and repeated reads of
 // one document observe the same version (the pin is per transaction per
-// document and never re-taken). Under writers overlapping on one document
-// the published head can lag the newest commit until the overlap drains, so
-// a reader may be served a slightly older committed version rather than
-// block; strict 2PL writers are unaffected.
+// document and never re-taken). A read-only transaction sees every commit
+// its site acknowledged before it began, regardless of writers in flight
+// (TestSnapshotReadSeesCommitBesideDirtyWriter): the committed tree is cut
+// from the live one when the reader pins, by peeling the uncommitted updates
+// off it (publishLocked). Only the state at pin time can be cut that way, so
+// if a further commit on the document lands between the transaction's begin
+// and its first read of it and no version was published in between, the read
+// is served the newest version published before — still a committed prefix.
 
 // roPinSet is the per-site pin state of one read-only transaction. The
 // registry map (Site.roPins, guarded by Site.roMu) holds one per transaction
@@ -158,17 +162,10 @@ func (s *Site) snapshotEval(ds *docState, q *xpath.Query, ver *mvcc.Version) ([]
 
 // pinDocVersion pins the newest committed version of the document at or
 // below ts, materialising a fresh one first when the chain's head lags the
-// commit timestamp and the document is at a clean point (no uncommitted
-// writer effects in the tree). Returns nil when every retained version is
-// newer than ts — the reader's snapshot has been GC'd away.
+// commit timestamp. Returns nil when every retained version is newer than ts
+// — the reader's snapshot has been GC'd away.
 func (s *Site) pinDocVersion(ds *docState, ts txn.TS) *mvcc.Version {
 	if ds.versions.Stale() {
-		// Only a clean tree is materialisable: uncommitted writers mutate
-		// the document in place, and their undo records hold live node
-		// pointers, so a mid-transaction snapshot would leak exactly the
-		// state snapshot isolation exists to hide. When writers keep the
-		// document dirty the reader is served the best retained version
-		// instead of blocking behind them.
 		ds.mu.Lock()
 		s.publishLocked(ds)
 		ds.mu.Unlock()
@@ -177,13 +174,30 @@ func (s *Site) pinDocVersion(ds *docState, ts txn.TS) *mvcc.Version {
 }
 
 // publishLocked materialises the committed tree as the head of the
-// document's version chain when the domain is at a clean point and the chain
-// lags it — the one tree copy that serves snapshot readers, the next
-// writer's copy-on-first-write and the checkpointer alike. headIdx records
-// the log index the head reflects. Callers hold ds.mu.
+// document's version chain when the chain lags it — the one tree copy, made
+// for a snapshot reader pinning a stale head or for the checkpointer. The
+// committed tree is the live tree minus the uncommitted updates: those hold
+// locks, so nothing committed depends on them, and peeling them off newest
+// first, copying, and putting them back oldest first inside this one hold of
+// ds.mu costs O(pending change) on top of the copy and leaves every node,
+// the guide and the value index exactly as they were. headIdx records the
+// log index the head reflects. Callers hold ds.mu.
 func (s *Site) publishLocked(ds *docState) {
-	if len(ds.dirty) == 0 && ds.versions.Stale() &&
-		ds.versions.Publish(ds.doc.Snapshot(), ds.versions.CommitTS()) {
+	if !ds.versions.Stale() {
+		return
+	}
+	for i := len(ds.pending) - 1; i >= 0; i-- {
+		if err := ds.pending[i].rec.Peel(ds.doc); err != nil {
+			panic(fmt.Sprintf("sched: peel of %s op %d failed: %v", ds.pending[i].txn, ds.pending[i].opIdx, err))
+		}
+	}
+	committed := ds.doc.Snapshot()
+	for i := range ds.pending {
+		if err := ds.pending[i].rec.Restore(ds.doc); err != nil {
+			panic(fmt.Sprintf("sched: restore of %s op %d failed: %v", ds.pending[i].txn, ds.pending[i].opIdx, err))
+		}
+	}
+	if ds.versions.Publish(committed, ds.versions.CommitTS()) {
 		ds.headIdx = ds.replApplied
 		s.m.snapshotPublishes.Inc()
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -259,9 +260,9 @@ func TestSnapshotUnavailableTooOld(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Two write transactions: the second's copy-on-first-write publishes a
-	// version newer than the reader's timestamp, and MaxVersions=1 GC
-	// retires everything older.
+	// Two write transactions land before the reader's first read: the version
+	// that read publishes is newer than the reader's timestamp, and
+	// MaxVersions=1 GC retires everything older.
 	for i := 0; i < 2; i++ {
 		res, err := s.Submit([]txn.Operation{txn.NewUpdate("d1", &xupdate.Update{
 			Kind: xupdate.Insert, Target: "/people", Pos: xmltree.Into,
@@ -432,5 +433,53 @@ func TestSnapshotOrphanPinsSweep(t *testing.T) {
 			t.Fatalf("orphaned snapshot pins not swept: %d sets remain", n)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestSnapshotReadSeesCommitBesideDirtyWriter: a read-only transaction sees
+// every commit its site acknowledged before it began, regardless of writers
+// in flight. Writer A holds an uncommitted change on one person, writer B
+// commits a change on the other; a reader begun after B's acknowledgement
+// sees B's change and not A's, and still does once A has aborted.
+func TestSnapshotReadSeesCommitBesideDirtyWriter(t *testing.T) {
+	// Predicate-disjoint writers on one document need xdgl's guarded locks.
+	sites, _ := newClusterWithProtocol(t, 1, "xdgl", nil)
+	s := sites[0]
+	addDoc(t, s, "d1", peopleXML)
+
+	a, err := s.Begin(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Exec(txn.NewUpdate("d1", &xupdate.Update{
+		Kind: xupdate.Change, Target: "//person[id='7']/name", Value: "Uncommitted",
+	})); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Submit([]txn.Operation{txn.NewUpdate("d1", &xupdate.Update{
+		Kind: xupdate.Change, Target: "//person[id='4']/name", Value: "Zed",
+	})})
+	if err != nil || res.State != txn.Committed {
+		t.Fatalf("B: %v %+v", err, res)
+	}
+
+	readNames := func(when string) {
+		t.Helper()
+		ro, err := s.SubmitReadOnly([]txn.Operation{txn.NewQuery("d1", "//person/name")})
+		if err != nil || ro.State != txn.Committed {
+			t.Fatalf("%s: %v %+v", when, err, ro)
+		}
+		if got := fmt.Sprint(ro.Results[0]); got != "[Zed Bruno]" {
+			t.Fatalf("%s: snapshot read = %s, want [Zed Bruno] (B's commit, none of A's change)", when, got)
+		}
+	}
+	readNames("beside the uncommitted writer")
+	if err := a.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	readNames("after the writer aborted")
+	live, _ := s.Document("d1")
+	if xml := live.String(); strings.Contains(xml, "Uncommitted") || !strings.Contains(xml, "Zed") {
+		t.Fatalf("live tree after the abort:\n%s", xml)
 	}
 }

@@ -175,3 +175,40 @@ func TestDocumentAccessors(t *testing.T) {
 		t.Fatal("missing document returned")
 	}
 }
+
+// TestUndoneOperationLeavesDocumentClean: an operation undone by undoOpLocal
+// (Algorithm 1 l. 16) leaves no trace on the document, so the commit that
+// follows has nothing to redo there — it must not journal a record, advance
+// the document's version chain or force a tree copy on the next reader.
+func TestUndoneOperationLeavesDocumentClean(t *testing.T) {
+	sites, _ := newCluster(t, 1, withJournal(t))
+	s := sites[0]
+	addDoc(t, s, "d1", peopleXML)
+	if _, err := s.SubmitReadOnly([]txn.Operation{txn.NewQuery("d1", "//person/id")}); err != nil {
+		t.Fatal(err)
+	}
+	publishes := s.Stats().SnapshotPublishes
+
+	id := txn.ID{Site: 0, Seq: 999}
+	res := s.processOperation(id, 50, 0, 0, txn.NewUpdate("d1", &xupdate.Update{
+		Kind: xupdate.Insert, Target: "/people", Pos: xmltree.Into, New: personSpec("22", "Patricia"),
+	}))
+	if !res.executed {
+		t.Fatalf("insert: %+v", res)
+	}
+	s.undoOpLocal(id, 0)
+	if err := s.commitLocal(id); err != nil {
+		t.Fatal(err)
+	}
+
+	ro, err := s.SubmitReadOnly([]txn.Operation{txn.NewQuery("d1", "//person/id")})
+	if err != nil || len(ro.Results[0]) != 2 {
+		t.Fatalf("read after the commit: %v %+v", err, ro)
+	}
+	if got := s.Stats().SnapshotPublishes; got != publishes {
+		t.Fatalf("dtx_snapshot_publishes_total moved %d -> %d for a transaction that changed nothing", publishes, got)
+	}
+	if recs, err := s.cfg.Journal.OpenRecords("d1"); err != nil || len(recs) != 0 {
+		t.Fatalf("journal records for a transaction that changed nothing: %+v (err %v)", recs, err)
+	}
+}

@@ -417,7 +417,8 @@ func (d *Document) Snapshot() *Document {
 	}
 	// Chunked arena. Chunks are append-only and never reallocate, so interior
 	// pointers into them stay valid; when a hint undershoots (the document
-	// grew since the last snapshot) a fresh chunk is allocated. Each node's
+	// grew since the last snapshot) a fresh chunk a quarter of the hint's size
+	// is allocated, so a stale hint wastes little of the arena. Each node's
 	// Children and Attrs slices are contiguous within a single chunk — a
 	// chunk at least as large as the needed run is allocated when the current
 	// one cannot hold it — and are full-capacity slices, so they cannot grow
@@ -431,7 +432,7 @@ func (d *Document) Snapshot() *Document {
 	nodeCount, attrCount := 0, 0
 	newNode := func(n *Node, parent *Node) *Node {
 		if len(nodeChunk) == cap(nodeChunk) {
-			nodeChunk = make([]Node, 0, max(2*cap(nodeChunk), 64))
+			nodeChunk = make([]Node, 0, max(nodeHint/4, 64))
 		}
 		nodeChunk = append(nodeChunk, Node{ID: n.ID, Name: n.Name, Text: n.Text, Parent: parent, doc: nd})
 		nodeCount++
@@ -439,7 +440,7 @@ func (d *Document) Snapshot() *Document {
 	}
 	childSlice := func(n int) []*Node {
 		if cap(ptrChunk)-len(ptrChunk) < n {
-			ptrChunk = make([]*Node, 0, max(2*cap(ptrChunk), n, 64))
+			ptrChunk = make([]*Node, 0, max(nodeHint/4, n, 64))
 		}
 		start := len(ptrChunk)
 		ptrChunk = ptrChunk[:start+n]
@@ -447,7 +448,7 @@ func (d *Document) Snapshot() *Document {
 	}
 	attrSlice := func(src []Attr) []Attr {
 		if cap(attrChunk)-len(attrChunk) < len(src) {
-			attrChunk = make([]Attr, 0, max(2*cap(attrChunk), len(src), 16))
+			attrChunk = make([]Attr, 0, max(attrHint/4, len(src), 16))
 		}
 		start := len(attrChunk)
 		attrChunk = append(attrChunk, src...)

@@ -179,9 +179,14 @@ func (u *Update) Validate() error {
 	return nil
 }
 
-// undoAction is a single inverse step. Actions are replayed in reverse.
+// undoAction is a single inverse step. flip toggles the step's effect on the
+// tree between applied and reverted and touches nothing else — no DataGuide,
+// extent or value-index maintenance, no node allocated or renumbered — so a
+// flip followed by a flip leaves the tree exactly as it was. undo is the
+// reverting flip plus the guide maintenance that goes with it.
 type undoAction interface {
 	undo(doc *xmltree.Document, g *dataguide.DataGuide) error
+	flip(doc *xmltree.Document) error
 }
 
 // UndoRec collects the inverse of one applied update.
@@ -206,73 +211,132 @@ func (r *UndoRec) Undo(doc *xmltree.Document, g *dataguide.DataGuide) error {
 	return nil
 }
 
-type undoInsert struct{ node *xmltree.Node }
+// Peel takes the update's effect off the tree without consuming the record
+// and without touching the guide: the tree then reads as if the update had
+// not run, which is how a committed snapshot is cut from a document that
+// uncommitted writers are changing in place. Records are peeled newest-first
+// and put back oldest-first with Restore before anything else looks at the
+// document; a peeled-and-restored record undoes exactly as a fresh one.
+func (r *UndoRec) Peel(doc *xmltree.Document) error {
+	if r == nil {
+		return nil
+	}
+	for i := len(r.actions) - 1; i >= 0; i-- {
+		if err := r.actions[i].flip(doc); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-func (a undoInsert) undo(doc *xmltree.Document, g *dataguide.DataGuide) error {
-	g.RemoveSubtree(a.node)
-	_, err := doc.Detach(a.node)
+// Restore puts a peeled update's effect back on the tree.
+func (r *UndoRec) Restore(doc *xmltree.Document) error {
+	if r == nil {
+		return nil
+	}
+	for _, a := range r.actions {
+		if err := a.flip(doc); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// placement is a subtree that is either attached or detached from a
+// remembered position; flip moves it from the one state to the other.
+type placement struct {
+	node, parent *xmltree.Node
+	idx          int
+}
+
+func (a *placement) flip(doc *xmltree.Document) (err error) {
+	if a.node.Parent == nil {
+		return doc.AttachChildAt(a.parent, a.node, a.idx)
+	}
+	a.parent = a.node.Parent
+	a.idx, err = doc.Detach(a.node)
 	return err
 }
 
-type undoRemove struct {
-	parent *xmltree.Node
-	node   *xmltree.Node
-	idx    int
+// undoInsert detaches an inserted subtree.
+type undoInsert struct{ placement }
+
+func (a *undoInsert) undo(doc *xmltree.Document, g *dataguide.DataGuide) error {
+	g.RemoveSubtree(a.node)
+	return a.flip(doc)
 }
 
-func (a undoRemove) undo(doc *xmltree.Document, g *dataguide.DataGuide) error {
-	if err := doc.AttachChildAt(a.parent, a.node, a.idx); err != nil {
+// undoRemove reattaches a removed subtree where it was.
+type undoRemove struct{ placement }
+
+func (a *undoRemove) undo(doc *xmltree.Document, g *dataguide.DataGuide) error {
+	if err := a.flip(doc); err != nil {
 		return err
 	}
 	return g.AddSubtree(a.node)
 }
 
 type undoRename struct {
-	node    *xmltree.Node
-	oldName string
+	node  *xmltree.Node
+	other string // the name the node does not carry right now
 }
 
-func (a undoRename) undo(doc *xmltree.Document, g *dataguide.DataGuide) error {
+func (a *undoRename) flip(*xmltree.Document) error {
+	a.node.Name, a.other = a.other, a.node.Name
+	return nil
+}
+
+func (a *undoRename) undo(doc *xmltree.Document, g *dataguide.DataGuide) error {
 	g.RemoveSubtree(a.node)
-	a.node.Name = a.oldName
+	_ = a.flip(doc)
 	return g.AddSubtree(a.node)
 }
 
 type undoChangeText struct {
-	node    *xmltree.Node
-	oldText string
+	node  *xmltree.Node
+	other string // the text the node does not carry right now
 }
 
-func (a undoChangeText) undo(_ *xmltree.Document, g *dataguide.DataGuide) error {
+func (a *undoChangeText) flip(*xmltree.Document) error {
+	a.node.Text, a.other = a.other, a.node.Text
+	return nil
+}
+
+func (a *undoChangeText) undo(doc *xmltree.Document, g *dataguide.DataGuide) error {
 	old := a.node.Text
-	a.node.Text = a.oldText
+	_ = a.flip(doc)
 	g.NoteTextChanged(a.node, old)
 	return nil
 }
 
+// undoChangeAttr swaps the node's whole attribute list with the one from the
+// other side of the change, so a flip pair also restores attribute order.
 type undoChangeAttr struct {
-	node    *xmltree.Node
-	attr    string
-	oldVal  string
-	existed bool
+	node  *xmltree.Node
+	attr  string
+	other []xmltree.Attr
 }
 
-func (a undoChangeAttr) undo(_ *xmltree.Document, g *dataguide.DataGuide) error {
-	var prev string
-	var existed bool
-	if a.existed {
-		prev, existed = a.node.SetAttr(a.attr, a.oldVal)
-	} else {
-		prev, existed = a.node.RemoveAttr(a.attr)
-	}
+func (a *undoChangeAttr) flip(*xmltree.Document) error {
+	a.node.Attrs, a.other = a.other, a.node.Attrs
+	return nil
+}
+
+func (a *undoChangeAttr) undo(doc *xmltree.Document, g *dataguide.DataGuide) error {
+	prev, existed := a.node.Attr(a.attr)
+	_ = a.flip(doc)
 	g.NoteAttrChanged(a.node, a.attr, prev, existed)
 	return nil
 }
 
 type undoTranspose struct{ a, b *xmltree.Node }
 
-func (a undoTranspose) undo(doc *xmltree.Document, g *dataguide.DataGuide) error {
-	if err := doc.Transpose(a.a, a.b); err != nil {
+func (a *undoTranspose) flip(doc *xmltree.Document) error {
+	return doc.Transpose(a.a, a.b)
+}
+
+func (a *undoTranspose) undo(doc *xmltree.Document, g *dataguide.DataGuide) error {
+	if err := a.flip(doc); err != nil {
 		return err
 	}
 	if err := g.Move(a.a); err != nil {
@@ -323,7 +387,7 @@ func ApplyToTargets(u *Update, doc *xmltree.Document, g *dataguide.DataGuide, ta
 			if err := g.AddSubtree(n); err != nil {
 				return fail(err)
 			}
-			rec.actions = append(rec.actions, undoInsert{node: n})
+			rec.actions = append(rec.actions, &undoInsert{placement{node: n}})
 		}
 	case Remove:
 		for _, target := range targets {
@@ -337,7 +401,7 @@ func ApplyToTargets(u *Update, doc *xmltree.Document, g *dataguide.DataGuide, ta
 				}
 				return fail(err)
 			}
-			rec.actions = append(rec.actions, undoRemove{parent: parent, node: target, idx: idx})
+			rec.actions = append(rec.actions, &undoRemove{placement{node: target, parent: parent, idx: idx}})
 		}
 	case Rename:
 		for _, target := range targets {
@@ -348,17 +412,18 @@ func ApplyToTargets(u *Update, doc *xmltree.Document, g *dataguide.DataGuide, ta
 				target.Name = old
 				return fail(err)
 			}
-			rec.actions = append(rec.actions, undoRename{node: target, oldName: old})
+			rec.actions = append(rec.actions, &undoRename{node: target, other: old})
 		}
 	case Change:
 		for _, target := range targets {
 			if u.Attr != "" {
+				rec.actions = append(rec.actions, &undoChangeAttr{node: target, attr: u.Attr,
+					other: append([]xmltree.Attr(nil), target.Attrs...)})
 				prev, existed := target.SetAttr(u.Attr, u.Value)
 				g.NoteAttrChanged(target, u.Attr, prev, existed)
-				rec.actions = append(rec.actions, undoChangeAttr{node: target, attr: u.Attr, oldVal: prev, existed: existed})
 			} else {
 				old := target.Text
-				rec.actions = append(rec.actions, undoChangeText{node: target, oldText: old})
+				rec.actions = append(rec.actions, &undoChangeText{node: target, other: old})
 				target.Text = u.Value
 				g.NoteTextChanged(target, old)
 			}
@@ -382,7 +447,7 @@ func ApplyToTargets(u *Update, doc *xmltree.Document, g *dataguide.DataGuide, ta
 		if err := g.Move(b); err != nil {
 			return fail(err)
 		}
-		rec.actions = append(rec.actions, undoTranspose{a: a, b: b})
+		rec.actions = append(rec.actions, &undoTranspose{a: a, b: b})
 	default:
 		return fail(fmt.Errorf("xupdate: unknown kind %d", int(u.Kind)))
 	}

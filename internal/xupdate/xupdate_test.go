@@ -1,7 +1,10 @@
 package xupdate
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -391,4 +394,183 @@ func TestTargetQueryParsedOnce(t *testing.T) {
 	if _, err := bad.TargetQuery(); err == nil {
 		t.Fatal("parse error not surfaced")
 	}
+}
+
+// TestPeelRestoreUndo: for every update kind, with the update applied, Peel
+// gives back the tree from before it, Restore the tree from after it (down to
+// attribute order, which Equal ignores but replicas compare), and the record
+// then undoes like a fresh one — all on the same nodes, with the guide never
+// touched by the peel.
+func TestPeelRestoreUndo(t *testing.T) {
+	for _, u := range []*Update{
+		{Kind: Insert, Target: "/products", Pos: xmltree.Into, New: productSpec("13", "Mouse2", "10.30")},
+		{Kind: Insert, Target: "/products/product[id='14']", Pos: xmltree.Before, New: productSpec("1", "First", "0.01")},
+		{Kind: Insert, Target: "/products/product", Pos: xmltree.After, New: productSpec("2", "Each", "0.02")},
+		{Kind: Remove, Target: "//product[id='4']"},
+		{Kind: Remove, Target: "//price"},
+		{Kind: Rename, Target: "//description", NewName: "desc"},
+		{Kind: Change, Target: "//product[id='4']/price", Value: "12.00"},
+		{Kind: Change, Target: "//product", Attr: "id", Value: "prodX"},
+		{Kind: Change, Target: "//product[id='4']", Attr: "flag", Value: "on"},
+		{Kind: Transpose, Target: "//product[id='4']", Target2: "//product[id='14']"},
+		{Kind: Remove, Target: "//nothing"},
+	} {
+		t.Run(u.String(), func(t *testing.T) {
+			doc, g := setup(t)
+			before := doc.Clone()
+			sample := doc.Root.Children[1]
+			rec, _, err := Apply(u, doc, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after, extents := doc.String(), guideExtents(g)
+			if err := rec.Peel(doc); err != nil {
+				t.Fatal(err)
+			}
+			if !xmltree.Equal(before, doc) {
+				t.Fatalf("peeled tree differs from the one before the update:\n%s", doc)
+			}
+			if err := rec.Restore(doc); err != nil {
+				t.Fatal(err)
+			}
+			if got := doc.String(); got != after {
+				t.Fatalf("restored tree:\n%s\nwant:\n%s", got, after)
+			}
+			if got := guideExtents(g); got != extents {
+				t.Fatalf("peel/restore moved the guide: %s, want %s", got, extents)
+			}
+			if err := rec.Undo(doc, g); err != nil {
+				t.Fatal(err)
+			}
+			if !xmltree.Equal(before, doc) {
+				t.Fatalf("undo after peel/restore did not restore the document:\n%s", doc)
+			}
+			if got := guideExtents(g); got != guideExtents(dataguide.Build(doc)) {
+				t.Fatalf("guide after undo: %s, want a fresh build's", got)
+			}
+			if doc.Node(sample.ID) != sample || !doc.Attached(sample) {
+				t.Fatalf("node %d was replaced or lost", sample.ID)
+			}
+		})
+	}
+}
+
+// guideExtents renders every non-empty guide path with its extent size.
+func guideExtents(g *dataguide.DataGuide) string {
+	var out []string
+	for _, p := range g.Paths() {
+		if n := len(g.Lookup(p).Extent); n > 0 {
+			out = append(out, fmt.Sprintf("%s=%d", p, n))
+		}
+	}
+	sort.Strings(out)
+	return strings.Join(out, " ")
+}
+
+// sectionsXML is a document of three sections, one per fuzzed "transaction":
+// writers confined to disjoint subtrees are what the lock manager admits
+// concurrently, and what makes any subset of them peelable.
+const sectionsXML = `<root>
+  <s0><item k="a"><v>1</v><w>2</w></item><item k="b"><v>3</v><w>4</w></item></s0>
+  <s1><item k="c"><v>5</v><w>6</w></item><item k="d"><v>7</v><w>8</w></item></s1>
+  <s2><item k="e"><v>9</v><w>10</w></item><item k="f"><v>11</v><w>12</w></item></s2>
+</root>`
+
+// sectionUpdate decodes one update confined to section sec from two bytes.
+func sectionUpdate(sec int, kind, arg byte) *Update {
+	s := fmt.Sprintf("/root/s%d", sec)
+	val := fmt.Sprintf("x%d", arg)
+	item := &NodeSpec{Name: "item", Attrs: []xmltree.Attr{{Name: "k", Value: val}},
+		Children: []*NodeSpec{{Name: "v", Text: val}, {Name: "w", Text: val}}}
+	switch kind % 9 {
+	case 0:
+		return &Update{Kind: Insert, Target: s, Pos: xmltree.Into, New: item}
+	case 1:
+		return &Update{Kind: Insert, Target: s + "/item[1]", Pos: xmltree.Before, New: item}
+	case 2:
+		return &Update{Kind: Insert, Target: s + "/item[1]", Pos: xmltree.After, New: item}
+	case 3:
+		return &Update{Kind: Remove, Target: s + fmt.Sprintf("/item[%d]", 1+arg%3)}
+	case 4:
+		return &Update{Kind: Rename, Target: s + "/item/v", NewName: "v" + val}
+	case 5:
+		return &Update{Kind: Change, Target: s + "/item/w", Value: val}
+	case 6:
+		return &Update{Kind: Change, Target: s + "/item[1]", Attr: "k", Value: val}
+	case 7:
+		return &Update{Kind: Change, Target: s + "/item", Attr: "n" + val, Value: val}
+	default:
+		return &Update{Kind: Transpose, Target: s + "/item[1]", Target2: s + "/item[2]"}
+	}
+}
+
+// FuzzApplyPeelRestoreUndo interleaves random updates of three transactions,
+// each confined to its own section, peels a random subset of the
+// transactions and checks the tree against an independent replay of the rest;
+// then restores (the tree must be byte-identical to the applied one) and
+// undoes everything (the tree and guide must be the original ones).
+func FuzzApplyPeelRestoreUndo(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 1, 3, 0, 2, 5, 9}, byte(1))
+	f.Add([]byte{0, 3, 0, 1, 8, 0, 2, 4, 7, 0, 7, 7, 1, 6, 2, 2, 2, 2}, byte(5))
+	f.Add([]byte{1, 3, 1, 1, 3, 1, 1, 3, 1, 1, 1, 4}, byte(2))
+	f.Fuzz(func(t *testing.T, script []byte, peelMask byte) {
+		doc, err := xmltree.ParseString("d", sectionsXML)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := dataguide.Build(doc)
+		before := doc.Clone()
+		replay := doc.Clone() // gets the unpeeled transactions' updates only
+		rg := dataguide.Build(replay)
+		type applied struct {
+			txn int
+			rec *UndoRec
+		}
+		var log []applied
+		for i := 0; i+2 < len(script) && len(log) < 24; i += 3 {
+			k := int(script[i] % 3)
+			rec, _, err := Apply(sectionUpdate(k, script[i+1], script[i+2]), doc, g)
+			if err != nil {
+				continue // a failed update (transpose arity) rolled itself back
+			}
+			log = append(log, applied{txn: k, rec: rec})
+			if peelMask&(1<<k) == 0 {
+				if _, _, err := Apply(sectionUpdate(k, script[i+1], script[i+2]), replay, rg); err != nil {
+					t.Fatalf("replay of an update that applied: %v", err)
+				}
+			}
+		}
+		after := doc.String()
+		for i := len(log) - 1; i >= 0; i-- {
+			if peelMask&(1<<log[i].txn) != 0 {
+				if err := log[i].rec.Peel(doc); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if got, want := doc.Snapshot().String(), replay.String(); got != want {
+			t.Fatalf("tree with transactions %03b peeled:\n%s\nreplay of the others:\n%s", peelMask&7, got, want)
+		}
+		for _, a := range log {
+			if peelMask&(1<<a.txn) != 0 {
+				if err := a.rec.Restore(doc); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if got := doc.String(); got != after {
+			t.Fatalf("restored tree:\n%s\nwant:\n%s", got, after)
+		}
+		for i := len(log) - 1; i >= 0; i-- {
+			if err := log[i].rec.Undo(doc, g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !xmltree.Equal(before, doc) {
+			t.Fatalf("undo of everything left:\n%s", doc)
+		}
+		if got, want := guideExtents(g), guideExtents(dataguide.Build(doc)); got != want {
+			t.Fatalf("guide after undo: %s, want %s", got, want)
+		}
+	})
 }
