@@ -736,7 +736,9 @@ func BenchmarkCheckpoint(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		image := chain.Head().Doc
+		head := chain.Pin(1)
+		image := head.Doc
+		chain.Unpin(head)
 		if err := st.SaveMeta(image.Name, fmt.Sprintf("%d pending", i)); err != nil {
 			b.Fatal(err)
 		}

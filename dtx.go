@@ -126,8 +126,8 @@ type Config struct {
 	// declared down (default 3).
 	HeartbeatMisses int
 	// SnapshotVersions bounds each document's MVCC version chain — the
-	// committed versions retained per site to serve read-only transactions
-	// (BeginReadOnly / SubmitReadOnly). The bound applies to unpinned
+	// committed states kept materialised per site to serve read-only
+	// transactions (BeginReadOnly / SubmitReadOnly). The bound applies to unpinned
 	// versions: a version pinned by a live reader is never retired under it.
 	// Zero selects the default (4).
 	SnapshotVersions int

@@ -54,8 +54,8 @@ var (
 	// interactive Txn — it stays live and keeps serving snapshot reads.
 	ErrReadOnly = txn.ErrReadOnly
 	// ErrSnapshotUnavailable: a read-only transaction needed a committed
-	// version at or below its begin timestamp, but version GC already
-	// retired every candidate ("snapshot too old"). Wraps ErrAborted;
+	// state at its begin timestamp, but the document's undo log no longer
+	// reaches back that far ("snapshot too old"). Wraps ErrAborted;
 	// resubmission starts a fresh snapshot and is safe — SubmitWithRetry
 	// retries this class alongside deadlock victims.
 	ErrSnapshotUnavailable = txn.ErrSnapshotUnavailable

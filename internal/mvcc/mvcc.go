@@ -7,12 +7,15 @@
 // Advance — an O(1) bump of the chain's commit timestamp that marks the head
 // version stale — and the next actor to need a committed tree (a reader
 // pinning, or a checkpoint) publishes a fresh snapshot, cut from the live
-// document whatever writers are in flight. That keeps the write path free of
-// deep copies while readers always see a committed prefix of the document's
-// history.
+// document whatever writers are in flight — at the latest commit, or at an
+// earlier one for a reader that began before it. That keeps the write path
+// free of deep copies while every reader gets exactly the commits at or below
+// its timestamp.
 package mvcc
 
 import (
+	"slices"
+	"sort"
 	"sync"
 
 	"repro/internal/txn"
@@ -24,8 +27,8 @@ import (
 // produced by xmltree.Document.Snapshot and never mutated afterwards, so any
 // number of readers may evaluate queries against it without locks.
 type Version struct {
-	// TS is the commit timestamp the version was published at. Every commit
-	// that the version reflects has a timestamp ≤ TS.
+	// TS is the timestamp of the newest commit the version reflects; it holds
+	// every commit stamped at or below TS and none above.
 	TS txn.TS
 	// Doc is the immutable committed tree.
 	Doc *xmltree.Document
@@ -88,22 +91,42 @@ func NewChain(opts Options) *Chain {
 	return &Chain{maxKeep: keep}
 }
 
-// Publish appends a committed tree stamped ts as the new head. A publish at
-// or below the current head's timestamp is dropped (a concurrent publisher
-// won the race with a newer tree); the commit timestamp still folds in ts so
-// staleness stays monotone. Returns whether the version was installed.
+// Publish installs a committed tree as the version stamped ts, keeping the
+// chain in timestamp order: usually as the new head, but a reader that began
+// before a newer version was published has an older state cut for it, which
+// slots in below. A timestamp the chain already holds is dropped. Returns
+// whether the version was installed.
 func (c *Chain) Publish(doc *xmltree.Document, ts txn.TS) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	_, installed := c.insertLocked(doc, ts)
+	c.gcLocked()
+	return installed
+}
+
+// PublishPinned is Publish returning the version stamped ts — the new one, or
+// the one already there — pinned, so GC cannot retire it before the caller
+// holds it.
+func (c *Chain) PublishPinned(doc *xmltree.Document, ts txn.TS) *Version {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, _ := c.insertLocked(doc, ts)
+	v.pins++
+	c.gcLocked()
+	return v
+}
+
+func (c *Chain) insertLocked(doc *xmltree.Document, ts txn.TS) (*Version, bool) {
 	if ts > c.commitTS {
 		c.commitTS = ts
 	}
-	if n := len(c.versions); n > 0 && c.versions[n-1].TS >= ts {
-		return false
+	i := sort.Search(len(c.versions), func(i int) bool { return c.versions[i].TS >= ts })
+	if i < len(c.versions) && c.versions[i].TS == ts {
+		return c.versions[i], false
 	}
-	c.versions = append(c.versions, &Version{TS: ts, Doc: doc})
-	c.gcLocked()
-	return true
+	v := &Version{TS: ts, Doc: doc}
+	c.versions = slices.Insert(c.versions, i, v)
+	return v, true
 }
 
 // Advance records that a commit stamped ts has consolidated into the live
@@ -117,21 +140,20 @@ func (c *Chain) Advance(ts txn.TS) {
 	c.mu.Unlock()
 }
 
-// Stale reports whether the head version (if any) lags the commit timestamp,
-// i.e. a fresh snapshot of the live document would observe commits the head
-// does not include.
-func (c *Chain) Stale() bool {
+// PinHead pins the head version when it reflects every commit the chain was
+// advanced to and is not newer than ts — it then holds exactly the commits at
+// or below ts — and returns nil otherwise. This is the whole pin for a reader
+// of a document nobody has written since the last publish.
+func (c *Chain) PinHead(ts txn.TS) *Version {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := len(c.versions)
-	return n == 0 || c.versions[n-1].TS < c.commitTS
-}
-
-// CommitTS returns the chain's commit timestamp.
-func (c *Chain) CommitTS() txn.TS {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.commitTS
+	if n := len(c.versions); n > 0 {
+		if h := c.versions[n-1]; h.TS == c.commitTS && h.TS <= ts {
+			h.pins++
+			return h
+		}
+	}
+	return nil
 }
 
 // Pin returns the newest version with TS ≤ ts, incrementing its pin count,
@@ -158,16 +180,6 @@ func (c *Chain) Unpin(v *Version) {
 		v.pins--
 	}
 	c.gcLocked()
-}
-
-// Head returns the newest version without pinning it, or nil.
-func (c *Chain) Head() *Version {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n := len(c.versions); n > 0 {
-		return c.versions[n-1]
-	}
-	return nil
 }
 
 // Len returns the number of retained versions.

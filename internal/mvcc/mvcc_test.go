@@ -57,29 +57,50 @@ func TestPublishPinOrdering(t *testing.T) {
 	}
 }
 
-func TestPublishStaleAdvance(t *testing.T) {
-	c := NewChain(Options{})
-	if !c.Stale() {
-		t.Fatal("empty chain must be stale")
+// TestPinHeadAdvanceInsert: the head serves a reader directly only while it
+// reflects every commit and is not newer than the reader; a state published
+// for an older reader slots in below the head, and is handed out pinned.
+func TestPinHeadAdvanceInsert(t *testing.T) {
+	c := NewChain(Options{MaxVersions: 1})
+	if v := c.PinHead(9); v != nil {
+		t.Fatal("empty chain has no head to pin")
 	}
 	c.Publish(doc(t, "a"), 3)
-	if c.Stale() {
-		t.Fatal("freshly published head must not be stale")
+	if v := c.PinHead(2); v != nil {
+		t.Fatal("head newer than the reader must not be pinned")
 	}
+	v := c.PinHead(3)
+	if v == nil || v.TS != 3 {
+		t.Fatalf("PinHead(3) = %v, want version 3", v)
+	}
+	c.Unpin(v)
 	c.Advance(7)
-	if !c.Stale() {
-		t.Fatal("Advance past head must mark the chain stale")
+	if v := c.PinHead(9); v != nil {
+		t.Fatal("Advance past the head must stop PinHead serving it")
 	}
-	if got := c.CommitTS(); got != 7 {
-		t.Fatalf("CommitTS = %d, want 7", got)
-	}
-	// A racing publish at an older stamp than the head is dropped.
 	c.Publish(doc(t, "b"), 7)
-	if c.Publish(doc(t, "stale"), 5) {
-		t.Fatal("publish at ts older than head must be dropped")
+	if c.Publish(doc(t, "again"), 7) {
+		t.Fatal("publish at a timestamp the chain holds must be dropped")
 	}
-	if h := c.Head(); h == nil || h.TS != 7 {
+	// MaxVersions=1 would retire a plain publish below the head at once; the
+	// pinned one survives for its reader and sits in timestamp order.
+	old := c.PublishPinned(doc(t, "older"), 5)
+	if got := c.Pin(6); got != old {
+		t.Fatalf("Pin(6) = %v, want the version published at 5", got)
+	}
+	if h := c.Pin(100); h == nil || h.TS != 7 {
 		t.Fatalf("head = %v, want version 7", h)
+	} else {
+		c.Unpin(h)
+	}
+	if same := c.PublishPinned(doc(t, "dup"), 5); same != old {
+		t.Fatal("PublishPinned at a held timestamp must return the held version")
+	}
+	for range 3 {
+		c.Unpin(old)
+	}
+	if got := c.Pin(6); got != nil {
+		t.Fatalf("released older version survived GC: Pin(6) = version %d", got.TS)
 	}
 }
 

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -207,7 +206,7 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 			out.failed = true
 			out.err = aerr.Error()
 		} else {
-			ds.pending = append(ds.pending, pendingOp{txn: id, opIdx: opIdx, op: op, rec: rec})
+			ds.undoLog = append(ds.undoLog, undoEntry{txn: id, opIdx: opIdx, op: op, rec: rec})
 			out.executed = true
 		}
 	}
@@ -403,8 +402,8 @@ func (s *Site) commitLocal(id txn.ID) error {
 	defer s.exitCommit()
 
 	// Collect the documents the transaction changed — those still carrying
-	// pending updates of it, with the operations to redo — and refuse if any
-	// has a latched checkpoint failure.
+	// uncommitted updates of it, with the operations to redo — and refuse if
+	// any has a latched checkpoint failure.
 	var names []string
 	var changed []shipItem
 	if pt != nil {
@@ -511,11 +510,12 @@ func (s *Site) consolidate(id txn.ID, changed []shipItem) (ships []shipItem, won
 	if len(changed) == 0 {
 		return nil, true, nil
 	}
-	// Stamp the consolidation on each changed document: its pending updates
-	// become committed (dropped from the list), its log position moves to the
-	// record just journaled and its version chain's commit clock advances —
-	// O(1) commit publication; the committed tree is materialised only on
-	// demand (snapshot.go). One tick taken AFTER the append stamps the
+	// Stamp the consolidation on each changed document: its updates become
+	// committed (their undo-log entries take the commit timestamp and the
+	// record's index), its log position moves to the record just journaled
+	// and its version chain's commit clock advances — O(1) commit
+	// publication; the committed tree is materialised only on demand
+	// (snapshot.go). One tick taken AFTER the append stamps the
 	// whole local consolidation: a snapshot reader that began while the
 	// intent was being written has a timestamp below it and sees the
 	// transaction on none of its documents, instead of on those it happens to
@@ -527,7 +527,11 @@ func (s *Site) consolidate(id txn.ID, changed []shipItem) (ships []shipItem, won
 		ds, rec := changed[i].ds, &changed[i].rec
 		rec.TS = cts
 		ds.mu.Lock()
-		ds.pending = slices.DeleteFunc(ds.pending, func(p pendingOp) bool { return p.txn == id })
+		for j := range ds.undoLog {
+			if p := &ds.undoLog[j]; p.txn == id && p.cts == 0 {
+				p.cts, p.idx = cts, rec.Index
+			}
+		}
 		ds.replApplied = rec.Index
 		if s.replLog != nil {
 			s.replLog.Append(ds.name, *rec)
@@ -548,7 +552,7 @@ func (s *Site) consolidate(id txn.ID, changed []shipItem) (ships []shipItem, won
 // transaction (an exchange abandoned by cancellation). The tombstone plus
 // the document mutex make the undo set complete: an in-flight operation that
 // passed its tombstone re-check holds the document mutex from that check
-// through recording its pending update, so the revert below sees it;
+// through recording its update in the undo log, so the revert below sees it;
 // operations arriving later are refused by the tombstone.
 func (s *Site) abortLocal(id txn.ID) error {
 	pt, _, _ := s.tombstone(id, false)

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/xmltree"
 )
@@ -9,8 +10,8 @@ import (
 // Persistence is journal-append plus periodic checkpoint. A commit makes
 // itself durable by appending one intent line carrying its applied
 // operations (commitLocal); it never rewrites a document. A per-document
-// checkpointer saves the document's committed image — the MVCC chain's
-// published head, the live tree minus the uncommitted updates, so the Store
+// checkpointer saves the document's committed image — the newest version of
+// its MVCC chain, the live tree minus the uncommitted updates, so the Store
 // cannot hold an undecided transaction's change — stamps the log index the
 // image reflects through the Store's meta record, and seals every intent the
 // image covers with one journal line. A restart loads the image and replays
@@ -109,8 +110,8 @@ func (s *Site) checkpointer(ds *docState) {
 			return
 		}
 		ds.ckptWanted = false
-		s.publishLocked(ds)
-		head, idx := ds.versions.Head(), ds.headIdx
+		head, idx := s.publishLocked(ds, math.MaxInt64)
+		ds.versions.Unpin(head) // the chain keeps its head regardless
 		covered := idx - ds.savedIdx
 		ds.mu.Unlock()
 		if covered <= 0 {

@@ -101,7 +101,7 @@ func (s *Site) seedReplPosition(ds *docState) {
 		ds.replUntrusted = true
 		return
 	}
-	ds.replApplied, ds.headIdx, ds.savedIdx, ds.knownHead = idx, idx, idx, idx
+	ds.replApplied, ds.savedIdx, ds.knownHead = idx, idx, idx
 }
 
 // noteWrites records the documents a just-committed read-write transaction
@@ -359,12 +359,13 @@ var errRecordGap = errors.New("record span starts past the applied position")
 // a follower's shipped span, a recovering replica's fetched span and the
 // open intents a restart replays onto a saved image. Records at or below the
 // document's position are overlap and skipped; the rest must continue it
-// without a gap. Their undo records are discarded — replayed effects are
-// already committed and never rolled back. Unless the records come from this
-// site's own journal (replay) they are journaled as intents — the durable
-// ack a primary's quorum counts — under commitMu like a local commit, so
-// the journal stays in index order. It returns how many records it applied,
-// and errRecordGap or the failure that stopped it short.
+// without a gap. Their inverses join the undo log already stamped committed,
+// so snapshot readers are cut around them like around local commits. Unless
+// the records come from this site's own journal (replay) they are journaled
+// as intents — the durable ack a primary's quorum counts — under commitMu
+// like a local commit, so the journal stays in index order. It returns how
+// many records it applied, and errRecordGap or the failure that stopped it
+// short.
 func (s *Site) applyRecords(ds *docState, recs []store.ReplRecord, replay bool) (int, error) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
@@ -385,10 +386,12 @@ apply:
 			if op.Kind != txn.OpUpdate || op.Update == nil {
 				continue
 			}
-			if _, _, err = xupdate.Apply(op.Update, ds.doc, ds.guide); err != nil {
+			var undo *xupdate.UndoRec
+			if undo, _, err = xupdate.Apply(op.Update, ds.doc, ds.guide); err != nil {
 				err = fmt.Errorf("apply record %d: %w", rec.Index, err)
 				break apply
 			}
+			ds.undoLog = append(ds.undoLog, undoEntry{txn: rec.Txn, rec: undo, cts: max(rec.TS, 1), idx: rec.Index})
 		}
 		ds.replApplied = rec.Index
 		maxTS = max(maxTS, rec.TS)
@@ -481,7 +484,7 @@ func (s *Site) ResetReplPosition(doc string, head int64) {
 		return
 	}
 	ds.mu.Lock()
-	ds.replApplied, ds.headIdx, ds.savedIdx = head, head, head
+	ds.replApplied, ds.savedIdx = head, head
 	if head > ds.knownHead {
 		ds.knownHead = head
 	}

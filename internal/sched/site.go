@@ -115,10 +115,9 @@ type Config struct {
 	// peer is declared Down (default 3).
 	HeartbeatMisses int
 	// SnapshotVersions bounds how many unpinned committed versions each
-	// document's MVCC chain retains for read-only transactions (default
-	// mvcc.DefaultMaxVersions). Versions pinned by live readers are always
-	// kept; a reader whose begin timestamp falls below every retained
-	// version is aborted with ErrSnapshotUnavailable.
+	// document's MVCC chain keeps materialised for read-only transactions
+	// (default mvcc.DefaultMaxVersions). Versions pinned by live readers are
+	// always kept; a state the chain lacks is cut from the live tree.
 	SnapshotVersions int
 	// Replication selects the write-replication mode. The default ("", or
 	// ReplicationEager explicitly) keeps the original semantics: every write
@@ -321,7 +320,7 @@ type Stats struct {
 // which is only possible if the local graphs are disjoint per document.
 //
 // Each docState is one scheduling domain: its mutex serialises every access
-// to the document, guide, table, graph, pending list and log position, so
+// to the document, guide, table, graph, undo log and log position, so
 // transactions on different documents at one site proceed fully in
 // parallel.
 type docState struct {
@@ -331,13 +330,17 @@ type docState struct {
 	guide *dataguide.DataGuide
 	table *lock.Table
 	graph *wfg.Graph
-	// pending is every uncommitted update applied to the tree, in apply
-	// order: the one record of what each transaction changed here. A commit
-	// journals its entries' operations and drops them, an undo or abort
-	// reverts and drops them newest-first, and the committed tree at any
-	// moment is the live tree with the remaining entries peeled off
-	// (publishLocked).
-	pending []pendingOp
+	// undoLog is every update applied to the tree that a snapshot may still
+	// have to take off it, in apply order: the one record of what each
+	// transaction changed here. A commit journals its entries' operations and
+	// stamps them committed, an undo or abort reverts and drops them
+	// newest-first, and the committed tree as of any timestamp the log still
+	// reaches is the live tree with the uncommitted entries and those
+	// committed above the timestamp peeled off (publishLocked). Committed
+	// entries are kept for the last checkpointEvery records; trimTS is the
+	// newest commit trimmed off, the floor below which no state can be cut.
+	undoLog []undoEntry
+	trimTS  txn.TS
 
 	// proto is the lock protocol currently active on this domain, seeded
 	// from Config.Protocol and swapped at quiescent points by SwitchProtocol
@@ -355,8 +358,8 @@ type docState struct {
 	// versions is the document's MVCC chain: committed immutable snapshots
 	// that read-only transactions pin and query without entering the lock
 	// table or the wait-for graph (snapshot.go). Commits advance the chain's
-	// commit timestamp in O(1); a fresh version is materialised only when a
-	// reader pins a stale head or a checkpoint is due (publishLocked). The
+	// commit timestamp in O(1); a version is materialised only when a reader
+	// or a due checkpoint needs a state the chain lacks (publishLocked). The
 	// chain has its own leaf mutex, so it is safe to touch with or without
 	// ds.mu held.
 	versions *mvcc.Chain
@@ -364,13 +367,12 @@ type docState struct {
 	// Log position, guarded by mu like the rest of the domain. replApplied is
 	// the index of the newest record reflected in the live tree: commits
 	// number their records with it in both replication modes (site-local in
-	// eager mode, the primary's numbering in quorum mode). headIdx is the
-	// index the version chain's head reflects and savedIdx the one the Store
-	// image does; replApplied-savedIdx is the checkpoint lag. replUntrusted
-	// marks a loaded copy whose meta record was pending or unparseable — its
-	// bytes sit at an unknown position, so nothing may be replayed onto it.
+	// eager mode, the primary's numbering in quorum mode). savedIdx is the
+	// index the Store image reflects; replApplied-savedIdx is the checkpoint
+	// lag. replUntrusted marks a loaded copy whose meta record was pending or
+	// unparseable — its bytes sit at an unknown position, so nothing may be
+	// replayed onto it.
 	replApplied   int64
-	headIdx       int64
 	savedIdx      int64
 	replUntrusted bool
 
@@ -393,38 +395,46 @@ type docState struct {
 	replAcked  map[int]int64
 }
 
-// pendingOp is one uncommitted update on a document's tree: the operation as
-// executed — the commit's redo record — and its inverse.
-type pendingOp struct {
+// undoEntry is one update on a document's tree: the operation as executed —
+// the commit's redo record — and its inverse. cts and idx are zero while the
+// transaction is undecided; its commit stamps them with the commit timestamp
+// and the log index of its record. Strict two-phase locking makes any later
+// update that touches what this one touched commit later (or not yet), so
+// the entries above a timestamp always peel off cleanly, newest first.
+type undoEntry struct {
 	txn   txn.ID
 	opIdx int
 	op    txn.Operation
 	rec   *xupdate.UndoRec
+	cts   txn.TS
+	idx   int64
 }
 
-// pendingOpsLocked returns the operations of the transaction's pending
+// pendingOpsLocked returns the operations of the transaction's uncommitted
 // updates in apply order — the order a replay must redo them in. Callers
 // hold ds.mu.
 func (ds *docState) pendingOpsLocked(id txn.ID) []txn.Operation {
 	var ops []txn.Operation
-	for i := range ds.pending {
-		if ds.pending[i].txn == id {
-			ops = append(ops, ds.pending[i].op)
+	for i := range ds.undoLog {
+		if p := &ds.undoLog[i]; p.txn == id && p.cts == 0 {
+			ops = append(ops, p.op)
 		}
 	}
 	return ops
 }
 
-// revertLocked undoes, newest first, and drops the transaction's pending
+// revertLocked undoes, newest first, and drops the transaction's uncommitted
 // updates on the document — those of one operation, or all of them when
 // opIdx is negative. Undoing and dropping inside one hold of ds.mu is what
 // lets an operation-level undo and the transaction's abort race: each entry
 // is reverted exactly once, and neither can release a lock over an effect
 // still in the tree. Callers hold ds.mu.
 func (ds *docState) revertLocked(id txn.ID, opIdx int) {
-	mine := func(p pendingOp) bool { return p.txn == id && (opIdx < 0 || p.opIdx == opIdx) }
-	for i := len(ds.pending) - 1; i >= 0; i-- {
-		if p := ds.pending[i]; mine(p) {
+	mine := func(p undoEntry) bool {
+		return p.txn == id && p.cts == 0 && (opIdx < 0 || p.opIdx == opIdx)
+	}
+	for i := len(ds.undoLog) - 1; i >= 0; i-- {
+		if p := ds.undoLog[i]; mine(p) {
 			// A failure here would mean a corrupted undo record: the tree
 			// operations involved cannot fail on records a successful apply
 			// produced.
@@ -433,13 +443,13 @@ func (ds *docState) revertLocked(id txn.ID, opIdx int) {
 			}
 		}
 	}
-	ds.pending = slices.DeleteFunc(ds.pending, mine)
+	ds.undoLog = slices.DeleteFunc(ds.undoLog, mine)
 }
 
 // partTxn is the participant-side record of a transaction that has executed
 // (or tried to execute) operations at this site. The coordinator's own site
 // keeps one too, so commit/abort treat all sites uniformly. What the
-// transaction changed lives on the documents (docState.pending); this only
+// transaction changed lives on the documents (docState.undoLog); this only
 // remembers which documents to look at. The mutex (a leaf in the lock order)
 // guards docs: concurrent batched reads of one transaction, and a stale
 // operation racing the transaction's cleanup, can touch it from different
@@ -1042,7 +1052,7 @@ func (s *Site) AddDocument(doc *xmltree.Document) error {
 		return err
 	}
 	ds := s.newDocState(doc, dataguide.Build(doc))
-	ds.replApplied, ds.headIdx, ds.savedIdx = pos, pos, pos
+	ds.replApplied, ds.savedIdx = pos, pos
 	s.docsMu.Lock()
 	s.docs[doc.Name] = ds
 	s.docsMu.Unlock()

@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -21,17 +22,17 @@ import (
 // against them with zero lock-table footprint and zero wait-for-graph edges;
 // commit and abort reduce to releasing the pins.
 //
-// Consistency: every read observes a committed prefix of its document's
-// history — never a writer's mid-transaction state — and repeated reads of
-// one document observe the same version (the pin is per transaction per
-// document and never re-taken). A read-only transaction sees every commit
-// its site acknowledged before it began, regardless of writers in flight
-// (TestSnapshotReadSeesCommitBesideDirtyWriter): the committed tree is cut
-// from the live one when the reader pins, by peeling the uncommitted updates
-// off it (publishLocked). Only the state at pin time can be cut that way, so
-// if a further commit on the document lands between the transaction's begin
-// and its first read of it and no version was published in between, the read
-// is served the newest version published before — still a committed prefix.
+// Consistency: a read observes its document's commits stamped at or below
+// the transaction's begin timestamp and no others — never a writer's
+// mid-transaction state — and repeated reads of one document observe the
+// same version (the pin is per transaction per document and never re-taken).
+// So a read-only transaction sees every commit its site acknowledged before
+// it began, regardless of writers in flight
+// (TestSnapshotReadSeesCommitBesideDirtyWriter) and of commits landing before
+// its first read (TestSnapshotReadIgnoresCommitAfterBegin): publishLocked
+// cuts that state from the live tree when the reader pins. The undo log it
+// cuts with reaches back checkpointEvery records; a first read later than
+// that aborts with ErrSnapshotUnavailable instead of serving an older state.
 
 // roPinSet is the per-site pin state of one read-only transaction. The
 // registry map (Site.roPins, guarded by Site.roMu) holds one per transaction
@@ -120,7 +121,7 @@ func (s *Site) snapshotRead(id txn.ID, ts txn.TS, coordinator int, docName, quer
 		if ver == nil {
 			set.mu.Unlock()
 			return localResult{failed: true, code: txn.CodeSnapshotUnavailable,
-				err: fmt.Sprintf("site %d retains no version of %q at or below ts %d", s.id, docName, ts)}, 0
+				err: fmt.Sprintf("site %d can no longer cut %q back to ts %d", s.id, docName, ts)}, 0
 		}
 		pin = roPin{ver: ver, chain: ds.versions}
 		set.pins[docName] = pin
@@ -160,47 +161,78 @@ func (s *Site) snapshotEval(ds *docState, q *xpath.Query, ver *mvcc.Version) ([]
 	return xpath.EvalStrings(q, ver.Doc), false
 }
 
-// pinDocVersion pins the newest committed version of the document at or
-// below ts, materialising a fresh one first when the chain's head lags the
-// commit timestamp. Returns nil when every retained version is newer than ts
-// — the reader's snapshot has been GC'd away.
+// pinDocVersion pins the version of the document holding exactly its commits
+// at or below ts: the chain's head when nothing was committed since it was
+// published (no domain mutex taken), else whatever publishLocked finds or
+// cuts. Returns nil when the undo log no longer reaches back to ts.
 func (s *Site) pinDocVersion(ds *docState, ts txn.TS) *mvcc.Version {
-	if ds.versions.Stale() {
-		ds.mu.Lock()
-		s.publishLocked(ds)
-		ds.mu.Unlock()
+	if v := ds.versions.PinHead(ts); v != nil {
+		return v
 	}
-	return ds.versions.Pin(ts)
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	v, _ := s.publishLocked(ds, ts)
+	return v
 }
 
-// publishLocked materialises the committed tree as the head of the
-// document's version chain when the chain lags it — the one tree copy, made
-// for a snapshot reader pinning a stale head or for the checkpointer. The
-// committed tree is the live tree minus the uncommitted updates: those hold
-// locks, so nothing committed depends on them, and peeling them off newest
-// first, copying, and putting them back oldest first inside this one hold of
-// ds.mu costs O(pending change) on top of the copy and leaves every node,
-// the guide and the value index exactly as they were. headIdx records the
-// log index the head reflects. Callers hold ds.mu.
-func (s *Site) publishLocked(ds *docState) {
-	if !ds.versions.Stale() {
-		return
+// publishLocked returns, pinned, the version holding exactly the document's
+// commits stamped at or below ts, and the log index that state reflects: the
+// chain's copy, or else the one tree copy — made for a snapshot reader or the
+// checkpointer. The state is the live tree minus the uncommitted updates and
+// those committed above ts; nothing that stays depends on them (undoEntry),
+// so peeling them off newest first, copying, and putting them back oldest
+// first inside this one hold of ds.mu costs O(undo log) on top of the copy
+// and leaves every node, the guide and the value index as they were. Nil
+// when ts is below a commit already trimmed off the log. Callers hold ds.mu.
+func (s *Site) publishLocked(ds *docState, ts txn.TS) (*mvcc.Version, int64) {
+	if ts < ds.trimTS {
+		return nil, 0
 	}
-	for i := len(ds.pending) - 1; i >= 0; i-- {
-		if err := ds.pending[i].rec.Peel(ds.doc); err != nil {
-			panic(fmt.Sprintf("sched: peel of %s op %d failed: %v", ds.pending[i].txn, ds.pending[i].opIdx, err))
+	// at is the newest commit at or below ts, idx the index just below the
+	// oldest record above it.
+	at, idx := ds.trimTS, ds.replApplied
+	for i := range ds.undoLog {
+		switch p := &ds.undoLog[i]; {
+		case p.cts == 0:
+		case p.cts <= ts:
+			at = max(at, p.cts)
+		default:
+			idx = min(idx, p.idx-1)
+		}
+	}
+	if v := ds.versions.Pin(ts); v != nil {
+		if v.TS >= at {
+			return v, idx
+		}
+		ds.versions.Unpin(v)
+	}
+	above := func(p *undoEntry) bool { return p.cts == 0 || p.cts > ts }
+	for i := len(ds.undoLog) - 1; i >= 0; i-- {
+		if p := &ds.undoLog[i]; above(p) {
+			if err := p.rec.Peel(ds.doc); err != nil {
+				panic(fmt.Sprintf("sched: peel of %s op %d failed: %v", p.txn, p.opIdx, err))
+			}
 		}
 	}
 	committed := ds.doc.Snapshot()
-	for i := range ds.pending {
-		if err := ds.pending[i].rec.Restore(ds.doc); err != nil {
-			panic(fmt.Sprintf("sched: restore of %s op %d failed: %v", ds.pending[i].txn, ds.pending[i].opIdx, err))
+	for i := range ds.undoLog {
+		if p := &ds.undoLog[i]; above(p) {
+			if err := p.rec.Restore(ds.doc); err != nil {
+				panic(fmt.Sprintf("sched: restore of %s op %d failed: %v", p.txn, p.opIdx, err))
+			}
 		}
 	}
-	if ds.versions.Publish(committed, ds.versions.CommitTS()) {
-		ds.headIdx = ds.replApplied
-		s.m.snapshotPublishes.Inc()
-	}
+	s.m.snapshotPublishes.Inc()
+	// The walk is paid for: trim the log to the last checkpointEvery records.
+	floor := ds.replApplied - checkpointEvery
+	ds.undoLog = slices.DeleteFunc(ds.undoLog, func(p undoEntry) bool {
+		if p.cts == 0 || p.idx > floor {
+			return false
+		}
+		ds.trimTS = max(ds.trimTS, p.cts)
+		return true
+	})
+	return ds.versions.PublishPinned(committed, at), idx
 }
 
 // snapshotRelease releases every version a read-only transaction pinned at

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -244,13 +245,12 @@ func TestSnapshotVersionGCBounded(t *testing.T) {
 	}
 }
 
-// TestSnapshotUnavailableTooOld: a reader whose begin timestamp predates
-// every retained version fails with the typed ErrSnapshotUnavailable
+// TestSnapshotUnavailableTooOld: a reader whose first read of a document
+// comes more than checkpointEvery records after it began — further back than
+// the undo log reaches — fails with the typed ErrSnapshotUnavailable
 // ("snapshot too old"), which wraps ErrAborted so retry policies resubmit.
 func TestSnapshotUnavailableTooOld(t *testing.T) {
-	sites, _ := newCluster(t, 1, func(cfg *Config) {
-		cfg.SnapshotVersions = 1
-	})
+	sites, _ := newCluster(t, 1, nil)
 	s := sites[0]
 	addDoc(t, s, "d1", peopleXML)
 
@@ -260,10 +260,7 @@ func TestSnapshotUnavailableTooOld(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Two write transactions land before the reader's first read: the version
-	// that read publishes is newer than the reader's timestamp, and
-	// MaxVersions=1 GC retires everything older.
-	for i := 0; i < 2; i++ {
+	for i := 0; i <= checkpointEvery; i++ {
 		res, err := s.Submit([]txn.Operation{txn.NewUpdate("d1", &xupdate.Update{
 			Kind: xupdate.Insert, Target: "/people", Pos: xmltree.Into,
 			New: personSpec(fmt.Sprintf("w%d", i), "Writer"),
@@ -272,6 +269,7 @@ func TestSnapshotUnavailableTooOld(t *testing.T) {
 			t.Fatalf("writer %d: %v %+v", i, err, res)
 		}
 	}
+	s.Sync() // the checkpoint's cut trims the log past the reader's timestamp
 
 	_, err = reader.Exec(txn.NewQuery("d1", "//person/id"))
 	if !errors.Is(err, txn.ErrSnapshotUnavailable) {
@@ -482,4 +480,153 @@ func TestSnapshotReadSeesCommitBesideDirtyWriter(t *testing.T) {
 	if xml := live.String(); strings.Contains(xml, "Uncommitted") || !strings.Contains(xml, "Zed") {
 		t.Fatalf("live tree after the abort:\n%s", xml)
 	}
+}
+
+// TestSnapshotReadIgnoresCommitAfterBegin: a read-only transaction reads
+// exactly the commits acknowledged before it began — none that land between
+// its begin and its first read of the document, whatever other readers and
+// the checkpointer publish in between.
+func TestSnapshotReadIgnoresCommitAfterBegin(t *testing.T) {
+	sites, _ := newCluster(t, 1, withJournal(t))
+	s := sites[0]
+	addDoc(t, s, "d1", peopleXML)
+	rename := func(to string) {
+		t.Helper()
+		res, err := s.Submit([]txn.Operation{txn.NewUpdate("d1", &xupdate.Update{
+			Kind: xupdate.Change, Target: "//person[id='4']/name", Value: to,
+		})})
+		if err != nil || res.State != txn.Committed {
+			t.Fatalf("rename to %s: %v %+v", to, err, res)
+		}
+	}
+	begin := func() *Session {
+		t.Helper()
+		sess, err := s.BeginReadOnly(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	expect := func(sess *Session, want string) {
+		t.Helper()
+		names, err := sess.Exec(txn.NewQuery("d1", "//person/name"))
+		if err != nil || fmt.Sprint(names) != want {
+			t.Fatalf("snapshot read = %v (err %v), want %s", names, err, want)
+		}
+	}
+
+	rename("X")
+	r1 := begin()
+	rename("Y")
+	r2 := begin()
+	rename("Z")
+	// r2 reads first, so its state becomes the chain's head; r1's older one
+	// is then cut past two commits and slots in below it.
+	expect(r2, "[Y Bruno]")
+	expect(r1, "[X Bruno]")
+	expect(r2, "[Y Bruno]")
+
+	// A checkpoint publishes the newest state before r3's first read.
+	r3 := begin()
+	for i := 1; i < checkpointEvery; i++ {
+		rename(fmt.Sprint("v", i))
+	}
+	s.Sync()
+	expect(r3, "[Z Bruno]")
+	expect(begin(), fmt.Sprintf("[v%d Bruno]", checkpointEvery-1))
+	saved, err := s.cfg.Store.Load("d1")
+	if err != nil || !strings.Contains(saved.String(), fmt.Sprintf("v%d", checkpointEvery-1)) {
+		t.Fatalf("checkpoint beside the older readers' cuts: %v\n%v", err, saved)
+	}
+}
+
+// TestSnapshotReadExactUnderConcurrentWriters: four writers each keep
+// committing the next integer to both fields of their own pair while readers
+// begin, linger, and only then read. Whatever landed in between — other
+// pairs' commits, other readers' cuts, checkpoints, log trims — a reader sees
+// both fields of a pair equal (a commit is visible whole or not at all) and
+// the value acknowledged when it began, or the one in flight then.
+func TestSnapshotReadExactUnderConcurrentWriters(t *testing.T) {
+	sites, _ := newClusterWithProtocol(t, 1, "xdgl", withJournal(t))
+	s := sites[0]
+	const pairs, commits = 4, 3 * checkpointEvery
+	var xml strings.Builder
+	xml.WriteString("<pairs>")
+	for p := 0; p < pairs; p++ {
+		fmt.Fprintf(&xml, "<pair><id>%d</id><a>0</a><b>0</b></pair>", p)
+	}
+	xml.WriteString("</pairs>")
+	addDoc(t, s, "d1", xml.String())
+
+	var acked [pairs]atomic.Int64
+	var writers, readers sync.WaitGroup
+	done := make(chan struct{})
+	for p := 0; p < pairs; p++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for v := int64(1); v <= commits; v++ {
+				var ops []txn.Operation
+				for _, field := range []string{"a", "b"} {
+					ops = append(ops, txn.NewUpdate("d1", &xupdate.Update{Kind: xupdate.Change,
+						Target: fmt.Sprintf("//pair[id='%d']/%s", p, field), Value: fmt.Sprint(v)}))
+				}
+				if res, err := s.Submit(ops); err != nil || res.State != txn.Committed {
+					t.Errorf("pair %d value %d: %v %+v", p, v, err, res)
+					return
+				}
+				acked[p].Store(v)
+			}
+		}()
+	}
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				// A pair's visible value is bracketed by what was acknowledged
+				// just before the begin and just after it (plus the commit in
+				// flight then: stamped, not yet acknowledged).
+				var lo, hi [pairs]int64
+				for p := range lo {
+					lo[p] = acked[p].Load()
+				}
+				sess, err := s.BeginReadOnly(context.Background())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for p := range hi {
+					hi[p] = acked[p].Load() + 1
+				}
+				time.Sleep(time.Duration(i%5*(r+1)) * 300 * time.Microsecond)
+				as, err := sess.Exec(txn.NewQuery("d1", "//pair/a"))
+				if errors.Is(err, txn.ErrSnapshotUnavailable) {
+					continue // lingered past the undo log's reach
+				}
+				bs, err2 := sess.Exec(txn.NewQuery("d1", "//pair/b"))
+				if err != nil || err2 != nil || len(as) != pairs || len(bs) != pairs {
+					t.Errorf("reader: %v %v %v %v", err, err2, as, bs)
+					return
+				}
+				for p := range lo {
+					var v int64
+					fmt.Sscan(as[p], &v)
+					if as[p] != bs[p] || v < lo[p] || v > hi[p] {
+						t.Errorf("pair %d read a=%s b=%s, want both in [%d, %d]", p, as[p], bs[p], lo[p], hi[p])
+						return
+					}
+				}
+				_ = sess.Commit()
+			}
+		}()
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
 }

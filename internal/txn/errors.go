@@ -30,8 +30,8 @@ import (
 //     refusal is non-terminal: the transaction stays live and keeps serving
 //     snapshot reads.
 //   - ErrSnapshotUnavailable: a read-only transaction needed a committed
-//     version at or below its begin timestamp, but version GC already
-//     retired every candidate ("snapshot too old"). Wraps ErrAborted;
+//     state at its begin timestamp, but the document's undo log no longer
+//     reaches back that far ("snapshot too old"). Wraps ErrAborted;
 //     resubmission starts a fresh snapshot and is safe, so retry policies
 //     treat it like a deadlock victim.
 var (

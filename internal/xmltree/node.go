@@ -56,13 +56,6 @@ type Document struct {
 	// every consolidation). Atomic so the otherwise read-only WriteTo stays
 	// safe to call on a document that another goroutine is serializing.
 	lastWriteSize atomic.Int64
-	// lastSnapNodes / lastSnapAttrs remember the node and attribute counts of
-	// the previous Snapshot so the next one can size its arena chunks without
-	// the counting walk. They are hints, not invariants: mutations do not
-	// maintain them, and a snapshot whose hints undershoot simply allocates
-	// extra chunks. Atomics for the same reason as lastWriteSize.
-	lastSnapNodes atomic.Int64
-	lastSnapAttrs atomic.Int64
 }
 
 // NewDocument creates an empty document with a root element named rootName.
@@ -404,65 +397,36 @@ func (d *Document) Clone() *Document {
 func (d *Document) Snapshot() *Document {
 	nd := &Document{Name: d.Name, nextID: d.nextID}
 	nd.lastWriteSize.Store(d.lastWriteSize.Load())
-	nodeHint := int(d.lastSnapNodes.Load())
-	attrHint := int(d.lastSnapAttrs.Load())
-	if nodeHint == 0 {
-		// First snapshot of this document: count exactly. Later snapshots
-		// reuse the previous counts as capacity hints and skip this walk.
-		d.Walk(func(n *Node) bool {
-			nodeHint++
-			attrHint += len(n.Attrs)
-			return true
-		})
-	}
-	// Chunked arena. Chunks are append-only and never reallocate, so interior
-	// pointers into them stay valid; when a hint undershoots (the document
-	// grew since the last snapshot) a fresh chunk a quarter of the hint's size
-	// is allocated, so a stale hint wastes little of the arena. Each node's
-	// Children and Attrs slices are contiguous within a single chunk — a
-	// chunk at least as large as the needed run is allocated when the current
-	// one cannot hold it — and are full-capacity slices, so they cannot grow
-	// into a neighbour's run.
-	nodeChunk := make([]Node, 0, nodeHint)
-	ptrChunk := make([]*Node, 0, nodeHint)
-	var attrChunk []Attr
-	if attrHint > 0 {
-		attrChunk = make([]Attr, 0, attrHint)
-	}
+	// One counting walk (a few percent of the copy) sizes the arenas exactly:
+	// the nodes, their child-pointer runs and their attribute runs each fill
+	// one block that never reallocates, so interior pointers stay valid. Each
+	// node's Children and Attrs are full-capacity slices of those blocks, so
+	// they cannot grow into a neighbour's run.
 	nodeCount, attrCount := 0, 0
-	newNode := func(n *Node, parent *Node) *Node {
-		if len(nodeChunk) == cap(nodeChunk) {
-			nodeChunk = make([]Node, 0, max(nodeHint/4, 64))
-		}
-		nodeChunk = append(nodeChunk, Node{ID: n.ID, Name: n.Name, Text: n.Text, Parent: parent, doc: nd})
+	var count func(n *Node)
+	count = func(n *Node) {
 		nodeCount++
-		return &nodeChunk[len(nodeChunk)-1]
-	}
-	childSlice := func(n int) []*Node {
-		if cap(ptrChunk)-len(ptrChunk) < n {
-			ptrChunk = make([]*Node, 0, max(nodeHint/4, n, 64))
+		attrCount += len(n.Attrs)
+		for _, c := range n.Children {
+			count(c)
 		}
-		start := len(ptrChunk)
-		ptrChunk = ptrChunk[:start+n]
-		return ptrChunk[start : start+n : start+n]
 	}
-	attrSlice := func(src []Attr) []Attr {
-		if cap(attrChunk)-len(attrChunk) < len(src) {
-			attrChunk = make([]Attr, 0, max(attrHint/4, len(src), 16))
-		}
-		start := len(attrChunk)
-		attrChunk = append(attrChunk, src...)
-		attrCount += len(src)
-		return attrChunk[start:len(attrChunk):len(attrChunk)]
-	}
+	count(d.Root)
+	nodes := make([]Node, 0, nodeCount)
+	ptrs := make([]*Node, 0, nodeCount)
+	attrs := make([]Attr, 0, attrCount)
 	var clone func(n *Node, parent *Node) *Node
 	clone = func(n *Node, parent *Node) *Node {
-		cp := newNode(n, parent)
-		if len(n.Attrs) > 0 {
-			cp.Attrs = attrSlice(n.Attrs)
+		nodes = append(nodes, Node{ID: n.ID, Name: n.Name, Text: n.Text, Parent: parent, doc: nd})
+		cp := &nodes[len(nodes)-1]
+		if k := len(n.Attrs); k > 0 {
+			attrs = append(attrs, n.Attrs...)
+			cp.Attrs = attrs[len(attrs)-k : len(attrs) : len(attrs)]
 		}
-		if len(n.Children) > 0 {
-			cp.Children = childSlice(len(n.Children))
+		if k := len(n.Children); k > 0 {
+			start := len(ptrs)
+			ptrs = ptrs[:start+k]
+			cp.Children = ptrs[start : start+k : start+k]
 			for i, c := range n.Children {
 				cp.Children[i] = clone(c, cp)
 			}
@@ -470,12 +434,6 @@ func (d *Document) Snapshot() *Document {
 		return cp
 	}
 	nd.Root = clone(d.Root, nil)
-	// Store the exact counts back on both documents: the source so its next
-	// snapshot sizes correctly, the snapshot so snapshotting it is cheap too.
-	d.lastSnapNodes.Store(int64(nodeCount))
-	d.lastSnapAttrs.Store(int64(attrCount))
-	nd.lastSnapNodes.Store(int64(nodeCount))
-	nd.lastSnapAttrs.Store(int64(attrCount))
 	return nd
 }
 

@@ -386,12 +386,10 @@ func TestSnapshotMatchesClone(t *testing.T) {
 	}
 }
 
-// TestSnapshotHintedChunksMatchClone exercises the hinted arena path: the
-// first snapshot counts, later ones reuse the cached counts as chunk sizing
-// hints. Growing the document between snapshots makes the hints undershoot,
-// forcing extra chunk allocations; every snapshot must still match a deep
-// clone exactly.
-func TestSnapshotHintedChunksMatchClone(t *testing.T) {
+// TestSnapshotGrowingDocumentMatchesClone snapshots a document that grows
+// between snapshots: each one sizes its arenas from its own count, and must
+// match a deep clone exactly.
+func TestSnapshotGrowingDocumentMatchesClone(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	doc := NewDocument("d", "root")
 	for round := 0; round < 12; round++ {
@@ -424,8 +422,7 @@ func TestSnapshotHintedChunksMatchClone(t *testing.T) {
 			t.Fatalf("round %d: snapshot aliased the live tree", round)
 		}
 		mutate.Text = old
-		// A snapshot of the snapshot (hint path on a counted document) must
-		// round-trip too.
+		// A snapshot of the snapshot must round-trip too.
 		if !Equal(snap, snap.Snapshot()) {
 			t.Fatalf("round %d: re-snapshot differs", round)
 		}

@@ -7,6 +7,7 @@ package xupdate
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/dataguide"
@@ -309,16 +310,32 @@ func (a *undoChangeText) undo(doc *xmltree.Document, g *dataguide.DataGuide) err
 	return nil
 }
 
-// undoChangeAttr swaps the node's whole attribute list with the one from the
-// other side of the change, so a flip pair also restores attribute order.
+// undoChangeAttr toggles one attribute between its two sides of the change —
+// the value it carries now and other, or present and absent — and touches no
+// other attribute of the node, so inverses of different attributes' changes
+// revert in any order. An attribute the change added comes off and goes back
+// at the index it sat at, which keeps attribute order across a flip pair.
 type undoChangeAttr struct {
-	node  *xmltree.Node
-	attr  string
-	other []xmltree.Attr
+	node   *xmltree.Node
+	attr   string
+	other  string
+	absent bool // on the other side the node has no such attribute
+	idx    int  // where it sits among Attrs while detached by a flip
 }
 
 func (a *undoChangeAttr) flip(*xmltree.Document) error {
-	a.node.Attrs, a.other = a.other, a.node.Attrs
+	attrs := a.node.Attrs
+	i := slices.IndexFunc(attrs, func(at xmltree.Attr) bool { return at.Name == a.attr })
+	switch {
+	case i < 0: // absent now: put it back
+		a.node.Attrs = slices.Insert(attrs, min(a.idx, len(attrs)), xmltree.Attr{Name: a.attr, Value: a.other})
+		a.absent = true
+	case a.absent:
+		a.idx, a.other, a.absent = i, attrs[i].Value, false
+		a.node.Attrs = slices.Delete(attrs, i, i+1)
+	default:
+		attrs[i].Value, a.other = a.other, attrs[i].Value
+	}
 	return nil
 }
 
@@ -417,10 +434,9 @@ func ApplyToTargets(u *Update, doc *xmltree.Document, g *dataguide.DataGuide, ta
 	case Change:
 		for _, target := range targets {
 			if u.Attr != "" {
-				rec.actions = append(rec.actions, &undoChangeAttr{node: target, attr: u.Attr,
-					other: append([]xmltree.Attr(nil), target.Attrs...)})
 				prev, existed := target.SetAttr(u.Attr, u.Value)
 				g.NoteAttrChanged(target, u.Attr, prev, existed)
+				rec.actions = append(rec.actions, &undoChangeAttr{node: target, attr: u.Attr, other: prev, absent: !existed})
 			} else {
 				old := target.Text
 				rec.actions = append(rec.actions, &undoChangeText{node: target, other: old})

@@ -455,6 +455,57 @@ func TestPeelRestoreUndo(t *testing.T) {
 	}
 }
 
+// TestChangeAttrInversesAreAttributeLocal: two transactions change different
+// attributes of one node (adding one, replacing another); their inverses
+// peel, restore and undo in either order without disturbing each other, and
+// a flip pair puts an added attribute back where it sat.
+func TestChangeAttrInversesAreAttributeLocal(t *testing.T) {
+	doc, g := setup(t)
+	target := "//product[id='4']"
+	first, _, err := Apply(&Update{Kind: Change, Target: target, Attr: "flag", Value: "on"}, doc, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, _, err := Apply(&Update{Kind: Change, Target: target, Attr: "id", Value: "prodX"}, doc, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	third, _, err := Apply(&Update{Kind: Change, Target: "//product[@flag='on']", Attr: "tail", Value: "z"}, doc, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := mustEval(t, doc, "//product[@flag='on']")[0]
+	after := fmt.Sprint(node.Attrs)
+
+	// The older inverse alone comes off and goes back between the others.
+	if err := first.Peel(doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := node.Attr("flag"); ok || fmt.Sprint(node.Attrs) == after {
+		t.Fatalf("peeling the added attribute left %v", node.Attrs)
+	}
+	if v, _ := node.Attr("id"); v != "prodX" {
+		t.Fatalf("peeling flag disturbed id: %v", node.Attrs)
+	}
+	if err := first.Restore(doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(node.Attrs); got != after {
+		t.Fatalf("restored attributes %s, want %s", got, after)
+	}
+
+	// Undo out of order: the oldest first, the newest last.
+	for _, rec := range []*UndoRec{first, third, second} {
+		if err := rec.Undo(doc, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh, _ := setup(t)
+	if !xmltree.Equal(fresh, doc) {
+		t.Fatalf("out-of-order undo left:\n%s", doc)
+	}
+}
+
 // guideExtents renders every non-empty guide path with its extent size.
 func guideExtents(g *dataguide.DataGuide) string {
 	var out []string

@@ -47,9 +47,9 @@ func (c *Cluster) Begin(ctx context.Context, site int) (*Txn, error) {
 // same version). Read-only transactions acquire no locks and add no wait-for
 // edges, so they can never deadlock with writers or be chosen as deadlock
 // victims; Commit is a trivially cheap release of the read snapshot. Updates
-// are refused with ErrReadOnly without terminating the transaction. A read
-// whose snapshot was already retired by version GC fails the transaction
-// with ErrSnapshotUnavailable — resubmit to read a fresh snapshot.
+// are refused with ErrReadOnly without terminating the transaction. A first
+// read of a document too long after the begin to cut its state fails the
+// transaction with ErrSnapshotUnavailable — resubmit to read a fresh snapshot.
 func (c *Cluster) BeginReadOnly(ctx context.Context, site int) (*Txn, error) {
 	if site < 0 || site >= len(c.ids) {
 		return nil, fmt.Errorf("%w: site %d (cluster has %d)", ErrSiteOutOfRange, site, len(c.ids))
