@@ -39,6 +39,7 @@ chaos:
 fuzz:
 	go test -fuzz=FuzzTableOps -fuzztime $(FUZZTIME) -run '^$$' ./internal/lock
 	go test -fuzz=FuzzJournalReplay -fuzztime $(FUZZTIME) -run '^$$' ./internal/store
+	go test -fuzz=FuzzImageHeader -fuzztime $(FUZZTIME) -run '^$$' ./internal/store
 	go test -fuzz=FuzzApplyPeelRestoreUndo -fuzztime $(FUZZTIME) -run '^$$' ./internal/xupdate
 
 # Size of the program: tracked non-test Go lines outside the benchmark
@@ -48,7 +49,7 @@ loc:
 
 # The ratchet behind `make loc`: a PR that grows the program past the budget
 # fails the gate; one that shrinks it lowers LOC_BUDGET to its own result.
-LOC_BUDGET = 18553
+LOC_BUDGET = 18453
 
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "non-test Go lines outside bench/: $$n (budget $(LOC_BUDGET))"; [ $$n -le $(LOC_BUDGET) ]

@@ -724,8 +724,8 @@ func BenchmarkQueryCache(b *testing.B) {
 }
 
 // BenchmarkCheckpoint is one checkpoint of a 64KB document: the published
-// committed version saved to a FileStore inside the position bracket. A
-// journaled site pays it once per 64 commits, not per commit.
+// committed version saved to a FileStore with its log index. A site pays it
+// once per 64 commits, not per commit.
 func BenchmarkCheckpoint(b *testing.B) {
 	st, err := store.NewFileStore(b.TempDir())
 	if err != nil {
@@ -739,13 +739,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 		head := chain.Pin(1)
 		image := head.Doc
 		chain.Unpin(head)
-		if err := st.SaveMeta(image.Name, fmt.Sprintf("%d pending", i)); err != nil {
-			b.Fatal(err)
-		}
-		if err := st.Save(image); err != nil {
-			b.Fatal(err)
-		}
-		if err := st.SaveMeta(image.Name, fmt.Sprintf("%d clean", i)); err != nil {
+		if err := st.SaveAt(image, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -838,7 +832,7 @@ func BenchmarkTxnDocSize(b *testing.B) {
 		bytes int
 	}{{"64K", 64 << 10}, {"1M", 1 << 20}, {"4M", 4 << 20}} {
 		b.Run(size.name, func(b *testing.B) {
-			cluster, err := New(Config{Sites: 1, StoreDir: b.TempDir(), Journal: true})
+			cluster, err := New(Config{Sites: 1, StoreDir: b.TempDir()})
 			if err != nil {
 				b.Fatal(err)
 			}

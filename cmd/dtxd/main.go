@@ -62,7 +62,7 @@ func main() {
 	adaptive := flag.Bool("adaptive", false, "adapt each document's locking protocol at run time from observed contention (-protocol sets the starting point)")
 	adaptWindow := flag.Duration("adapt-window", 0, "adaptive policy sampling window (0 uses the built-in default)")
 	deadlockMs := flag.Int("deadlock-ms", 50, "distributed deadlock check period (ms)")
-	journalOn := flag.Bool("journal", true, "log commits to <store>/commit.log and save documents by checkpoint; a restart replays the log")
+	journalOn := flag.Bool("journal", true, "log commits to <store>/commit.log and save documents by checkpoint; a restart replays the log (=false: memory-only, images written on clean shutdown)")
 	recoverFlag := flag.Bool("recover", false, "start in crash-recovery mode: settle dangling coordinator decisions and catch documents up from live replicas before serving")
 	heartbeatMs := flag.Int("heartbeat-ms", 500, "liveness heartbeat period (ms); 0 disables failure detection")
 	metricsAddr := flag.String("metrics-addr", "", "address to serve /metrics, /healthz and /debug/pprof/ on (empty disables)")

@@ -105,16 +105,13 @@ type Config struct {
 	DeadlockCheckInterval time.Duration
 	// ClientThinkTime pauses between a transaction's operations.
 	ClientThinkTime time.Duration
-	// StoreDir, when set, persists each site's documents under
-	// StoreDir/site<N>/ instead of in memory.
+	// StoreDir, when set, makes the cluster durable: each site logs every
+	// commit's applied operations to StoreDir/site<N>/commit.log before
+	// acknowledging it, saves its documents under StoreDir/site<N>/ by
+	// periodic checkpoint, and replays after a restart the commits its saved
+	// documents do not reflect — an acknowledged commit survives the crash
+	// of every replica. Empty keeps everything in memory.
 	StoreDir string
-	// Journal, together with StoreDir, logs every commit's applied
-	// operations to StoreDir/site<N>/commit.log before acknowledging it;
-	// documents are then saved by periodic checkpoints instead of per
-	// commit, and a restarted site replays the commits its saved documents
-	// do not reflect — an acknowledged commit survives the crash of every
-	// replica.
-	Journal bool
 	// HeartbeatInterval is the period of the per-site liveness heartbeat
 	// feeding failure detection: a crashed site (KillSite, or a real fault
 	// in a TCP deployment) is detected, reads route to the surviving
@@ -235,9 +232,6 @@ func New(cfg Config) (*Cluster, error) {
 	for i := range ids {
 		ids[i] = i
 	}
-	if cfg.Journal && cfg.StoreDir == "" {
-		return nil, fmt.Errorf("dtx: Journal requires StoreDir")
-	}
 	switch cfg.Replication {
 	case "", ReplicationEager, ReplicationQuorum:
 	default:
@@ -280,7 +274,7 @@ func (c *Cluster) siteDir(i int) string {
 // refuses traffic until internal/recovery readmits it).
 func (c *Cluster) buildSite(i int, recovering bool) (*sched.Site, error) {
 	var journal *store.Journal
-	if c.cfg.Journal {
+	if c.cfg.StoreDir != "" {
 		j, err := store.OpenJournal(c.siteDir(i) + "/commit.log")
 		if err != nil {
 			return nil, err
@@ -338,9 +332,8 @@ func (c *Cluster) allSites() []*sched.Site {
 }
 
 // Sync checkpoints every site: on a quiescent cluster the stores then hold
-// exactly the committed documents (and, with Journal set, the journals no
-// open intent). Use it to observe the persistent state without stopping the
-// cluster.
+// exactly the committed documents (and the journals no open intent). Use it
+// to observe the persistent state without stopping the cluster.
 func (c *Cluster) Sync() {
 	for _, s := range c.allSites() {
 		s.Sync()
@@ -432,7 +425,7 @@ func (c *Cluster) PeerStatuses(site int) (map[int]string, error) {
 // covers yet.
 type OpenIntent = store.OpenIntent
 
-// RecoverJournal scans a site's commit journal (written when Config.Journal
+// RecoverJournal scans a site's commit journal (written when Config.StoreDir
 // is set) for the commits a restart of the site would replay.
 func RecoverJournal(storeDir string, site int) ([]OpenIntent, error) {
 	return store.Recover(fmt.Sprintf("%s/site%d/commit.log", storeDir, site))

@@ -265,7 +265,7 @@ func TestClusterConcurrentClients(t *testing.T) {
 
 func TestClusterJournal(t *testing.T) {
 	dir := t.TempDir()
-	c, err := New(Config{Sites: 1, StoreDir: dir, Journal: true})
+	c, err := New(Config{Sites: 1, StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,9 +283,5 @@ func TestClusterJournal(t *testing.T) {
 	}
 	if len(open) != 0 {
 		t.Fatalf("clean shutdown left open intents: %+v", open)
-	}
-	// Journal without a store directory is rejected.
-	if _, err := New(Config{Sites: 1, Journal: true}); err == nil {
-		t.Fatal("Journal without StoreDir accepted")
 	}
 }

@@ -33,7 +33,6 @@ func main() {
 	cluster, err := dtx.New(dtx.Config{
 		Sites:             3,
 		StoreDir:          storeDir,
-		Journal:           true,
 		HeartbeatInterval: 20 * time.Millisecond,
 		HeartbeatMisses:   2,
 	})

@@ -30,7 +30,6 @@ func TestClusterFailover(t *testing.T) {
 	cluster, err := dtx.New(dtx.Config{
 		Sites:             3,
 		StoreDir:          t.TempDir(),
-		Journal:           true,
 		HeartbeatInterval: 10 * time.Millisecond,
 		HeartbeatMisses:   2,
 	})
@@ -119,7 +118,7 @@ func mustXML(t *testing.T, c *dtx.Cluster, site int, doc string) string {
 
 // TestRestartRequiresKill: RestartSite on a live site is refused.
 func TestRestartRequiresKill(t *testing.T) {
-	cluster, err := dtx.New(dtx.Config{Sites: 2, StoreDir: t.TempDir(), Journal: true})
+	cluster, err := dtx.New(dtx.Config{Sites: 2, StoreDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -268,13 +268,14 @@ func TestRunWithGuardAblationProtocol(t *testing.T) {
 }
 
 // TestCrashInjectionWorkload: a chaos run — a replica dies mid-checkpoint
-// under the auction workload; the run completes, the survivors keep
-// committing, and the victim is verifiably dead.
+// under the auction workload (enough update transactions for its document to
+// come due for one); the run completes, the survivors keep committing, and
+// the victim is verifiably dead.
 func TestCrashInjectionWorkload(t *testing.T) {
 	p := Params{
 		Sites:       3,
 		Clients:     6,
-		TxPerClient: 8,
+		TxPerClient: 24,
 		UpdateTxPct: 100,
 		BaseBytes:   32 << 10,
 		Heartbeat:   5 * time.Millisecond,

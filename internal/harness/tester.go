@@ -357,7 +357,7 @@ func BuildCluster(p Params, hook sched.HistoryHook) (*Cluster, error) {
 			cfg.Hooks = &sched.CrashHooks{BeforeReplApply: func(string, int) { time.Sleep(p.ReplApplyLag) }}
 		}
 		if p.Crash != nil && i == p.Crash.Site {
-			journal, dir, err := journalFor(p, i)
+			journal, dir, err := journalFor(i)
 			if err != nil {
 				return nil, err
 			}
@@ -417,13 +417,11 @@ func BuildCluster(p Params, hook sched.HistoryHook) (*Cluster, error) {
 	return cluster, nil
 }
 
-// journalFor opens a throwaway journal for the crash victim when the
-// targeted stage is a journal-record boundary — the intent hooks only exist
-// on the journaled commit path. The directory is removed by Cluster.Stop.
-func journalFor(p Params, site int) (*store.Journal, string, error) {
-	if p.Crash.Stage != CrashBeforeIntent && p.Crash.Stage != CrashAfterIntent {
-		return nil, "", nil
-	}
+// journalFor opens a throwaway journal for the crash victim: the intent
+// hooks only exist on the journaled commit path, and a site without a
+// journal takes no checkpoint mid-run. The directory is removed by
+// Cluster.Stop.
+func journalFor(site int) (*store.Journal, string, error) {
 	dir, err := os.MkdirTemp("", "dtx-crash")
 	if err != nil {
 		return nil, "", fmt.Errorf("harness: crash journal: %w", err)

@@ -37,29 +37,39 @@ type cluster struct {
 	sites     []*sched.Site
 	hooks     []*sched.CrashHooks
 	indexKeys []string // value-index keys every (re)built site enables
+	// wrapStore, if set, is put around every (re)built site's FileStore.
+	wrapStore func(store.Store) store.Store
 }
 
 func newCrashCluster(t *testing.T, n int) *cluster {
-	return newCrashClusterIndexed(t, n, nil)
+	return newCrashClusterWith(t, n, nil)
 }
 
 // newCrashClusterIndexed is newCrashCluster with value indexes enabled at
 // every site, so restarts also exercise index reconstruction.
 func newCrashClusterIndexed(t *testing.T, n int, indexKeys []string) *cluster {
+	return newCrashClusterWith(t, n, func(c *cluster) { c.indexKeys = indexKeys })
+}
+
+// newCrashClusterWith lets setup adjust the cluster before its sites are
+// built.
+func newCrashClusterWith(t *testing.T, n int, setup func(*cluster)) *cluster {
 	t.Helper()
 	c := &cluster{
-		t:         t,
-		dir:       t.TempDir(),
-		net:       transport.NewNetwork(),
-		catalog:   replica.NewCatalog(),
-		ids:       make([]int, n),
-		sites:     make([]*sched.Site, n),
-		hooks:     make([]*sched.CrashHooks, n),
-		indexKeys: indexKeys,
+		t:       t,
+		dir:     t.TempDir(),
+		net:     transport.NewNetwork(),
+		catalog: replica.NewCatalog(),
+		ids:     make([]int, n),
+		sites:   make([]*sched.Site, n),
+		hooks:   make([]*sched.CrashHooks, n),
 	}
 	for i := range c.ids {
 		c.ids[i] = i
 		c.hooks[i] = &sched.CrashHooks{}
+	}
+	if setup != nil {
+		setup(c)
 	}
 	for i := 0; i < n; i++ {
 		c.sites[i] = c.buildSite(i, false)
@@ -83,9 +93,13 @@ func newCrashClusterIndexed(t *testing.T, n int, indexKeys []string) *cluster {
 func (c *cluster) buildSite(i int, recovering bool) *sched.Site {
 	c.t.Helper()
 	dir := filepath.Join(c.dir, fmt.Sprintf("site%d", i))
-	st, err := store.NewFileStore(dir)
+	fs, err := store.NewFileStore(dir)
 	if err != nil {
 		c.t.Fatal(err)
+	}
+	var st store.Store = fs
+	if c.wrapStore != nil {
+		st = c.wrapStore(st)
 	}
 	journal, err := store.OpenJournal(filepath.Join(dir, "commit.log"))
 	if err != nil {
@@ -195,32 +209,22 @@ func TestCrashPoints(t *testing.T) {
 			},
 		},
 		{
-			// The site dies inside a checkpoint's Store write: the position
-			// bracket is open ("pending"), so the saved bytes sit at an
-			// unknown position. Nothing may be replayed onto them; the
-			// restart falls back to transferring the document from a live
-			// replica, which also voids the intents the old image needed.
+			// The site dies inside a checkpoint, before the new image is in
+			// place: the Store still holds the previous image at the index
+			// it names, and the restart replays the journal onto it locally
+			// (TestCrashLoneSiteInsideCheckpoint crashes on either side of
+			// the image's rename, with no peer to lean on).
 			name: "mid-checkpoint", sites: 3, victim: 1,
 			arm: func(c *cluster, fired chan<- struct{}) {
 				var once sync.Once
-				c.hooks[1].BeforeCheckpoint = func(doc string) {
-					once.Do(func() {
-						st, err := store.NewFileStore(filepath.Join(c.dir, "site1"))
-						if err == nil {
-							err = st.SaveMeta(doc, "1 pending")
-						}
-						if err != nil {
-							c.t.Error(err)
-						}
-						c.sites[1].Kill()
-						close(fired)
-					})
+				c.hooks[1].BeforeCheckpoint = func(string) {
+					once.Do(func() { c.sites[1].Kill(); close(fired) })
 				}
 			},
 			after: func(c *cluster) { c.sites[1].Sync() },
 			check: func(t *testing.T, report *Report) {
-				if report.Replayed != 0 || len(report.CaughtUp) != 1 {
-					t.Fatalf("want nothing replayed onto the untrusted image and d1 transferred, got: %s", report)
+				if report.Replayed != 1 {
+					t.Fatalf("want the acknowledged commit replayed onto the old image, got: %s", report)
 				}
 			},
 		},
@@ -490,5 +494,111 @@ func TestCrashStoreHoldsOnlyCommitted(t *testing.T) {
 	}
 	if xml := doc.String(); !strings.Contains(xml, "Zed") || strings.Contains(xml, "Uncommitted") {
 		t.Fatalf("restarted alone, site 0 holds:\n%s\nwant B's committed change (Zed) and not A's (Uncommitted)", xml)
+	}
+}
+
+// crashStore is a Store whose image write can be the last thing its site
+// does: crash runs around every SaveAt of a checkpoint (index above 0) and
+// reports whether the site died there — before the write, and then nothing is
+// written, or after it returned.
+type crashStore struct {
+	store.Store
+	afterRename bool
+	crash       func(index int64) bool
+}
+
+func (cs *crashStore) SaveAt(doc *xmltree.Document, index int64) error {
+	if index > 0 && !cs.afterRename && cs.crash(index) {
+		return errors.New("crashed before the image was written")
+	}
+	err := cs.Store.SaveAt(doc, index)
+	if index > 0 && cs.afterRename {
+		cs.crash(index)
+	}
+	return err
+}
+
+// TestCrashLoneSiteInsideCheckpoint: a single journaled site takes more than
+// a checkpoint's worth of acknowledged commits and dies inside the checkpoint
+// — before the image's rename (the Store holds the old image at the old
+// index) or after it but before the journal sealed what the image covers (the
+// new image at the new index beside intents it already holds). It restarts
+// alone and must read every acknowledged value back, having replayed exactly
+// the records past the index the image on disk names.
+func TestCrashLoneSiteInsideCheckpoint(t *testing.T) {
+	for _, afterRename := range []bool{false, true} {
+		name := "before-rename"
+		if afterRename {
+			name = "after-rename"
+		}
+		t.Run(name, func(t *testing.T) {
+			reached, release := make(chan struct{}), make(chan struct{})
+			var once sync.Once
+			var imageIdx int64 // what the image on disk names at the crash
+			c := newCrashClusterWith(t, 1, func(c *cluster) {
+				c.wrapStore = func(st store.Store) store.Store {
+					return &crashStore{Store: st, afterRename: afterRename, crash: func(index int64) (died bool) {
+						once.Do(func() {
+							if afterRename {
+								imageIdx = index
+							}
+							close(reached)
+							<-release
+							c.sites[0].Kill()
+							died = true
+						})
+						return died
+					}}
+				}
+			})
+
+			// Commit until the checkpointer stands at the crash point, then a
+			// few more: those are in the journal only, whichever image lands.
+			acked, extra := 0, 3
+			for extra > 0 {
+				acked++
+				if acked > 1000 {
+					t.Fatal("no checkpoint after 1000 commits")
+				}
+				res, err := c.sites[0].Submit([]txn.Operation{txn.NewUpdate("d1", &xupdate.Update{
+					Kind: xupdate.Insert, Target: "/people", Pos: xmltree.Into,
+					New: &xupdate.NodeSpec{Name: "person", Children: []*xupdate.NodeSpec{{Name: "id", Text: fmt.Sprint(100 + acked)}}},
+				})})
+				if err != nil || res.State != txn.Committed {
+					t.Fatalf("commit %d: %v %+v", acked, err, res)
+				}
+				select {
+				case <-reached:
+					extra--
+				default:
+				}
+			}
+			close(release)
+			c.sites[0].Quiesce()
+			if !c.sites[0].Killed() {
+				t.Fatal("the site survived its checkpoint")
+			}
+
+			report := c.restart(0)
+			if want := acked - int(imageIdx); report.Replayed != want || len(report.CaughtUp) != 0 {
+				t.Fatalf("image at index %d, %d commits acknowledged: want %d replayed locally, got: %s", imageIdx, acked, want, report)
+			}
+			res, err := c.sites[0].Submit([]txn.Operation{txn.NewQuery("d1", "//person/id")})
+			if err != nil || res.State != txn.Committed {
+				t.Fatalf("read-back: %v %+v", err, res)
+			}
+			got := make(map[string]int)
+			for _, id := range res.Results[0] {
+				got[id]++
+			}
+			for i := 1; i <= acked; i++ {
+				if got[fmt.Sprint(100+i)] != 1 {
+					t.Fatalf("acknowledged insert %d reads back %d times (report: %s)", 100+i, got[fmt.Sprint(100+i)], report)
+				}
+			}
+			if len(res.Results[0]) != 2+acked {
+				t.Fatalf("%d ids read back, want %d", len(res.Results[0]), 2+acked)
+			}
+		})
 	}
 }

@@ -14,7 +14,10 @@
 // coordinator's decision, it carries the operations the transaction applied
 // here, and Bootstrap replays every intent the saved image does not reflect
 // — so an open intent is replayable, never in doubt, and a site needs no
-// peer to get its own acknowledged commits back.
+// peer to get its own acknowledged commits back. A commit is durable iff it
+// is in the journal; the Store holds checkpoints, each naming in the image
+// itself the log index it reflects, so a crash on either side of a
+// checkpoint's rename leaves an image the journal replays onto correctly.
 //
 // What a journal cannot answer locally is a dangling decision: the
 // coordinator logged its commit decision but crashed before consolidating
@@ -227,23 +230,19 @@ func resolveDecisions(s *sched.Site, opts Options, report *Report) error {
 // quorum-replication mode the incremental path runs first: resume from the
 // position the saved image plus this site's own journal replay reached and
 // fetch only the missing replication-log span from the primary. Only when
-// that cannot converge the document — untrusted position, span past the
-// shipping horizon, unreachable primary, or eager mode — does catch-up fall
-// back to fetching the whole document from a live replica. A document with
-// no path to convergence keeps its local image plus replay (and the report
-// omits it).
+// that cannot converge the document — span past the shipping horizon,
+// unreachable primary, or eager mode — does catch-up fall back to fetching
+// the committed document from a live replica. A document with no path to
+// convergence keeps its local image plus replay (and the report omits it).
 func catchUp(s *sched.Site, opts Options, report *Report) {
-	quorum := s.QuorumReplication()
 	for _, name := range report.Documents {
-		if quorum {
-			ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
-			n, current := s.ReplCatchUp(ctx, name)
-			cancel()
-			report.ReplRecords += n
-			if current {
-				report.CaughtUp = append(report.CaughtUp, name)
-				continue
-			}
+		ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
+		n, current := s.ReplCatchUp(ctx, name)
+		cancel()
+		report.ReplRecords += n
+		if current {
+			report.CaughtUp = append(report.CaughtUp, name)
+			continue
 		}
 		for _, site := range s.Catalog().Sites(name) {
 			if site == s.ID() || s.PeerState(site) != sched.PeerUp {
@@ -263,13 +262,8 @@ func catchUp(s *sched.Site, opts Options, report *Report) {
 			if err != nil {
 				continue
 			}
-			if err := s.ReplaceDocument(doc); err != nil {
+			if err := s.ReplaceDocument(doc, fetched.Head); err != nil {
 				continue
-			}
-			if quorum {
-				// Pin the transferred bytes at the position they were
-				// captured at, so incremental replication resumes from them.
-				s.ResetReplPosition(name, fetched.Head)
 			}
 			report.CaughtUp = append(report.CaughtUp, name)
 			break

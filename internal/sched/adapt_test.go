@@ -39,7 +39,6 @@ func TestSwitchProtocolQuiescentPoint(t *testing.T) {
 	addDoc(t, s, "d2", productsXML)
 
 	writerDone := make(chan *Result, 1)
-	var writerCommitted time.Time
 	go func() {
 		res, err := s.Submit([]txn.Operation{
 			txn.NewUpdate("d2", &xupdate.Update{Kind: xupdate.Change, Target: "//product[id='4']/price", Value: "2.00"}),
@@ -48,7 +47,6 @@ func TestSwitchProtocolQuiescentPoint(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
-		writerCommitted = time.Now()
 		writerDone <- res
 	}()
 	time.Sleep(10 * time.Millisecond) // let the writer take its lock
@@ -68,13 +66,20 @@ func TestSwitchProtocolQuiescentPoint(t *testing.T) {
 	if err := s.SwitchProtocol("d2", lock.DocLock{}); err != nil {
 		t.Fatal(err)
 	}
-	switched := time.Now()
-	w := <-writerDone
-	if w.State != txn.Committed {
-		t.Fatalf("writer = %v (%s)", w.State, w.Reason)
-	}
-	if switched.Before(writerCommitted) {
+	// The writer consolidates before it releases its locks, so a drain that
+	// waited them out finds its record applied. (Comparing time.Now() here
+	// with a stamp the writer's goroutine takes after Submit returns races:
+	// the switch may legitimately finish between the lock release and that
+	// stamp.)
+	ds := s.doc("d2")
+	ds.mu.Lock()
+	applied := ds.replApplied
+	ds.mu.Unlock()
+	if applied != 1 {
 		t.Fatal("switch completed while the writer still held locks")
+	}
+	if w := <-writerDone; w.State != txn.Committed {
+		t.Fatalf("writer = %v (%s)", w.State, w.Reason)
 	}
 	if m := <-midDone; m.State != txn.Committed {
 		t.Fatalf("mid-drain transaction = %v (%s)", m.State, m.Reason)

@@ -69,7 +69,7 @@ func TestCommitJournaling(t *testing.T) {
 	if len(open) != 0 {
 		t.Fatalf("open intents after Sync: %+v", open)
 	}
-	saved, err := s.cfg.Store.Load("d2")
+	saved, _, err := s.cfg.Store.Load("d2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRecoveryDetectsOpenIntent(t *testing.T) {
 	// resume service.
 	st := store.NewMemStore()
 	doc, _ := xmltree.ParseString("d2", productsXML)
-	if err := st.Save(doc); err != nil {
+	if err := st.SaveAt(doc, 0); err != nil {
 		t.Fatal(err)
 	}
 	sites, _ := newCluster(t, 1, func(c *Config) { c.Store = st })
@@ -226,7 +226,7 @@ func TestCheckpointProgressUnderOverlappingWriters(t *testing.T) {
 			t.Fatalf("after %d commits the checkpoint lags %d records, want <= %d", i, lag, 2*checkpointEvery)
 		}
 		if i%checkpointEvery == 0 {
-			saved, err := s.cfg.Store.Load("d1")
+			saved, _, err := s.cfg.Store.Load("d1")
 			if err != nil {
 				t.Fatal(err)
 			}

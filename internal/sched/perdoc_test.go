@@ -103,31 +103,33 @@ func TestPerDocumentProgress(t *testing.T) {
 }
 
 // orderStore wraps a MemStore and records, per document, the number of
-// top-level children in every state saved — the observation the
-// checkpoint-ordering test asserts on.
+// top-level children in every state saved and the log index it was saved at
+// — the observations the checkpoint-ordering test asserts on.
 type orderStore struct {
 	store.Store
 	mu    sync.Mutex
 	seen  map[string][]int
+	idx   map[string][]int64
 	saves int
 }
 
-func (o *orderStore) Save(doc *xmltree.Document) error {
+func (o *orderStore) SaveAt(doc *xmltree.Document, index int64) error {
 	o.mu.Lock()
 	o.seen[doc.Name] = append(o.seen[doc.Name], len(doc.Root.Children))
+	o.idx[doc.Name] = append(o.idx[doc.Name], index)
 	o.saves++
 	o.mu.Unlock()
-	return o.Store.Save(doc)
+	return o.Store.SaveAt(doc, index)
 }
 
-// TestCheckpointOrdering drives many concurrent single-insert transactions
-// on one document of a site without a journal (so every commit asks for a
-// checkpoint) and asserts that Store writes observe per-document commit
-// order: every saved state has strictly more inserts than the previous one
-// (a checkpoint covers every commit since the last, so counts can skip,
-// never regress), and after Sync the saved state contains every commit.
+// TestCheckpointOrdering drives several checkpoints' worth of concurrent
+// single-insert transactions on one document and asserts that Store writes
+// observe per-document commit order: every saved state has strictly more
+// inserts than the previous one (a checkpoint covers every commit since the
+// last, so counts can skip, never regress), each is saved at the index of the
+// last commit it holds, and after Sync the saved state contains every commit.
 func TestCheckpointOrdering(t *testing.T) {
-	os := &orderStore{Store: store.NewMemStore(), seen: make(map[string][]int)}
+	os := &orderStore{Store: store.NewMemStore(), seen: make(map[string][]int), idx: make(map[string][]int64)}
 	sites, _ := newCluster(t, 1, func(cfg *Config) {
 		cfg.Store = os
 	})
@@ -135,7 +137,7 @@ func TestCheckpointOrdering(t *testing.T) {
 	addDoc(t, s, "d", "<people></people>")
 
 	const workers = 8
-	const perWorker = 5
+	const perWorker = 3 * checkpointEvery / workers
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -156,6 +158,7 @@ func TestCheckpointOrdering(t *testing.T) {
 					t.Errorf("txn %s: %v", res.Txn, res.Err)
 					return
 				}
+				s.Quiesce() // let a checkpoint this commit made due finish
 			}
 		}(w)
 	}
@@ -165,13 +168,17 @@ func TestCheckpointOrdering(t *testing.T) {
 	os.mu.Lock()
 	defer os.mu.Unlock()
 	counts := os.seen["d"]
-	if len(counts) < 2 {
+	if len(counts) < 3 {
 		t.Fatalf("too few saves to observe ordering: %v", counts)
 	}
-	// counts[0] is the AddDocument install (0 children).
-	for i := 1; i < len(counts); i++ {
-		if counts[i] <= counts[i-1] {
+	// counts[0] is the AddDocument install (0 children). Every commit is one
+	// insert, so an image's index is its child count.
+	for i := range counts {
+		if i > 0 && counts[i] <= counts[i-1] {
 			t.Fatalf("save %d regressed: %v", i, counts)
+		}
+		if os.idx["d"][i] != int64(counts[i]) {
+			t.Fatalf("save %d holds %d commits but names index %d", i, counts[i], os.idx["d"][i])
 		}
 	}
 	if final := counts[len(counts)-1]; final != workers*perWorker {

@@ -7,32 +7,32 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Persistence is journal-append plus periodic checkpoint. A commit makes
-// itself durable by appending one intent line carrying its applied
-// operations (commitLocal); it never rewrites a document. A per-document
-// checkpointer saves the document's committed image — the newest version of
-// its MVCC chain, the live tree minus the uncommitted updates, so the Store
-// cannot hold an undecided transaction's change — stamps the log index the
-// image reflects through the Store's meta record, and seals every intent the
-// image covers with one journal line. A restart loads the image and replays
-// the open intents past its index (LoadDocument).
+// A commit is durable iff it is in the journal: it appends one intent line
+// carrying its applied operations (commitLocal) and never rewrites a
+// document. The Store holds checkpoints. A per-document checkpointer saves
+// the document's committed image — publishLocked's cut: the live tree minus
+// the uncommitted updates, so the Store cannot hold an undecided
+// transaction's change, together with the log index that state reflects —
+// and then seals every intent the image covers with one journal line. The
+// index is part of the image (store.Store), so a crash leaves the previous
+// image or the new one, each at the index it names, and a restart loads it
+// and replays the open intents past that index (LoadDocument).
 //
 // A checkpoint runs once checkpointEvery records have accumulated on a
 // document, on Sync and on Stop, whatever writers are in flight: a checkpoint
 // lags by at most checkpointEvery records plus those committed while one
 // image is being written (TestCheckpointProgressUnderOverlappingWriters). A
-// site without a journal has no log to replay from, so there every commit
-// asks for one. At most one checkpointer runs per document, which keeps
-// Store writes in commit order, and everything but cutting the head happens
-// outside the domain mutex.
+// site without a journal is memory-only between those points. At most one
+// checkpointer runs per document, which keeps Store writes in commit order,
+// and everything but cutting the head happens outside the domain mutex.
 //
 // A failed Save is latched on the document (persistErr) and counted in
 // Stats.PersistErrors: later commits touching the document refuse
 // consolidation, so the failure surfaces instead of being silently dropped.
 
-// checkpointEvery is how many records may accumulate on a document of a
-// journaled site before its image is saved again: it bounds the replay work
-// of a restart and the intents the journal carries across compactions.
+// checkpointEvery is how many records may accumulate on a document before
+// its image is saved again: it bounds the replay work of a restart and the
+// intents the journal carries across compactions.
 const checkpointEvery = 64
 
 // Sync checkpoints every document that has records its saved image does not
@@ -51,11 +51,9 @@ func (s *Site) Sync() {
 }
 
 // checkpointIfDueLocked starts a checkpoint when the document has gone
-// checkpointEvery records without one or, on a site with no journal to
-// replay from, has any record its image lacks. Callers hold ds.mu.
+// checkpointEvery records without one. Callers hold ds.mu.
 func (s *Site) checkpointIfDueLocked(ds *docState) {
-	lag := ds.replApplied - ds.savedIdx
-	if lag >= checkpointEvery || (s.cfg.Journal == nil && lag > 0) {
+	if ds.replApplied-ds.savedIdx >= checkpointEvery {
 		s.scheduleCheckpointLocked(ds)
 	}
 }
@@ -144,21 +142,11 @@ func (s *Site) checkpointer(ds *docState) {
 }
 
 // saveImage writes a committed image of a document that reflects its log up
-// to idx, bracketed by the position meta record: "pending" before the Save
-// means a crash mid-write leaves the bytes at an unknown position (the
-// restart falls back to whole-document transfer); "clean" after certifies
-// they sit exactly at idx, where replay resumes. The covered intents are
-// sealed last — an unsealed covered intent is skipped by replay, a sealed
-// uncovered one would be a lost commit.
+// to idx, then seals the intents it covers. The order matters: an unsealed
+// covered intent is skipped by replay, a sealed uncovered one would be a lost
+// commit.
 func (s *Site) saveImage(doc *xmltree.Document, idx int64) error {
-	st := s.cfg.Store
-	if err := st.SaveMeta(doc.Name, fmt.Sprintf("%d pending", idx)); err != nil {
-		return err
-	}
-	if err := st.Save(doc); err != nil {
-		return err
-	}
-	if err := st.SaveMeta(doc.Name, fmt.Sprintf("%d clean", idx)); err != nil {
+	if err := s.cfg.Store.SaveAt(doc, idx); err != nil {
 		return err
 	}
 	if j := s.cfg.Journal; j != nil {

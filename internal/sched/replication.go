@@ -84,26 +84,6 @@ func (s *Site) quorumFor(replicas int) int {
 	return q
 }
 
-// seedReplPosition initialises a freshly loaded document's log position
-// from the store's meta record. Only a "clean" record is trusted — it was
-// written after the Save it describes completed; "pending" means the crash
-// hit mid-checkpoint and the bytes sit between two positions, so the
-// document is marked untrusted and recovery falls back to whole-document
-// transfer. Called before the docState is published, so no lock is needed.
-func (s *Site) seedReplPosition(ds *docState) {
-	data, ok, err := s.cfg.Store.LoadMeta(ds.name)
-	if err != nil || !ok {
-		return // never checkpointed: position 0
-	}
-	var idx int64
-	var state string
-	if _, err := fmt.Sscanf(data, "%d %s", &idx, &state); err != nil || state != "clean" {
-		ds.replUntrusted = true
-		return
-	}
-	ds.replApplied, ds.savedIdx, ds.knownHead = idx, idx, idx
-}
-
 // noteWrites records the documents a just-committed read-write transaction
 // updated through this site, so subsequent snapshot reads here prefer the
 // primary within the staleness window (read-your-writes: a follower may not
@@ -421,17 +401,13 @@ apply:
 	return len(fresh), err
 }
 
-// QuorumReplication reports whether the site runs in quorum-replication
-// mode; internal/recovery branches its catch-up strategy on it.
-func (s *Site) QuorumReplication() bool { return s.replLog != nil }
-
 // ReplCatchUp attempts incremental catch-up of one document on a recovering
 // follower: resume from the position its saved image plus its own journal
 // replay reached, fetch the missing span from the primary and apply it. It
 // returns the number of records applied and whether the document is now
 // current; false means the caller must fall back to whole-document transfer
-// (untrusted position, span past the shipping horizon, or an unreachable
-// primary). A primary is current by its own replay.
+// (eager mode, span past the shipping horizon, or an unreachable primary). A
+// primary is current by its own replay.
 func (s *Site) ReplCatchUp(ctx context.Context, doc string) (int, bool) {
 	if s.replLog == nil || s.Ready() {
 		return 0, false
@@ -442,11 +418,7 @@ func (s *Site) ReplCatchUp(ctx context.Context, doc string) (int, bool) {
 	}
 	ds.mu.Lock()
 	after := ds.replApplied
-	untrusted := ds.replUntrusted
 	ds.mu.Unlock()
-	if untrusted {
-		return 0, false
-	}
 	primary := s.primaryOf(doc)
 	if primary == s.id {
 		return 0, true
@@ -471,27 +443,4 @@ func (s *Site) ReplCatchUp(ctx context.Context, doc string) (int, bool) {
 	}
 	ds.mu.Unlock()
 	return n, current
-}
-
-// ResetReplPosition pins a freshly transferred document at the given
-// replication-log position: the whole-document fallback established the
-// bytes, so the incremental protocol resumes just past them. The local
-// shipping window restarts empty at that head (there is no record history
-// behind a full transfer).
-func (s *Site) ResetReplPosition(doc string, head int64) {
-	ds := s.doc(doc)
-	if s.replLog == nil || ds == nil {
-		return
-	}
-	ds.mu.Lock()
-	ds.replApplied, ds.savedIdx = head, head
-	if head > ds.knownHead {
-		ds.knownHead = head
-	}
-	ds.staleSince = time.Time{}
-	ds.mu.Unlock()
-	s.replLog.Reset(doc, head)
-	if !s.Killed() {
-		_ = s.cfg.Store.SaveMeta(doc, fmt.Sprintf("%d clean", head))
-	}
 }

@@ -191,7 +191,7 @@ func TestReplicationEagerModeUnchanged(t *testing.T) {
 	for _, s := range sites {
 		addDoc(t, s, "d1", peopleXML)
 	}
-	if sites[0].QuorumReplication() {
+	if sites[0].replLog != nil {
 		t.Fatal("replication log allocated without quorum mode")
 	}
 	res, err := sites[0].Submit([]txn.Operation{

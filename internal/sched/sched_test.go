@@ -133,7 +133,7 @@ func TestSingleSiteQueryAndUpdate(t *testing.T) {
 	// Committed data persisted through the DataManager; drain the async
 	// persist pipeline before observing the Store.
 	s.Sync()
-	stored, err := s.cfg.Store.Load("d2")
+	stored, _, err := s.cfg.Store.Load("d2")
 	if err != nil {
 		t.Fatal(err)
 	}

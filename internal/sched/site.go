@@ -33,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -100,7 +101,7 @@ type Config struct {
 	// one intent carrying its applied operations before it acknowledges, and
 	// a restarted site replays the intents its saved documents do not cover
 	// — the durability direction of the paper's future work. Without it the
-	// documents are saved after every commit instead (persist.go).
+	// site is memory-only: the Store is written on Sync and Stop (persist.go).
 	Journal *store.Journal
 	// HeartbeatInterval is the period of the liveness heartbeat to every
 	// peer site; zero disables failure detection (every peer stays believed
@@ -369,12 +370,9 @@ type docState struct {
 	// number their records with it in both replication modes (site-local in
 	// eager mode, the primary's numbering in quorum mode). savedIdx is the
 	// index the Store image reflects; replApplied-savedIdx is the checkpoint
-	// lag. replUntrusted marks a loaded copy whose meta record was pending or
-	// unparseable — its bytes sit at an unknown position, so nothing may be
-	// replayed onto it.
-	replApplied   int64
-	savedIdx      int64
-	replUntrusted bool
+	// lag.
+	replApplied int64
+	savedIdx    int64
 
 	// Checkpointer state (persist.go): ckptWanted asks for one more
 	// checkpoint, ckptActive marks the single checkpointer running.
@@ -998,46 +996,55 @@ func (s *Site) Stats() Stats {
 	}
 }
 
-// newDocState builds the scheduling domain of a freshly installed document,
-// seeding its MVCC chain with an initial committed version at timestamp 0:
-// the as-installed state is committed by definition, and the floor version
-// lets a reader that begins before the first local commit pin something.
-// After a restart this makes versions survive trivially — the chain reseeds
-// from the latest saved image the Store (or catch-up) hands back.
-func (s *Site) newDocState(doc *xmltree.Document, g *dataguide.DataGuide) *docState {
+// newDocState builds the scheduling domain of a freshly installed document
+// whose tree reflects its log up to idx, seeding its MVCC chain with an
+// initial committed version at timestamp 0: the as-installed state is
+// committed by definition, and the floor version lets a reader that begins
+// before the first local commit pin something — after a restart too, when
+// the tree is the saved image the Store (or catch-up) hands back.
+func (s *Site) newDocState(doc *xmltree.Document, idx int64) *docState {
+	g := dataguide.Build(doc)
 	if len(s.cfg.IndexedKeys) > 0 || s.cfg.AutoIndexAfter > 0 {
-		// Attaching here covers both install paths — AddDocument and the
-		// restart/recovery LoadDocument — so a replayed or caught-up document
-		// always rebuilds its postings from the recovered tree; subsequent
-		// updates (writers, follower log application, journal replay) maintain
-		// them through the guide hooks inside the same ds.mu section.
+		// Every install path builds its state here, so a replayed or caught-up
+		// document rebuilds its postings from the recovered tree; later updates
+		// maintain them through the guide hooks inside the same ds.mu section.
 		g.AttachIndex(vindex.New(s.cfg.IndexedKeys, s.cfg.AutoIndexAfter))
 		g.ReindexAll(doc)
 	}
 	ch := mvcc.NewChain(mvcc.Options{MaxVersions: s.cfg.SnapshotVersions})
 	ch.Publish(doc.Snapshot(), 0)
+	if s.replLog != nil {
+		// No record history stands behind an image: the shipping window
+		// restarts empty just past it.
+		s.replLog.Reset(doc.Name, idx)
+	}
 	return &docState{
-		name:     doc.Name,
-		doc:      doc,
-		guide:    g,
-		table:    lock.NewTable(g),
-		graph:    wfg.New(),
-		proto:    s.cfg.Protocol,
-		versions: ch,
-		met:      s.m.docMetrics(doc.Name),
+		name:        doc.Name,
+		doc:         doc,
+		guide:       g,
+		table:       lock.NewTable(g),
+		graph:       wfg.New(),
+		proto:       s.cfg.Protocol,
+		versions:    ch,
+		met:         s.m.docMetrics(doc.Name),
+		replApplied: idx,
+		savedIdx:    idx,
 	}
 }
 
 // AddDocument installs a document at this site (in memory and in the store)
-// and registers it in the catalog for this site if absent. The saved image
-// is stamped at the document's log position — that of the copy it replaces,
-// or past every record an earlier life of the store left in the journal —
-// so no stale intent is ever replayed onto the new bytes.
-func (s *Site) AddDocument(doc *xmltree.Document) error {
-	var pos int64
+// and registers it in the catalog for this site if absent.
+func (s *Site) AddDocument(doc *xmltree.Document) error { return s.installOwn(doc, 0) }
+
+// installOwn installs a document at a site that numbers its records itself:
+// at head or, if that is further, past every record the site already holds
+// for the name — the copy it replaces, or what an earlier life of the store
+// left in the journal — so saving the image seals them all, none is replayed
+// onto the new bytes and no index is minted twice.
+func (s *Site) installOwn(doc *xmltree.Document, head int64) error {
 	if old := s.doc(doc.Name); old != nil {
 		old.mu.Lock()
-		pos = old.replApplied
+		head = max(head, old.replApplied)
 		old.mu.Unlock()
 	} else if j := s.cfg.Journal; j != nil {
 		recs, err := j.OpenRecords(doc.Name)
@@ -1045,63 +1052,52 @@ func (s *Site) AddDocument(doc *xmltree.Document) error {
 			return err
 		}
 		if len(recs) > 0 {
-			pos = recs[len(recs)-1].Index
+			head = max(head, recs[len(recs)-1].Index)
 		}
 	}
-	if err := s.saveImage(doc, pos); err != nil {
+	return s.installAt(doc, head)
+}
+
+// installAt saves and installs a document that reflects its log up to idx.
+func (s *Site) installAt(doc *xmltree.Document, idx int64) error {
+	if err := s.saveImage(doc, idx); err != nil {
 		return err
 	}
-	ds := s.newDocState(doc, dataguide.Build(doc))
-	ds.replApplied, ds.savedIdx = pos, pos
-	s.docsMu.Lock()
-	s.docs[doc.Name] = ds
-	s.docsMu.Unlock()
-	if !s.cfg.Catalog.Holds(doc.Name, s.id) {
-		sites := append(s.cfg.Catalog.Sites(doc.Name), s.id)
-		s.cfg.Catalog.Place(doc.Name, sites...)
-	}
+	s.adopt(s.newDocState(doc, idx))
 	return nil
+}
+
+// adopt makes ds the site's copy of its document and the site a holder of it.
+func (s *Site) adopt(ds *docState) {
+	s.docsMu.Lock()
+	s.docs[ds.name] = ds
+	s.docsMu.Unlock()
+	if !s.cfg.Catalog.Holds(ds.name, s.id) {
+		s.cfg.Catalog.Place(ds.name, append(s.cfg.Catalog.Sites(ds.name), s.id)...)
+	}
 }
 
 // LoadDocument recovers a document from the storage structure into memory —
 // the DataManager role of Fig. 1 — and registers this site as a holder in
 // the catalog: the saved image, then the journal's open intents past the
-// image's position replayed onto it. It returns how many records it
-// replayed. An image at an untrusted position (a crash mid-checkpoint) is
-// loaded as it is; its log numbering continues past the journal's records.
+// image's index replayed onto it. It returns how many records it replayed.
 func (s *Site) LoadDocument(name string) (int, error) {
-	doc, err := s.cfg.Store.Load(name)
+	doc, idx, err := s.cfg.Store.Load(name)
 	if err != nil {
 		return 0, err
 	}
-	ds := s.newDocState(doc, dataguide.Build(doc))
-	s.seedReplPosition(ds)
+	ds := s.newDocState(doc, idx)
 	var replayed int
 	if j := s.cfg.Journal; j != nil {
 		recs, err := j.OpenRecords(name)
 		if err != nil {
 			return 0, err
 		}
-		switch {
-		case !ds.replUntrusted:
-			if s.replLog != nil {
-				s.replLog.Reset(name, ds.replApplied)
-			}
-			if replayed, err = s.applyRecords(ds, recs, true); err != nil {
-				return 0, fmt.Errorf("sched: replay %s: %w", name, err)
-			}
-		case len(recs) > 0 && (s.replLog == nil || s.primaryOf(name) == s.id):
-			// This site numbers the document's records itself: never mint an
-			// index a stale intent still carries.
-			ds.replApplied = recs[len(recs)-1].Index
+		if replayed, err = s.applyRecords(ds, recs, true); err != nil {
+			return 0, fmt.Errorf("sched: replay %s: %w", name, err)
 		}
 	}
-	s.docsMu.Lock()
-	s.docs[name] = ds
-	s.docsMu.Unlock()
-	if !s.cfg.Catalog.Holds(name, s.id) {
-		s.cfg.Catalog.Place(name, append(s.cfg.Catalog.Sites(name), s.id)...)
-	}
+	s.adopt(ds)
 	return replayed, nil
 }
 
@@ -1132,19 +1128,24 @@ func (s *Site) Bootstrap() (int, error) {
 	return replayed, nil
 }
 
-// ReplaceDocument installs a fresh copy of a document, replacing the
-// in-memory state and the Store copy — the catch-up path a restarted
-// replica uses after fetching the current XML from a live peer. Only safe
-// while the site is not serving (recovering): live docState pointers are
-// never replaced under traffic.
-func (s *Site) ReplaceDocument(doc *xmltree.Document) error {
+// ReplaceDocument installs a copy of a document fetched from a live peer and
+// cut at the peer's log position head — the catch-up path of a restarted
+// replica. A quorum follower takes that position as it is, even below its
+// own: it is the primary's numbering, shipping refills from exactly there and
+// the local records past it stay open in the journal. An eager replica
+// numbers its own records and never steps back. Only safe while the site is
+// not serving: live docState pointers are never replaced under traffic.
+func (s *Site) ReplaceDocument(doc *xmltree.Document, head int64) error {
 	if s.Ready() {
 		return fmt.Errorf("sched: site %d: ReplaceDocument while serving", s.id)
 	}
 	// A long replay may have left the replaced copy's checkpointer running;
 	// its image must not land over the new one.
 	s.Quiesce()
-	return s.AddDocument(doc)
+	if s.replLog != nil {
+		return s.installAt(doc, head)
+	}
+	return s.installOwn(doc, head)
 }
 
 // AdvancePast fences the site's transaction-identifier space and clock past
@@ -1347,16 +1348,11 @@ func (s *Site) send(ctx context.Context, to int, msg any) (any, error) {
 	return resp, err
 }
 
-// handleFetchDoc serves a catch-up request: the current serialized form of
-// a locally held document. A recovering site refuses — it cannot vouch for
-// its copy until its own catch-up completes. The response additionally
-// carries the log position the clone corresponds to, captured under the
-// same domain-mutex hold as the clone so the (document, index) pair is
-// atomic; a quorum-mode fetcher resumes incremental replication from
-// exactly that index. (A clone taken while writers are
-// mid-transaction can carry their uncommitted effects — the same caveat the
-// eager-mode catch-up has always had; quorum callers fetch at quiescent
-// points or accept convergence through subsequent ships.)
+// handleFetchDoc serves a catch-up request: the serialized committed state of
+// a locally held document and the log position it reflects — the same cut a
+// checkpoint saves, so a writer in flight here leaves no trace in it. A
+// recovering site refuses: it cannot vouch for its copy until its own
+// catch-up completes.
 func (s *Site) handleFetchDoc(req transport.FetchDocReq) transport.FetchDocResp {
 	if !s.Ready() {
 		return transport.FetchDocResp{}
@@ -1366,10 +1362,10 @@ func (s *Site) handleFetchDoc(req transport.FetchDocReq) transport.FetchDocResp 
 		return transport.FetchDocResp{}
 	}
 	ds.mu.Lock()
-	doc := ds.doc.Clone()
-	head := ds.replApplied
+	v, head := s.publishLocked(ds, math.MaxInt64)
 	ds.mu.Unlock()
-	return transport.FetchDocResp{Found: true, XML: doc.String(), Head: head}
+	defer ds.versions.Unpin(v)
+	return transport.FetchDocResp{Found: true, XML: v.Doc.String(), Head: head}
 }
 
 // siteStatus reports the site's operational state for dtxctl -status.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/transport"
 	"repro/internal/txn"
 	"repro/internal/xmltree"
 	"repro/internal/xupdate"
@@ -482,6 +483,44 @@ func TestSnapshotReadSeesCommitBesideDirtyWriter(t *testing.T) {
 	}
 }
 
+// TestFetchDocBesideDirtyWriter: the document a catch-up fetch is served is
+// the committed cut and its log position, whatever writers are in flight. B's
+// commit is in it, the change A holds uncommitted is not, and once A has
+// aborted the live tree serialises to exactly the bytes that were fetched.
+func TestFetchDocBesideDirtyWriter(t *testing.T) {
+	sites, _ := newClusterWithProtocol(t, 1, "xdgl", nil)
+	s := sites[0]
+	addDoc(t, s, "d1", peopleXML)
+
+	a, err := s.Begin(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Exec(txn.NewUpdate("d1", &xupdate.Update{
+		Kind: xupdate.Change, Target: "//person[id='7']/name", Value: "Uncommitted",
+	})); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Submit([]txn.Operation{txn.NewUpdate("d1", &xupdate.Update{
+		Kind: xupdate.Change, Target: "//person[id='4']/name", Value: "Zed",
+	})})
+	if err != nil || res.State != txn.Committed {
+		t.Fatalf("B: %v %+v", err, res)
+	}
+
+	fetched := s.handleFetchDoc(transport.FetchDocReq{Doc: "d1"})
+	if !fetched.Found || fetched.Head != 1 {
+		t.Fatalf("fetch beside the writer: found=%v head=%d, want the document at index 1", fetched.Found, fetched.Head)
+	}
+	if err := a.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	live, _ := s.Document("d1")
+	if fetched.XML != live.String() {
+		t.Fatalf("fetched beside the uncommitted writer:\n%s\ncommitted:\n%s", fetched.XML, live)
+	}
+}
+
 // TestSnapshotReadIgnoresCommitAfterBegin: a read-only transaction reads
 // exactly the commits acknowledged before it began — none that land between
 // its begin and its first read of the document, whatever other readers and
@@ -534,7 +573,7 @@ func TestSnapshotReadIgnoresCommitAfterBegin(t *testing.T) {
 	s.Sync()
 	expect(r3, "[Z Bruno]")
 	expect(begin(), fmt.Sprintf("[v%d Bruno]", checkpointEvery-1))
-	saved, err := s.cfg.Store.Load("d1")
+	saved, _, err := s.cfg.Store.Load("d1")
 	if err != nil || !strings.Contains(saved.String(), fmt.Sprintf("v%d", checkpointEvery-1)) {
 		t.Fatalf("checkpoint beside the older readers' cuts: %v\n%v", err, saved)
 	}

@@ -112,28 +112,6 @@ func TestReplRecordRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMetaStoreRoundTrip(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ms := range []Store{NewMemStore(), fs} {
-		if _, ok, err := ms.LoadMeta("d1"); err != nil || ok {
-			t.Fatalf("%T: fresh LoadMeta = ok=%v err=%v", ms, ok, err)
-		}
-		if err := ms.SaveMeta("d1", "17 clean"); err != nil {
-			t.Fatal(err)
-		}
-		if err := ms.SaveMeta("d1", "18 pending"); err != nil {
-			t.Fatal(err)
-		}
-		data, ok, err := ms.LoadMeta("d1")
-		if err != nil || !ok || data != "18 pending" {
-			t.Fatalf("%T: LoadMeta = %q ok=%v err=%v", ms, data, ok, err)
-		}
-	}
-}
-
 // FuzzJournalReplay feeds arbitrary bytes through the journal replay path:
 // whatever the file contains — torn lines, hostile records, binary noise —
 // opening it must not panic, and the live-state queries must stay callable.

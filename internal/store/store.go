@@ -7,14 +7,21 @@
 // interface with two backends: an in-memory store and a file-system store
 // (a directory of .xml documents — the paper's site s2 example persists XML
 // in a file system).
+//
+// A stored document is an image: one self-contained, well-formed XML unit
+// that names the log index it reflects in a leading processing instruction
+// (imageHeader). The Store holds checkpoints; what makes a commit durable is
+// the Journal.
 package store
 
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -25,19 +32,54 @@ import (
 type Store interface {
 	// List returns the names of the stored documents, sorted.
 	List() ([]string, error)
-	// Load retrieves and parses a document.
-	Load(name string) (*xmltree.Document, error)
-	// Save persists the document under its name, replacing any previous
-	// version.
-	Save(doc *xmltree.Document) error
+	// Load retrieves and parses a document image and the log index it
+	// reflects: 0 for an image without a header (a hand-seeded file). A
+	// header that is damaged, misplaced or repeated is an error — reading it
+	// as 0 would replay the journal onto an image that already holds it.
+	Load(name string) (*xmltree.Document, int64, error)
+	// SaveAt persists the document under its name as the image reflecting
+	// its log up to index, replacing any previous image in one step.
+	SaveAt(doc *xmltree.Document, index int64) error
 	// Delete removes a document. Deleting a missing document is an error.
 	Delete(name string) error
-	// SaveMeta persists a small metadata blob next to the document of that
-	// name, replacing any previous value — a checkpoint records there the
-	// log index the saved document reflects.
-	SaveMeta(name, data string) error
-	// LoadMeta retrieves a metadata blob; ok is false when none was saved.
-	LoadMeta(name string) (data string, ok bool, err error)
+}
+
+// imageTag opens the header line of a stored image, `<?dtx-index N?>`: a
+// processing instruction, so the file stays one well-formed XML document
+// that any parser (xmltree.Parse included) reads as the bare tree.
+const imageTag = "<?dtx-index "
+
+func imageHeader(index int64) string {
+	return imageTag + strconv.FormatInt(index, 10) + "?>\n"
+}
+
+// writeImage serialises the document behind the header of its index.
+func writeImage(w io.Writer, doc *xmltree.Document, index int64) error {
+	if _, err := io.WriteString(w, imageHeader(index)); err != nil {
+		return err
+	}
+	_, err := doc.WriteTo(w)
+	return err
+}
+
+// decodeImage parses a stored image. The index is only ever read from a
+// header in exactly the form imageHeader writes, at offset 0; the tag
+// anywhere else fails the load.
+func decodeImage(name string, data []byte) (*xmltree.Document, int64, error) {
+	var index int64
+	if rest, ok := bytes.CutPrefix(data, []byte(imageTag)); ok {
+		digits, body, _ := bytes.Cut(rest, []byte("?>\n"))
+		n, err := strconv.ParseInt(string(digits), 10, 64)
+		if err != nil || n < 0 || !bytes.HasPrefix(data, []byte(imageHeader(n))) {
+			return nil, 0, fmt.Errorf("store: %s: damaged image header %q", name, data[:min(len(data), 48)])
+		}
+		index, data = n, body
+	}
+	if bytes.Contains(data, []byte(imageTag)) {
+		return nil, 0, fmt.Errorf("store: %s: image header misplaced or repeated", name)
+	}
+	doc, err := xmltree.Parse(name, bytes.NewReader(data))
+	return doc, index, err
 }
 
 // NotFoundError reports a missing document.
@@ -52,7 +94,6 @@ func (e *NotFoundError) Error() string {
 type MemStore struct {
 	mu   sync.RWMutex
 	docs map[string][]byte
-	meta map[string]string
 }
 
 // NewMemStore creates an empty in-memory store.
@@ -71,20 +112,20 @@ func (s *MemStore) List() ([]string, error) {
 }
 
 // Load implements Store.
-func (s *MemStore) Load(name string) (*xmltree.Document, error) {
+func (s *MemStore) Load(name string) (*xmltree.Document, int64, error) {
 	s.mu.RLock()
 	data, ok := s.docs[name]
 	s.mu.RUnlock()
 	if !ok {
-		return nil, &NotFoundError{Name: name}
+		return nil, 0, &NotFoundError{Name: name}
 	}
-	return xmltree.Parse(name, bytes.NewReader(data))
+	return decodeImage(name, data)
 }
 
-// Save implements Store.
-func (s *MemStore) Save(doc *xmltree.Document) error {
+// SaveAt implements Store.
+func (s *MemStore) SaveAt(doc *xmltree.Document, index int64) error {
 	var buf bytes.Buffer
-	if _, err := doc.WriteTo(&buf); err != nil {
+	if err := writeImage(&buf, doc, index); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -105,25 +146,6 @@ func (s *MemStore) Delete(name string) error {
 	}
 	delete(s.docs, name)
 	return nil
-}
-
-// SaveMeta implements Store.
-func (s *MemStore) SaveMeta(name, data string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.meta == nil {
-		s.meta = make(map[string]string)
-	}
-	s.meta[name] = data
-	return nil
-}
-
-// LoadMeta implements Store.
-func (s *MemStore) LoadMeta(name string) (string, bool, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	data, ok := s.meta[name]
-	return data, ok, nil
 }
 
 // FileStore persists documents as .xml files in a directory. Document names
@@ -165,25 +187,28 @@ func (s *FileStore) List() ([]string, error) {
 }
 
 // Load implements Store.
-func (s *FileStore) Load(name string) (*xmltree.Document, error) {
+func (s *FileStore) Load(name string) (*xmltree.Document, int64, error) {
 	p, err := s.path(name)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	f, err := os.Open(p)
+	data, err := os.ReadFile(p)
 	if os.IsNotExist(err) {
-		return nil, &NotFoundError{Name: name}
+		return nil, 0, &NotFoundError{Name: name}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, 0, fmt.Errorf("store: %w", err)
 	}
-	defer f.Close()
-	return xmltree.Parse(name, f)
+	return decodeImage(name, data)
 }
 
-// Save implements Store. The write goes through a temp file + rename so a
-// crash never leaves a half-written document.
-func (s *FileStore) Save(doc *xmltree.Document) error {
+// Save is SaveAt for a document with no log behind it.
+func (s *FileStore) Save(doc *xmltree.Document) error { return s.SaveAt(doc, 0) }
+
+// SaveAt implements Store. Document and index go through one temp file and
+// one rename, so a crash leaves the previous image or the new one, each
+// whole and at the index it names.
+func (s *FileStore) SaveAt(doc *xmltree.Document, index int64) error {
 	p, err := s.path(doc.Name)
 	if err != nil {
 		return err
@@ -193,7 +218,7 @@ func (s *FileStore) Save(doc *xmltree.Document) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := doc.WriteTo(tmp); err != nil {
+	if err := writeImage(tmp, doc, index); err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: %w", err)
 	}
@@ -204,49 +229,6 @@ func (s *FileStore) Save(doc *xmltree.Document) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
-}
-
-// SaveMeta implements Store: the blob lands in <name>.meta via the same
-// temp + rename discipline as Save, so a crash never leaves a torn value.
-func (s *FileStore) SaveMeta(name, data string) error {
-	p, err := s.path(name)
-	if err != nil {
-		return err
-	}
-	p = strings.TrimSuffix(p, ".xml") + ".meta"
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.WriteString(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
-// LoadMeta implements Store.
-func (s *FileStore) LoadMeta(name string) (string, bool, error) {
-	p, err := s.path(name)
-	if err != nil {
-		return "", false, err
-	}
-	p = strings.TrimSuffix(p, ".xml") + ".meta"
-	data, err := os.ReadFile(p)
-	if os.IsNotExist(err) {
-		return "", false, nil
-	}
-	if err != nil {
-		return "", false, fmt.Errorf("store: %w", err)
-	}
-	return string(data), true, nil
 }
 
 // Delete implements Store.

@@ -147,15 +147,15 @@ type TxnStatusResp struct {
 	Authoritative bool
 }
 
-// FetchDocReq asks a site for the current XML of a document it holds — the
+// FetchDocReq asks a site for the committed XML of a document it holds — the
 // catch-up path a restarted replica uses before rejoining.
 type FetchDocReq struct{ Doc string }
 
 // FetchDocResp carries the serialized document. Found is false when the
 // site does not hold the document (or is itself recovering and cannot vouch
-// for its copy). Head is the replication-log index the serialized state
-// corresponds to (quorum mode; zero otherwise), captured atomically with
-// the document so the fetcher can resume incremental replication from it.
+// for its copy). Head is the log index the serialized state reflects, cut
+// atomically with the document so the fetcher can install both together and
+// resume incremental replication from it.
 type FetchDocResp struct {
 	Found bool
 	XML   string

@@ -77,10 +77,10 @@ func ParseString(name, s string) (*Document, error) {
 	return Parse(name, strings.NewReader(s))
 }
 
-// WriteTo serializes the document as indented XML. Serialization is on the
-// commit hot path — every consolidation persists the document through it —
-// so the buffer is pre-sized from the previous serialization of the same
-// document to avoid growth copies.
+// WriteTo serializes the document as indented XML. Every checkpoint and
+// catch-up transfer of a document goes through it, so the buffer is
+// pre-sized from the previous serialization of the same document to avoid
+// growth copies.
 func (d *Document) WriteTo(w io.Writer) (int64, error) {
 	var buf bytes.Buffer
 	if last := int(d.lastWriteSize.Load()); last > 0 {

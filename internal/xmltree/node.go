@@ -52,9 +52,10 @@ type Document struct {
 	nodes  map[NodeID]*Node
 	nextID NodeID
 	// lastWriteSize remembers the size of the previous serialization so the
-	// next WriteTo pre-sizes its buffer (commit persists the document on
-	// every consolidation). Atomic so the otherwise read-only WriteTo stays
-	// safe to call on a document that another goroutine is serializing.
+	// next WriteTo pre-sizes its buffer (Snapshot hands it down, so each
+	// checkpoint of a document starts from the size of the one before).
+	// Atomic so the otherwise read-only WriteTo stays safe to call on a
+	// document that another goroutine is serializing.
 	lastWriteSize atomic.Int64
 }
 

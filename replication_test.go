@@ -3,6 +3,7 @@ package dtx_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,7 +18,6 @@ func quorumConfig(t *testing.T) dtx.Config {
 	return dtx.Config{
 		Sites:             3,
 		StoreDir:          t.TempDir(),
-		Journal:           true,
 		HeartbeatInterval: 10 * time.Millisecond,
 		HeartbeatMisses:   2,
 		Replication:       dtx.ReplicationQuorum,
@@ -199,4 +199,75 @@ func TestQuorumCatchUpPastHorizon(t *testing.T) {
 		}
 		return mustXML(t, cluster, 2, "d1") == mustXML(t, cluster, 0, "d1")
 	})
+}
+
+// TestQuorumCatchUpFromOlderReplica: a recovering follower whose own journal
+// replay is ahead of the only reachable replica still takes that replica's
+// copy (the primary is down, nothing vouches for the local one) — but at the
+// position the copy was cut at, not at its own newer index. Labelling the
+// older bytes with the newer index would seal the local records behind it and
+// tell the primary there is nothing to refill: acknowledged commits 2 and 3
+// would be gone from site 2 for good.
+func TestQuorumCatchUpFromOlderReplica(t *testing.T) {
+	cluster, err := dtx.New(quorumConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	if err := cluster.LoadXML("d1", `<ps/>`); err != nil {
+		t.Fatal(err)
+	}
+	insert := func(i int) {
+		t.Helper()
+		waitFor(t, 5*time.Second, fmt.Sprintf("insert %d", i), func() bool {
+			res, err := cluster.Submit(0, dtx.Insert("d1", "/ps", dtx.Into, dtx.Elem("p", fmt.Sprint(i))))
+			return err == nil && res.Committed
+		})
+	}
+	kill := func(sites ...int) {
+		t.Helper()
+		for _, s := range sites {
+			if err := cluster.KillSite(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	insert(1)
+	waitFor(t, 5*time.Second, "site 1 applies record 1", func() bool {
+		return mustXML(t, cluster, 1, "d1") == mustXML(t, cluster, 0, "d1")
+	})
+	kill(1)
+	insert(2)
+	insert(3)
+	waitFor(t, 5*time.Second, "site 2 applies record 3", func() bool {
+		return mustXML(t, cluster, 2, "d1") == mustXML(t, cluster, 0, "d1")
+	})
+	kill(2, 0)
+
+	// Site 1 comes back alone at record 1; site 2 replays to 3, finds the
+	// primary down and fetches site 1's copy; the primary returns last.
+	for _, s := range []int{1, 2, 0} {
+		if _, err := cluster.RestartSite(s); err != nil {
+			t.Fatalf("restart site %d: %v", s, err)
+		}
+	}
+	insert(4)
+
+	const want = `<ps><p>1</p><p>2</p><p>3</p><p>4</p></ps>`
+	holds := func(s int) bool { return strings.Join(strings.Fields(mustXML(t, cluster, s, "d1")), "") == want }
+	for s := 0; s < 3; s++ {
+		waitFor(t, 5*time.Second, fmt.Sprintf("site %d holds all four commits", s), func() bool { return holds(s) })
+	}
+
+	// Site 2's journal now carries records 2 and 3 twice (its own intents
+	// past the fetched position stayed open, then the primary shipped them
+	// again): a replay applies each once.
+	kill(2)
+	if _, err := cluster.RestartSite(2); err != nil {
+		t.Fatal(err)
+	}
+	if !holds(2) {
+		t.Fatalf("site 2 after a second restart: %s", mustXML(t, cluster, 2, "d1"))
+	}
 }
