@@ -12,7 +12,7 @@ CHAOS_COUNT ?= 3
 # Hot-path benchmarks: the multi-iteration pass benchjson gates against
 # BENCH_baseline.json (-max-regress AND -require: a hot benchmark missing
 # from the baseline fails the job).
-HOT_BENCH = BenchmarkDistributedTxn$$|BenchmarkFig12Throughput|BenchmarkFigDocsScaling|BenchmarkSnapshotReadScaling|BenchmarkQueryCache|BenchmarkCheckpoint|BenchmarkJournalIntentOps|BenchmarkQuorumCommit|BenchmarkFollowerReadScaling|BenchmarkPredicateQuery|BenchmarkObsOverhead|BenchmarkAdaptiveProtocol
+HOT_BENCH = BenchmarkDistributedTxn$$|BenchmarkFig12Throughput|BenchmarkFigDocsScaling|BenchmarkSnapshotReadScaling|BenchmarkQueryCache|BenchmarkCheckpoint|BenchmarkJournalIntentOps|BenchmarkQuorumCommit|BenchmarkFollowerReadScaling|BenchmarkPredicateQuery|BenchmarkObsOverhead|BenchmarkAdaptiveProtocol|BenchmarkQueryDocSize|BenchmarkSingleSiteTxn
 
 FUZZTIME ?= 10s
 
@@ -41,6 +41,7 @@ fuzz:
 	go test -fuzz=FuzzJournalReplay -fuzztime $(FUZZTIME) -run '^$$' ./internal/store
 	go test -fuzz=FuzzImageHeader -fuzztime $(FUZZTIME) -run '^$$' ./internal/store
 	go test -fuzz=FuzzApplyPeelRestoreUndo -fuzztime $(FUZZTIME) -run '^$$' ./internal/xupdate
+	go test -fuzz=FuzzEvalDocOrder -fuzztime $(FUZZTIME) -run '^$$' ./internal/xpath
 
 # Size of the program: tracked non-test Go lines outside the benchmark
 # driver. ROADMAP aim 2 wants it to shrink; CI prints it per run.
@@ -49,7 +50,7 @@ loc:
 
 # The ratchet behind `make loc`: a PR that grows the program past the budget
 # fails the gate; one that shrinks it lowers LOC_BUDGET to its own result.
-LOC_BUDGET = 18453
+LOC_BUDGET = 18444
 
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "non-test Go lines outside bench/: $$n (budget $(LOC_BUDGET))"; [ $$n -le $(LOC_BUDGET) ]

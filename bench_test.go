@@ -546,6 +546,7 @@ func BenchmarkDataGuideBuild(b *testing.B) {
 func BenchmarkXPathEvalChildAxis(b *testing.B) {
 	doc := benchDoc(b, 256<<10)
 	q := xpath.MustParse("/site/people/person/name")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		xpath.Eval(q, doc)
@@ -555,6 +556,7 @@ func BenchmarkXPathEvalChildAxis(b *testing.B) {
 func BenchmarkXPathEvalDescendantPredicate(b *testing.B) {
 	doc := benchDoc(b, 256<<10)
 	q := xpath.MustParse("//person[id='7']/emailaddress")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		xpath.Eval(q, doc)
@@ -795,29 +797,82 @@ func BenchmarkFragmentDocument(b *testing.B) {
 	}
 }
 
+// BenchmarkSingleSiteTxn is one read-modify-write transaction on a 64 KB
+// document at one in-memory site, the shape every workload runs: a query,
+// then a change. point-query reads one leaf of one auction (a positional
+// path, one result); scan-query reads the current price of every open
+// auction (a descendant scan, many results).
 func BenchmarkSingleSiteTxn(b *testing.B) {
-	cluster, err := New(Config{Sites: 1})
-	if err != nil {
-		b.Fatal(err)
+	for _, tc := range []struct{ name, query string }{
+		{"point-query", "/site/people/person[1]/name"},
+		{"scan-query", "//open_auction/current"},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			cluster, err := New(Config{Sites: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cluster.Close()
+			doc := benchDoc(b, 64<<10)
+			if err := cluster.LoadXML("x", doc.String()); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := cluster.Submit(0,
+					Query("x", tc.query),
+					Change("x", "/site/open_auctions/open_auction[1]/current", "42.00"),
+				)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Committed {
+					b.Fatal("txn did not commit")
+				}
+			}
+		})
 	}
-	defer cluster.Close()
-	doc := benchDoc(b, 64<<10)
-	if err := cluster.LoadXML("x", doc.String()); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := cluster.Submit(0,
-			Query("x", "/site/people/person[1]/name"),
-			Change("x", "/site/open_auctions/open_auction[1]/current", "42.00"),
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Committed {
-			b.Fatal("txn did not commit")
-		}
+}
+
+// BenchmarkQueryDocSize is one read-only query transaction on a journaled
+// site against documents of growing size: a predicate-free child path, a
+// descendant scan and the workloads' positional point read. A query should
+// cost what its result costs — the child and descendant results grow with
+// the document, the positional one does not.
+func BenchmarkQueryDocSize(b *testing.B) {
+	for _, size := range []struct {
+		name  string
+		bytes int
+	}{{"64K", 64 << 10}, {"1M", 1 << 20}, {"4M", 4 << 20}} {
+		b.Run(size.name, func(b *testing.B) {
+			cluster, err := New(Config{Sites: 1, StoreDir: b.TempDir()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cluster.Close()
+			if err := cluster.LoadXML("x", benchDoc(b, size.bytes).String()); err != nil {
+				b.Fatal(err)
+			}
+			for _, tc := range []struct{ name, query string }{
+				{"child", "/site/people/person/name"},
+				{"descendant", "//open_auction/current"},
+				{"positional", "/site/people/person[7]/name"},
+			} {
+				b.Run(tc.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						res, err := cluster.Submit(0, Query("x", tc.query))
+						if err != nil {
+							b.Fatal(err)
+						}
+						if !res.Committed || len(res.Results[0]) == 0 {
+							b.Fatalf("query %s: committed=%v results=%v", tc.query, res.Committed, res.Results)
+						}
+					}
+				})
+			}
+		})
 	}
 }
 

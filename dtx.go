@@ -122,12 +122,6 @@ type Config struct {
 	// HeartbeatMisses is the consecutive heartbeat misses before a site is
 	// declared down (default 3).
 	HeartbeatMisses int
-	// SnapshotVersions bounds each document's MVCC version chain — the
-	// committed states kept materialised per site to serve read-only
-	// transactions (BeginReadOnly / SubmitReadOnly). The bound applies to unpinned
-	// versions: a version pinned by a live reader is never retired under it.
-	// Zero selects the default (4).
-	SnapshotVersions int
 	// Replication selects the write-replication mode. Empty or "eager" is
 	// the original semantics: every write executes at every replica, and a
 	// partially-down replica set refuses writes with ErrReplicaUnavailable.
@@ -297,7 +291,6 @@ func (c *Cluster) buildSite(i int, recovering bool) (*sched.Site, error) {
 		Journal:           journal,
 		HeartbeatInterval: hb,
 		HeartbeatMisses:   c.cfg.HeartbeatMisses,
-		SnapshotVersions:  c.cfg.SnapshotVersions,
 		Replication:       c.cfg.Replication,
 		WriteQuorum:       c.cfg.WriteQuorum,
 		MaxStaleness:      c.cfg.MaxStaleness,

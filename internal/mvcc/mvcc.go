@@ -1,7 +1,7 @@
 // Package mvcc maintains per-document version chains for snapshot reads:
 // immutable committed trees stamped with a site-local commit timestamp, a
 // pin protocol that keeps a version alive while read-only transactions use
-// it, and a bounded GC that retires versions nobody pins.
+// it, and a GC that retires every version but the head that nobody pins.
 //
 // The chain decouples commit from materialisation. A writer's commit calls
 // Advance — an O(1) bump of the chain's commit timestamp that marks the head
@@ -56,17 +56,10 @@ func (v *Version) ValueIndex(keys func() []string) *vindex.DocIndex {
 	return v.idx
 }
 
-// Options tunes a chain. The zero value is usable.
-type Options struct {
-	// MaxVersions bounds the number of unpinned versions retained (default
-	// 4). Pinned versions are always kept, so the real bound is
-	// max(MaxVersions, pinned+1): GC never drops a version a reader holds.
-	MaxVersions int
-}
-
-// DefaultMaxVersions is the retained-version bound when Options.MaxVersions
-// is zero.
-const DefaultMaxVersions = 4
+// Options configures a chain. It has no fields: a chain keeps its head and
+// the versions readers pin, nothing else — a state nobody pins is cut again
+// from the live document when a reader asks for it.
+type Options struct{}
 
 // Chain is the version chain of one document. All methods are safe for
 // concurrent use. The chain's mutex is a leaf lock: no Chain method calls
@@ -78,17 +71,12 @@ type Chain struct {
 	// chain to. When it exceeds the head version's TS, the head is stale:
 	// commits have happened that no published version reflects yet.
 	commitTS  txn.TS
-	maxKeep   int
 	reclaimed int64 // versions retired by gcLocked over the chain's lifetime
 }
 
 // NewChain builds an empty chain.
-func NewChain(opts Options) *Chain {
-	keep := opts.MaxVersions
-	if keep <= 0 {
-		keep = DefaultMaxVersions
-	}
-	return &Chain{maxKeep: keep}
+func NewChain(Options) *Chain {
+	return &Chain{}
 }
 
 // Publish installs a committed tree as the version stamped ts, keeping the
@@ -210,25 +198,16 @@ func (c *Chain) Reclaimed() int64 {
 	return c.reclaimed
 }
 
-// gcLocked retires versions: the head is always kept, pinned versions are
-// never dropped, and unpinned non-head versions are dropped oldest-first
-// while the chain is over its size bound. A pinned version shields only
-// itself — unpinned versions published after it are still eligible — so the
-// chain stays bounded by maxKeep plus the number of distinct pinned versions
-// even under a long reader.
+// gcLocked retires every version that is neither the head nor pinned, so
+// the chain holds at most 1 + the number of distinct pinned versions: a
+// pinned version shields only itself, even under a long reader.
 func (c *Chain) gcLocked() {
-	excess := len(c.versions) - c.maxKeep
-	if excess <= 0 {
-		return
-	}
 	out := c.versions[:0]
 	last := len(c.versions) - 1
 	for i, v := range c.versions {
-		if i == last || v.pins > 0 || excess <= 0 {
+		if i == last || v.pins > 0 {
 			out = append(out, v)
-			continue
 		}
-		excess--
 	}
 	c.reclaimed += int64(len(c.versions) - len(out))
 	clear(c.versions[len(out):])

@@ -24,8 +24,9 @@ func TestPublishPinOrdering(t *testing.T) {
 	if v := c.Pin(100); v != nil {
 		t.Fatalf("pin on empty chain returned %v", v)
 	}
-	c.Publish(doc(t, "a"), 2)
-	c.Publish(doc(t, "b"), 5)
+	// Only the head survives unpinned: hold the older two for their readers.
+	a := c.PublishPinned(doc(t, "a"), 2)
+	b := c.PublishPinned(doc(t, "b"), 5)
 	c.Publish(doc(t, "c"), 9)
 
 	cases := []struct {
@@ -55,13 +56,18 @@ func TestPublishPinOrdering(t *testing.T) {
 		}
 		c.Unpin(v)
 	}
+	c.Unpin(a)
+	c.Unpin(b)
+	if n := c.Len(); n != 1 {
+		t.Fatalf("chain = %d versions with no pins, want the head alone", n)
+	}
 }
 
 // TestPinHeadAdvanceInsert: the head serves a reader directly only while it
 // reflects every commit and is not newer than the reader; a state published
 // for an older reader slots in below the head, and is handed out pinned.
 func TestPinHeadAdvanceInsert(t *testing.T) {
-	c := NewChain(Options{MaxVersions: 1})
+	c := NewChain(Options{})
 	if v := c.PinHead(9); v != nil {
 		t.Fatal("empty chain has no head to pin")
 	}
@@ -82,8 +88,12 @@ func TestPinHeadAdvanceInsert(t *testing.T) {
 	if c.Publish(doc(t, "again"), 7) {
 		t.Fatal("publish at a timestamp the chain holds must be dropped")
 	}
-	// MaxVersions=1 would retire a plain publish below the head at once; the
-	// pinned one survives for its reader and sits in timestamp order.
+	// A plain publish below the head retires at once; a pinned one survives
+	// for its reader and sits in timestamp order.
+	c.Publish(doc(t, "plain"), 4)
+	if got := c.Pin(4); got != nil {
+		t.Fatalf("unpinned version below the head survived: Pin(4) = version %d", got.TS)
+	}
 	old := c.PublishPinned(doc(t, "older"), 5)
 	if got := c.Pin(6); got != old {
 		t.Fatalf("Pin(6) = %v, want the version published at 5", got)
@@ -104,10 +114,10 @@ func TestPinHeadAdvanceInsert(t *testing.T) {
 	}
 }
 
-// TestGCBoundedUnderPinnedReader is the satellite requirement: a long reader
-// pinning an old version must not make the chain grow without bound.
+// TestGCBoundedUnderPinnedReader: a long reader pinning an old version must
+// not make the chain grow — it holds the head and the pinned version only.
 func TestGCBoundedUnderPinnedReader(t *testing.T) {
-	c := NewChain(Options{MaxVersions: 3})
+	c := NewChain(Options{})
 	c.Publish(doc(t, "old"), 1)
 	pinned := c.Pin(1)
 	if pinned == nil || pinned.TS != 1 {
@@ -115,7 +125,7 @@ func TestGCBoundedUnderPinnedReader(t *testing.T) {
 	}
 	for ts := txn.TS(2); ts <= 200; ts++ {
 		c.Publish(doc(t, "new"), ts)
-		if n := c.Len(); n > 4 { // maxKeep + the pinned version
+		if n := c.Len(); n > 2 { // the head + the pinned version
 			t.Fatalf("chain grew to %d versions under a pinned reader", n)
 		}
 	}
@@ -136,7 +146,7 @@ func TestGCBoundedUnderPinnedReader(t *testing.T) {
 // and an advancing writer at once; run under -race it is the subsystem's
 // race test.
 func TestConcurrentPublishPinRetire(t *testing.T) {
-	c := NewChain(Options{MaxVersions: 4})
+	c := NewChain(Options{})
 	base := doc(t, "seed")
 	c.Publish(base, 1)
 
@@ -179,7 +189,7 @@ func TestConcurrentPublishPinRetire(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	if n := c.Len(); n > 8 {
-		t.Fatalf("chain retained %d versions after quiescence", n)
+	if n := c.Len(); n != 1 {
+		t.Fatalf("chain retained %d versions after quiescence, want the head alone", n)
 	}
 }

@@ -115,11 +115,6 @@ type Config struct {
 	// HeartbeatMisses is the consecutive-miss threshold before a Suspect
 	// peer is declared Down (default 3).
 	HeartbeatMisses int
-	// SnapshotVersions bounds how many unpinned committed versions each
-	// document's MVCC chain keeps materialised for read-only transactions
-	// (default mvcc.DefaultMaxVersions). Versions pinned by live readers are
-	// always kept; a state the chain lacks is cut from the live tree.
-	SnapshotVersions int
 	// Replication selects the write-replication mode. The default ("", or
 	// ReplicationEager explicitly) keeps the original semantics: every write
 	// executes at every replica and a partially-down replica set refuses
@@ -1011,7 +1006,7 @@ func (s *Site) newDocState(doc *xmltree.Document, idx int64) *docState {
 		g.AttachIndex(vindex.New(s.cfg.IndexedKeys, s.cfg.AutoIndexAfter))
 		g.ReindexAll(doc)
 	}
-	ch := mvcc.NewChain(mvcc.Options{MaxVersions: s.cfg.SnapshotVersions})
+	ch := mvcc.NewChain(mvcc.Options{})
 	ch.Publish(doc.Snapshot(), 0)
 	if s.replLog != nil {
 		// No record history stands behind an image: the shipping window

@@ -179,14 +179,12 @@ func TestSnapshotUpdateRefusedNonTerminal(t *testing.T) {
 	}
 }
 
-// TestSnapshotVersionGCBounded: the per-document version chain stays bounded
-// while commits churn, even with a long-running reader pinning an old
-// version — the pin shields that version, not unbounded growth.
+// TestSnapshotVersionGCBounded: the per-document version chain holds its
+// head plus the versions readers pin — 1 + distinct pinned — while commits
+// churn, even with a long-running reader pinning an old version: the pin
+// shields that version, nothing else.
 func TestSnapshotVersionGCBounded(t *testing.T) {
-	const maxKeep = 3
-	sites, _ := newCluster(t, 1, func(cfg *Config) {
-		cfg.SnapshotVersions = maxKeep
-	})
+	sites, _ := newCluster(t, 1, nil)
 	s := sites[0]
 	addDoc(t, s, "d1", peopleXML)
 
@@ -216,8 +214,8 @@ func TestSnapshotVersionGCBounded(t *testing.T) {
 	}
 
 	ds := s.doc("d1")
-	if n := ds.versions.Len(); n > maxKeep+1 {
-		t.Fatalf("version chain grew to %d under a pinned long reader, want <= %d", n, maxKeep+1)
+	if n, pinned := ds.versions.Len(), ds.versions.Pinned(); pinned != 1 || n > 1+pinned {
+		t.Fatalf("version chain = %d with %d pinned under one long reader, want <= 1 + pinned", n, pinned)
 	}
 	// The pinned version is still served, unchanged.
 	again, err := reader.Exec(txn.NewQuery("d1", "//person/id"))
@@ -230,7 +228,7 @@ func TestSnapshotVersionGCBounded(t *testing.T) {
 	if err := reader.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// With the pin gone, the next publish compacts the chain to the bound.
+	// With the pin gone, the next publish leaves the head alone.
 	res, err := s.Submit([]txn.Operation{txn.NewUpdate("d1", &xupdate.Update{
 		Kind: xupdate.Insert, Target: "/people", Pos: xmltree.Into,
 		New: personSpec("last", "Churn"),
@@ -241,8 +239,8 @@ func TestSnapshotVersionGCBounded(t *testing.T) {
 	if _, err := s.SubmitReadOnly([]txn.Operation{txn.NewQuery("d1", "//person/id")}); err != nil {
 		t.Fatal(err)
 	}
-	if n := ds.versions.Len(); n > maxKeep {
-		t.Fatalf("version chain = %d after pin release, want <= %d", n, maxKeep)
+	if n := ds.versions.Len(); n != 1 {
+		t.Fatalf("version chain = %d after pin release, want 1", n)
 	}
 }
 
@@ -326,9 +324,7 @@ func TestSnapshotReadRemote(t *testing.T) {
 // writers on one document — the publish/pin/retire interleavings the race
 // detector should sweep (this test runs under -race in CI's chaos job).
 func TestSnapshotConcurrentReadersWriters(t *testing.T) {
-	sites, _ := newCluster(t, 1, func(cfg *Config) {
-		cfg.SnapshotVersions = 2
-	})
+	sites, _ := newCluster(t, 1, nil)
 	s := sites[0]
 	addDoc(t, s, "d1", peopleXML)
 
@@ -369,8 +365,9 @@ func TestSnapshotConcurrentReadersWriters(t *testing.T) {
 					return
 				}
 				if res.State != txn.Committed {
-					// GC under MaxVersions=2 may retire a slow reader's
-					// snapshot; that typed outcome is legal here.
+					// A reader whose begin timestamp fell below the undo
+					// log's trim horizon gets the typed "snapshot too old";
+					// that outcome is legal here.
 					if errors.Is(res.Err, txn.ErrSnapshotUnavailable) {
 						continue
 					}

@@ -264,6 +264,31 @@ func TestOrderedLookupTotalOrder(t *testing.T) {
 	}
 }
 
+// TestNestedRangeMatchesScan: a range predicate on a document whose matching
+// elements nest hands Finish posting candidates in key order, several of
+// them inside one another — the case its document-order sort (and the
+// dedupe of a descendant suffix over nested candidates) exists for.
+func TestNestedRangeMatchesScan(t *testing.T) {
+	xml := `<r><g><w>5</w><g><w>7</w><g><w>1</w><x/></g><x/></g><w>9</w><x/></g>` +
+		`<g><w>3</w><g><w>8</w><x/></g></g><x/></r>`
+	doc, err := xmltree.ParseString("d", xml)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := dataguide.Build(doc)
+	g.AttachIndex(vindex.New([]string{"w"}, 0))
+	g.ReindexAll(doc)
+	for _, raw := range []string{
+		"//g[w>'2']",    // five nested hits, posted in value order
+		"//g[w>'2']/x",  // child suffix from nested candidates
+		"//g[w>'2']//x", // descendant suffix: overlapping subtrees
+		"//g[w<'8']/w",
+		"//g[w>='7']//g",
+	} {
+		assertSame(t, g, doc, raw)
+	}
+}
+
 func TestIndexDisabledFallsBack(t *testing.T) {
 	doc, err := xmltree.ParseString("d", testDocXML)
 	if err != nil {

@@ -2,6 +2,7 @@ package xpath
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -12,109 +13,135 @@ import (
 // document order without duplicates. When the query selects an attribute
 // (trailing /@name), the returned nodes are the elements that carry the
 // attribute; use Node.Attr to extract values.
+//
+// Each step expands its context set one context at a time, in the set's
+// order, and keeps the first occurrence of a node reached twice; positional
+// predicates count over that context-major sequence, before any sort. Eval
+// tracks whether the set is in document order and whether any of its nodes
+// lies inside another's subtree: a child step over an ordered set of
+// disjoint subtrees stays ordered and disjoint, a descendant step over an
+// ordered set is ordered (a context inside the previous context's subtree
+// adds nothing and is skipped) and nests only where the walk meets a match
+// below a match, and predicates and the attribute filter keep both. So a
+// query pays for its result, not for the document: only a child step over
+// nested contexts (and every step after it) needs the per-step dedupe and
+// the final SortDocOrder.
 func Eval(q *Query, doc *xmltree.Document) []*xmltree.Node {
 	// The context of the first step is a virtual document node whose only
 	// child is the root element.
-	ctx := []*xmltree.Node{}
-	for i, step := range q.Steps {
-		var next []*xmltree.Node
-		seen := make(map[xmltree.NodeID]bool)
-		add := func(n *xmltree.Node) {
-			if !seen[n.ID] {
-				seen[n.ID] = true
-				next = append(next, n)
+	top := &xmltree.Node{Children: []*xmltree.Node{doc.Root}}
+	out, ordered := evalSteps(q.Steps, []*xmltree.Node{top}, true)
+	if q.Attr != "" {
+		kept := out[:0]
+		for _, n := range out {
+			if _, ok := n.Attr(q.Attr); ok {
+				kept = append(kept, n)
 			}
 		}
-		if i == 0 {
-			switch step.Axis {
-			case Child:
-				if nameMatches(step.Name, doc.Root.Name) {
-					add(doc.Root)
-				}
-			case Descendant:
-				doc.Walk(func(n *xmltree.Node) bool {
-					if nameMatches(step.Name, n.Name) {
-						add(n)
-					}
-					return true
-				})
-			}
-		} else {
-			for _, c := range ctx {
-				switch step.Axis {
-				case Child:
-					for _, child := range c.Children {
-						if nameMatches(step.Name, child.Name) {
-							add(child)
-						}
-					}
-				case Descendant:
-					// '//name' from context c expands to
-					// descendant-or-self::node()/child::name, which is
-					// exactly the descendants of c with a matching name.
-					for _, d := range c.Descendants() {
-						if nameMatches(step.Name, d.Name) {
-							add(d)
-						}
-					}
-				}
-			}
-		}
-		next = applyPreds(step.Preds, next)
-		ctx = next
-		if len(ctx) == 0 {
+		if out = kept; len(out) == 0 {
 			return nil
 		}
 	}
-	if q.Attr != "" {
-		var out []*xmltree.Node
-		for _, n := range ctx {
-			if _, ok := n.Attr(q.Attr); ok {
-				out = append(out, n)
-			}
-		}
-		return sortDocOrder(out)
+	if !ordered {
+		return SortDocOrder(out)
 	}
-	return sortDocOrder(ctx)
+	return out
 }
 
-// EvalSteps expands a context node set through the given steps, mirroring
-// Eval's non-initial step semantics: child/descendant axis expansion,
-// predicate filtering and per-step dedupe, with no document-order sort of
-// the result. Index-assisted evaluation uses it to resolve the steps that
-// follow an indexed predicate step.
+// EvalSteps expands a duplicate-free context node set through the given
+// steps with Eval's step semantics — axis expansion, per-step dedupe and
+// predicate filtering — and no document-order sort of the result.
+// Index-assisted evaluation uses it to resolve the steps that follow an
+// indexed predicate step.
 func EvalSteps(steps []Step, ctx []*xmltree.Node) []*xmltree.Node {
+	out, _ := evalSteps(steps, ctx, false)
+	return out
+}
+
+// evalSteps is the one step loop behind Eval and EvalSteps. ordered says ctx
+// is in document order with no node inside another's subtree; the second
+// result says whether the returned set is in document order.
+func evalSteps(steps []Step, ctx []*xmltree.Node, ordered bool) ([]*xmltree.Node, bool) {
+	flat := ordered // no node of ctx is an ancestor of another
 	for _, step := range steps {
 		var next []*xmltree.Node
-		seen := make(map[xmltree.NodeID]bool)
-		add := func(n *xmltree.Node) {
-			if !seen[n.ID] {
-				seen[n.ID] = true
-				next = append(next, n)
-			}
-		}
-		for _, c := range ctx {
-			switch step.Axis {
-			case Child:
+		switch {
+		case step.Axis == Child:
+			// Every node has one parent, so children of distinct contexts
+			// are distinct; they stay in order only if the contexts'
+			// subtrees are disjoint.
+			for _, c := range ctx {
 				for _, child := range c.Children {
 					if nameMatches(step.Name, child.Name) {
-						add(child)
-					}
-				}
-			case Descendant:
-				for _, d := range c.Descendants() {
-					if nameMatches(step.Name, d.Name) {
-						add(d)
+						next = append(next, child)
 					}
 				}
 			}
+			ordered = ordered && flat
+		case ordered:
+			// '//name' from context c is exactly the descendants of c with a
+			// matching name. A context inside the last expanded one would
+			// only repeat nodes already emitted, in the same order, so the
+			// expanded subtrees are disjoint and the result nests only where
+			// the walk finds a match below a match.
+			d := descent{name: step.Name}
+			var last *xmltree.Node
+			for _, c := range ctx {
+				if !flat && last != nil && isAncestor(last, c) {
+					continue
+				}
+				last = c
+				d.walk(c, false)
+			}
+			next, flat = d.out, !d.nested
+		default:
+			d := descent{name: step.Name, seen: make(map[*xmltree.Node]bool)}
+			for _, c := range ctx {
+				d.walk(c, false)
+			}
+			next = d.out
 		}
 		ctx = applyPreds(step.Preds, next)
 		if len(ctx) == 0 {
-			return nil
+			return nil, true
 		}
 	}
-	return ctx
+	return ctx, ordered
+}
+
+// descent collects, in document order, the descendants of the nodes it
+// walks whose name matches name.
+type descent struct {
+	name   string
+	out    []*xmltree.Node
+	seen   map[*xmltree.Node]bool // drops nodes reached before; nil when walks cannot overlap
+	nested bool                   // some collected node lies below another
+}
+
+// walk visits the nodes strictly below n; under says n is itself collected
+// or lies below a collected node.
+func (d *descent) walk(n *xmltree.Node, under bool) {
+	for _, c := range n.Children {
+		match := nameMatches(d.name, c.Name) && !d.seen[c]
+		if match {
+			if d.seen != nil {
+				d.seen[c] = true
+			}
+			d.out = append(d.out, c)
+			d.nested = d.nested || under
+		}
+		d.walk(c, under || match)
+	}
+}
+
+// isAncestor reports whether a is a proper ancestor of n.
+func isAncestor(a, n *xmltree.Node) bool {
+	for p := n.Parent; p != nil; p = p.Parent {
+		if p == a {
+			return true
+		}
+	}
+	return false
 }
 
 // EvalStrings evaluates q and renders each match as a string: the attribute
@@ -145,7 +172,9 @@ func nameMatches(test, name string) bool {
 
 func applyPreds(preds []Pred, nodes []*xmltree.Node) []*xmltree.Node {
 	for _, p := range preds {
-		var kept []*xmltree.Node
+		// Filter in place: the write index never passes the read index, and
+		// a positional predicate counts over the unfiltered sequence.
+		kept := nodes[:0]
 		for i, n := range nodes {
 			if matchPred(p, n, i) {
 				kept = append(kept, n)
@@ -240,46 +269,41 @@ func CompareValues(a, b string) int {
 	return strings.Compare(a, b)
 }
 
-// sortDocOrder orders nodes by document position. Matches are produced in
-// walk order per step, but predicate filtering and multi-context merging can
-// interleave branches, so we re-sort by a depth-first ranking.
-func sortDocOrder(nodes []*xmltree.Node) []*xmltree.Node {
-	return SortDocOrder(nodes)
-}
-
-// SortDocOrder orders nodes of one document by document position; exported
-// for index-assisted evaluation, which assembles candidates out of order.
+// SortDocOrder returns nodes of one document in document order (ancestors
+// before descendants, siblings by position). Eval needs it only when a step
+// ran over nested contexts; index-assisted evaluation needs it for posting
+// candidates. Each node's key is its path of child positions from the root,
+// computed once: the cost is O(k·depth) plus one scan of the children of
+// every distinct ancestor of the nodes — no document walk.
 func SortDocOrder(nodes []*xmltree.Node) []*xmltree.Node {
 	if len(nodes) <= 1 {
 		return nodes
 	}
-	rank := make(map[xmltree.NodeID]int, len(nodes))
-	want := make(map[xmltree.NodeID]bool, len(nodes))
-	for _, n := range nodes {
-		want[n.ID] = true
+	pos := make(map[*xmltree.Node]int32) // child position, filled a parent at a time
+	type keyed struct {
+		n   *xmltree.Node
+		key []int32
 	}
-	// Find the document by walking up from any node.
-	root := nodes[0]
-	for root.Parent != nil {
-		root = root.Parent
+	ks := make([]keyed, len(nodes))
+	for i, n := range nodes {
+		var key []int32
+		for c := n; c.Parent != nil; c = c.Parent {
+			p, ok := pos[c]
+			if !ok {
+				for j, s := range c.Parent.Children {
+					pos[s] = int32(j)
+				}
+				p = pos[c]
+			}
+			key = append(key, p)
+		}
+		slices.Reverse(key)
+		ks[i] = keyed{n, key}
 	}
-	i := 0
-	var walk func(n *xmltree.Node)
-	walk = func(n *xmltree.Node) {
-		if want[n.ID] {
-			rank[n.ID] = i
-			i++
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(root)
-	out := append([]*xmltree.Node(nil), nodes...)
-	for j := 1; j < len(out); j++ {
-		for k := j; k > 0 && rank[out[k].ID] < rank[out[k-1].ID]; k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
+	slices.SortFunc(ks, func(a, b keyed) int { return slices.Compare(a.key, b.key) })
+	out := make([]*xmltree.Node, len(ks))
+	for i, k := range ks {
+		out[i] = k.n
 	}
 	return out
 }
