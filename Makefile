@@ -5,14 +5,14 @@
 
 # Chaos suite: every crash/failover/replication fault-injection test across
 # the module. CI runs it under the race detector; nightly repeats it.
-CHAOS_RUN  = Crash|Failover|Recover|Restart|Bootstrap|Heartbeat|Liveness|Checkpoint|Journal|Snapshot|Replication|Quorum|Follower|ValueIndex|Switch|Adaptive|CrossProtocol
+CHAOS_RUN  = Crash|Failover|Recover|Restart|Bootstrap|Heartbeat|Liveness|Checkpoint|Journal|Snapshot|Replication|Quorum|Follower|ValueIndex|CrossProtocol
 CHAOS_PKGS = . ./internal/recovery ./internal/sched ./internal/store ./internal/harness
 CHAOS_COUNT ?= 3
 
 # Hot-path benchmarks: the multi-iteration pass benchjson gates against
 # BENCH_baseline.json (-max-regress AND -require: a hot benchmark missing
 # from the baseline fails the job).
-HOT_BENCH = BenchmarkDistributedTxn$$|BenchmarkFig12Throughput|BenchmarkFigDocsScaling|BenchmarkSnapshotReadScaling|BenchmarkQueryCache|BenchmarkCheckpoint|BenchmarkJournalIntentOps|BenchmarkQuorumCommit|BenchmarkFollowerReadScaling|BenchmarkPredicateQuery|BenchmarkObsOverhead|BenchmarkAdaptiveProtocol|BenchmarkQueryDocSize|BenchmarkSingleSiteTxn
+HOT_BENCH = BenchmarkDistributedTxn$$|BenchmarkFig12Throughput|BenchmarkFigDocsScaling|BenchmarkSnapshotReadScaling|BenchmarkQueryCache|BenchmarkCheckpoint|BenchmarkJournalIntentOps|BenchmarkQuorumCommit|BenchmarkFollowerReadScaling|BenchmarkPredicateQuery|BenchmarkObsOverhead|BenchmarkQueryDocSize|BenchmarkSingleSiteTxn
 
 FUZZTIME ?= 10s
 
@@ -50,7 +50,7 @@ loc:
 
 # The ratchet behind `make loc`: a PR that grows the program past the budget
 # fails the gate; one that shrinks it lowers LOC_BUDGET to its own result.
-LOC_BUDGET = 18444
+LOC_BUDGET = 17666
 
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "non-test Go lines outside bench/: $$n (budget $(LOC_BUDGET))"; [ $$n -le $(LOC_BUDGET) ]

@@ -460,31 +460,6 @@ func BenchmarkAblationProtocol(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptiveProtocol runs the hot-key skewed mixed OLTP/analytics
-// scenario — the workload with no good static protocol choice — under the
-// two static extremes and the adaptive scheduler. Adaptive starts on the
-// middle rung (node2pl) and is expected to land between the loser and the
-// winner, paying the switch drains along the way. Part of the gated
-// HOT_BENCH set, so it runs unprofiled.
-func BenchmarkAdaptiveProtocol(b *testing.B) {
-	for _, proto := range []string{"node2pl", "doclock", "adaptive"} {
-		b.Run(proto, func(b *testing.B) {
-			p := benchParams(proto)
-			p.Partial = false
-			p.Sites = 2
-			p.Clients = 10
-			p.TxPerClient = 20
-			p.UpdateTxPct = 80
-			p.UpdateOpPct = 60
-			p.HotKeyZipf = 2.5
-			p.AnalyticsPct = 30
-			p.DeadlockInterval = 5 * time.Millisecond
-			p.AdaptiveWindow = 10 * time.Millisecond
-			runWorkload(b, p)
-		})
-	}
-}
-
 // BenchmarkAblationDeadlockPeriod varies the period of the distributed
 // deadlock detector: short periods find cycles quickly but cost messages.
 func BenchmarkAblationDeadlockPeriod(b *testing.B) {
@@ -591,7 +566,7 @@ func predicateDoc(b *testing.B, n int) (*xmltree.Document, *dataguide.DataGuide)
 		}
 	}
 	g := dataguide.Build(doc)
-	g.AttachIndex(vindex.New([]string{"id"}, 0))
+	g.AttachIndex(vindex.New([]string{"id"}))
 	g.ReindexAll(doc)
 	return doc, g
 }
@@ -614,7 +589,7 @@ func BenchmarkPredicateQuery(b *testing.B) {
 			{"range", xpath.MustParse(fmt.Sprintf("//person[id>='%d']/emailaddress", extent-100))},
 		}
 		for _, tc := range queries {
-			indexed, ok := g.EvalIndexed(tc.q, doc)
+			indexed, ok := g.EvalIndexed(tc.q)
 			if !ok {
 				b.Fatalf("extent=%d/%s: query not index-eligible", extent, tc.mode)
 			}
@@ -629,7 +604,7 @@ func BenchmarkPredicateQuery(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("extent=%d/%s/indexed", extent, tc.mode), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, ok := g.EvalIndexed(tc.q, doc); !ok {
+					if _, ok := g.EvalIndexed(tc.q); !ok {
 						b.Fatal("index fallback")
 					}
 				}
@@ -837,32 +812,44 @@ func BenchmarkSingleSiteTxn(b *testing.B) {
 
 // BenchmarkQueryDocSize is one read-only query transaction on a journaled
 // site against documents of growing size: a predicate-free child path, a
-// descendant scan and the workloads' positional point read. A query should
-// cost what its result costs — the child and descendant results grow with
-// the document, the positional one does not.
+// descendant scan, the workloads' positional point read, and the value point
+// lookup answered by scanning (predicate) and from an "id" value index
+// (indexed). A query should cost what its result costs — the child and
+// descendant results grow with the document, the point reads do not.
 func BenchmarkQueryDocSize(b *testing.B) {
+	pointLookup := xmark.PredicateQueryFor("people", 7)
 	for _, size := range []struct {
 		name  string
 		bytes int
 	}{{"64K", 64 << 10}, {"1M", 1 << 20}, {"4M", 4 << 20}} {
 		b.Run(size.name, func(b *testing.B) {
-			cluster, err := New(Config{Sites: 1, StoreDir: b.TempDir()})
-			if err != nil {
-				b.Fatal(err)
+			xml := benchDoc(b, size.bytes).String()
+			load := func(keys []string) *Cluster {
+				cluster, err := New(Config{Sites: 1, StoreDir: b.TempDir(), IndexedKeys: keys})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Cleanup(cluster.Close)
+				if err := cluster.LoadXML("x", xml); err != nil {
+					b.Fatal(err)
+				}
+				return cluster
 			}
-			defer cluster.Close()
-			if err := cluster.LoadXML("x", benchDoc(b, size.bytes).String()); err != nil {
-				b.Fatal(err)
-			}
-			for _, tc := range []struct{ name, query string }{
-				{"child", "/site/people/person/name"},
-				{"descendant", "//open_auction/current"},
-				{"positional", "/site/people/person[7]/name"},
+			scanned, indexed := load(nil), load([]string{"id"})
+			for _, tc := range []struct {
+				name, query string
+				cluster     *Cluster
+			}{
+				{"child", "/site/people/person/name", scanned},
+				{"descendant", "//open_auction/current", scanned},
+				{"positional", "/site/people/person[7]/name", scanned},
+				{"predicate", pointLookup, scanned},
+				{"indexed", pointLookup, indexed},
 			} {
 				b.Run(tc.name, func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						res, err := cluster.Submit(0, Query("x", tc.query))
+						res, err := tc.cluster.Submit(0, Query("x", tc.query))
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -871,6 +858,9 @@ func BenchmarkQueryDocSize(b *testing.B) {
 						}
 					}
 				})
+			}
+			if st, err := indexed.SiteStats(0); err != nil || st.IndexedQueries == 0 {
+				b.Fatalf("indexed variant never answered from the value index (%+v, %v)", st, err)
 			}
 		})
 	}

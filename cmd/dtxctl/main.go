@@ -155,31 +155,24 @@ func printStatus(ctx context.Context, node *transport.TCPNode) {
 	if !st.Ready {
 		state = "recovering"
 	}
-	fmt.Printf("site %d: %s\n", st.Site, state)
+	fmt.Printf("site %d: %s, protocol %s\n", st.Site, state, st.Protocol)
 	fmt.Printf("txns: %d committed, %d aborted, %d failed\n", st.Committed, st.Aborted, st.Failed)
 	if len(st.Docs) > 0 {
 		fmt.Printf("documents (%d):\n", len(st.Docs))
 		for _, d := range st.Docs {
-			// Under adaptive concurrency control the active protocol is per
-			// document and can change over a run, so it belongs next to the
-			// replication role rather than in the site banner.
-			proto := ""
-			if d.Protocol != "" {
-				proto = fmt.Sprintf(" [%s]", d.Protocol)
-			}
 			// Checkpoint vs journal head: the records in between are what a
 			// restart of the site would replay onto the saved document.
 			log := fmt.Sprintf("checkpoint %d, journal head %d", d.Checkpoint, d.Applied)
 			if d.Role == "primary" {
-				fmt.Printf("  %s%s: primary, %s\n", d.Name, proto, log)
+				fmt.Printf("  %s: primary, %s\n", d.Name, log)
 				continue
 			}
 			lag := "caught up"
 			if d.Behind > 0 {
 				lag = fmt.Sprintf("%d record(s) behind head %d", d.Behind, d.Head)
 			}
-			fmt.Printf("  %s%s: replica of site %d, %s, %s\n",
-				d.Name, proto, d.Primary, log, lag)
+			fmt.Printf("  %s: replica of site %d, %s, %s\n",
+				d.Name, d.Primary, log, lag)
 		}
 	} else {
 		fmt.Printf("documents (%d): %s\n", len(st.Documents), strings.Join(st.Documents, ", "))

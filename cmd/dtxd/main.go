@@ -59,8 +59,6 @@ func main() {
 	listen := flag.String("listen", ":7070", "address to listen on")
 	storeDir := flag.String("store", "./dtxdata", "document store directory")
 	protocol := flag.String("protocol", "xdgl", "locking protocol: xdgl | node2pl | doclock")
-	adaptive := flag.Bool("adaptive", false, "adapt each document's locking protocol at run time from observed contention (-protocol sets the starting point)")
-	adaptWindow := flag.Duration("adapt-window", 0, "adaptive policy sampling window (0 uses the built-in default)")
 	deadlockMs := flag.Int("deadlock-ms", 50, "distributed deadlock check period (ms)")
 	journalOn := flag.Bool("journal", true, "log commits to <store>/commit.log and save documents by checkpoint; a restart replays the log (=false: memory-only, images written on clean shutdown)")
 	recoverFlag := flag.Bool("recover", false, "start in crash-recovery mode: settle dangling coordinator decisions and catch documents up from live replicas before serving")
@@ -125,7 +123,6 @@ func main() {
 		DeadlockInterval:  time.Duration(*deadlockMs) * time.Millisecond,
 		HeartbeatInterval: time.Duration(*heartbeatMs) * time.Millisecond,
 		Recovering:        *recoverFlag,
-		Adaptive:          sched.AdaptiveConfig{Enabled: *adaptive, Window: *adaptWindow},
 	}
 	if *slowTxn >= 0 {
 		cfg.SlowTxnThreshold = *slowTxn
@@ -209,12 +206,8 @@ func main() {
 			}
 		}
 	}
-	mode := proto.Name()
-	if *adaptive {
-		mode += ", adaptive"
-	}
 	fmt.Printf("dtxd: site %d serving on %s (protocol %s, %d peer(s))\n",
-		*siteID, node.Addr(), mode, len(peerAddrs))
+		*siteID, node.Addr(), proto.Name(), len(peerAddrs))
 
 	if *metricsAddr != "" {
 		// Serving metrics arms the gated instrumentation up front, so the

@@ -83,21 +83,9 @@ const (
 type Config struct {
 	// Sites is the number of DTX instances (default 1).
 	Sites int
-	// Protocol selects the locking protocol (default XDGL). With Adaptive
-	// set it is the protocol every document starts under.
+	// Protocol selects the locking protocol of every document at every site
+	// (default XDGL).
 	Protocol Protocol
-	// Adaptive enables run-time adaptive concurrency control: each site runs
-	// a policy loop that samples every document's conflict rate, lock-wait
-	// p99 and deadlock rate over a sliding window and switches the document
-	// between doclock, node2pl and xdgl at quiescent points (drain the
-	// domain's lock table, swap, resume), with hysteresis against flapping.
-	// The active per-document protocol and the switch counters surface
-	// through the metrics registry (dtx_doc_protocol_rung,
-	// dtx_protocol_switches_total) and dtxctl -status.
-	Adaptive bool
-	// AdaptiveWindow is the adaptive policy's sampling window (default
-	// 50ms). The remaining thresholds use the sched.AdaptiveConfig defaults.
-	AdaptiveWindow time.Duration
 	// NetworkLatency injects synthetic one-way latency between sites.
 	NetworkLatency time.Duration
 	// DeadlockCheckInterval is the period of the distributed deadlock
@@ -150,9 +138,6 @@ type Config struct {
 	// carries an equality or ordered comparison over an indexed key are
 	// answered from the index instead of scanning the matched extents.
 	IndexedKeys []string
-	// AutoIndexAfter, when positive, auto-indexes any further key once that
-	// many index-eligible queries missed on it. Zero disables auto-indexing.
-	AutoIndexAfter int
 	// SlowTxnThreshold enables the structured transaction tracer: every
 	// transaction whose total time reaches the threshold emits one JSON line
 	// (begin, per-operation lock waits, each 2PC phase, quorum ack, finish)
@@ -283,7 +268,6 @@ func (c *Cluster) buildSite(i int, recovering bool) (*sched.Site, error) {
 		SiteID:            i,
 		Sites:             c.ids,
 		Protocol:          c.protocol,
-		Adaptive:          sched.AdaptiveConfig{Enabled: c.cfg.Adaptive, Window: c.cfg.AdaptiveWindow},
 		Catalog:           c.catalog,
 		Store:             c.stores[i],
 		DeadlockInterval:  c.cfg.DeadlockCheckInterval,
@@ -296,7 +280,6 @@ func (c *Cluster) buildSite(i int, recovering bool) (*sched.Site, error) {
 		MaxStaleness:      c.cfg.MaxStaleness,
 		ReplHorizon:       c.cfg.ReplHorizon,
 		IndexedKeys:       c.cfg.IndexedKeys,
-		AutoIndexAfter:    c.cfg.AutoIndexAfter,
 		SlowTxnThreshold:  c.cfg.SlowTxnThreshold,
 		TraceSink:         c.cfg.TraceSink,
 		Recovering:        recovering,
@@ -537,20 +520,8 @@ func (c *Cluster) TotalStats() Stats {
 		t.ReplStaleRefusals += st.ReplStaleRefusals
 		t.ReplCatchupRecords += st.ReplCatchupRecords
 		t.IndexedQueries += st.IndexedQueries
-		t.ProtocolSwitches += st.ProtocolSwitches
 	}
 	return t
-}
-
-// DocProtocol reports the lock protocol currently active on a document's
-// scheduling domain at the given site — with Adaptive enabled it can differ
-// per document and change over a run. Empty when the site does not hold the
-// document.
-func (c *Cluster) DocProtocol(site int, doc string) (string, error) {
-	if site < 0 || site >= len(c.ids) {
-		return "", fmt.Errorf("%w: site %d (cluster has %d)", ErrSiteOutOfRange, site, len(c.ids))
-	}
-	return c.site(site).DocProtocol(doc), nil
 }
 
 // Metrics returns one site's observability registry (see internal/obs): the

@@ -1,8 +1,6 @@
 package dataguide
 
 import (
-	"strings"
-
 	"repro/internal/vindex"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -48,7 +46,7 @@ func (g *DataGuide) NoteAttrChanged(n *xmltree.Node, attr, old string, oldExiste
 	}
 }
 
-// ReindexAll rebuilds every enabled key's postings from scratch by walking
+// ReindexAll rebuilds every indexed key's postings from scratch by walking
 // the document. Used when attaching an index to an already-built guide
 // (document load, restart recovery).
 func (g *DataGuide) ReindexAll(doc *xmltree.Document) {
@@ -64,54 +62,18 @@ func (g *DataGuide) ReindexAll(doc *xmltree.Document) {
 	})
 }
 
-// ReindexKey builds the postings of one just-enabled key. The other keys'
-// postings are untouched.
-func (g *DataGuide) ReindexKey(doc *xmltree.Document, key string) {
-	if g.vidx == nil {
-		return
-	}
-	if attr, ok := strings.CutPrefix(key, "@"); ok {
-		doc.Walk(func(n *xmltree.Node) bool {
-			if v, has := n.Attr(attr); has {
-				if gn := g.byDoc[n.ID]; gn != nil {
-					g.vidx.AddAttrPosting(int64(gn.ID), n, attr, v)
-				}
-			}
-			return true
-		})
-		return
-	}
-	doc.Walk(func(n *xmltree.Node) bool {
-		if n.Name == key {
-			if gn := g.byDoc[n.ID]; gn != nil {
-				g.vidx.AddTextPosting(int64(gn.ID), n)
-			}
-		}
-		return true
-	})
-}
-
 // EvalIndexed evaluates q through the value index when an index covers its
 // predicate, returning (nodes, true) with exactly the node set xpath.Eval
 // would produce. It returns (nil, false) when no index is attached, the
 // query shape is not index-eligible, or the anchor key is not indexed — the
-// caller then falls back to the scan. Cold keys feed the auto-index miss
-// counters, and keys whose counters crossed the threshold are enabled and
-// built here, under the same domain mutex as every other index mutation.
-func (g *DataGuide) EvalIndexed(q *xpath.Query, doc *xmltree.Document) ([]*xmltree.Node, bool) {
+// caller then falls back to the scan.
+func (g *DataGuide) EvalIndexed(q *xpath.Query) ([]*xmltree.Node, bool) {
 	ix := g.vidx
 	if ix == nil {
 		return nil, false
 	}
 	plan, ok := vindex.PlanQuery(q)
-	if !ok {
-		return nil, false
-	}
-	for _, key := range ix.TakeAutoKeys() {
-		g.ReindexKey(doc, key)
-	}
-	if !ix.Enabled(plan.Key) {
-		ix.NoteMiss(plan.Key)
+	if !ok || !ix.Enabled(plan.Key) {
 		return nil, false
 	}
 	var candidates []*xmltree.Node

@@ -49,21 +49,6 @@ type Params struct {
 	// making document 0 the hot document — the contention dial for
 	// reader-versus-writer experiments. ≤ 1 keeps the uniform pick.
 	HotDocZipf float64
-	// HotKeyZipf, when > 1, skews the per-operation section choice inside the
-	// picked document with a Zipf distribution (parameter s = HotKeyZipf),
-	// making the document's first section hot — the intra-document contention
-	// dial the adaptive scheduler reacts to. ≤ 1 keeps the uniform pick. The
-	// skew generator replaces (never adds to) the uniform section draw, and
-	// is only built when the knob is set, so zero preserves the exact
-	// workloads of earlier seeds.
-	HotKeyZipf float64
-	// AnalyticsPct is the percentage of read transactions issued as analytics
-	// transactions: every operation is a whole-section descendant scan
-	// (xmark.ScanQueryFor) instead of the OLTP query mix. Under fine-grained
-	// protocols those scans take wide read-lock sets and collide with every
-	// writer in the section — the mixed OLTP/analytics dial for adaptive
-	// scenarios. The extra random draw happens only when this knob is set.
-	AnalyticsPct int
 	// BaseBytes is the generated database size in bytes (the paper's MB
 	// dial, scaled down: the in-process substrate keeps ratios, not
 	// absolute sizes).
@@ -77,14 +62,8 @@ type Params struct {
 	// Partial selects partial replication (size-balanced fragments, one
 	// site each) instead of total replication (every document everywhere).
 	Partial bool
-	// Protocol is "xdgl", "node2pl" or "doclock" — or "adaptive", which
-	// starts every document under node2pl and lets the run-time policy
-	// (sched.AdaptiveConfig) move it along the granularity ladder from
-	// observed contention.
+	// Protocol is "xdgl", "node2pl" or "doclock" (lock.ByName).
 	Protocol string
-	// AdaptiveWindow overrides the adaptive policy's sampling window
-	// (Protocol "adaptive" only; zero keeps the scheduler default).
-	AdaptiveWindow time.Duration
 	// Latency is the synthetic one-way network latency between sites.
 	Latency time.Duration
 	// OpDelay is the client think time between operations.
@@ -130,11 +109,9 @@ type Params struct {
 	// (parameter s = ValueZipf) over the id domain, making low ids hot — the
 	// skew dial for index-hit-rate experiments. ≤ 1 keeps the uniform pick.
 	ValueZipf float64
-	// IndexedKeys and AutoIndexAfter configure each site's value indexes
-	// (sched.Config.IndexedKeys / AutoIndexAfter): pre-declared keys and the
-	// scan-miss threshold for auto-indexing. Empty/zero disables indexing.
-	IndexedKeys    []string
-	AutoIndexAfter int
+	// IndexedKeys lists each site's value-index keys
+	// (sched.Config.IndexedKeys). Empty disables indexing.
+	IndexedKeys []string
 	// LatencyProfile arms every site's metrics registry and attaches a
 	// per-phase latency breakdown (p50/p99 lock-wait, operation execute, 2PC
 	// phases, persist Save) to the Result — the registry-backed view of where
@@ -163,12 +140,6 @@ const (
 	// CrashMidCheckpoint kills a site inside a checkpoint, after the
 	// committed image is picked and before its Store write.
 	CrashMidCheckpoint CrashStage = "mid-checkpoint"
-	// CrashBeforeSwitch kills a site at an adaptive protocol switch's
-	// quiescent point: the document's lock table is drained and admissions
-	// are blocked, but the new protocol is not yet installed. Protocol
-	// choice is never persisted, so the restarted site must come back under
-	// the configured default.
-	CrashBeforeSwitch CrashStage = "before-switch"
 )
 
 // CrashSpec selects a crash point: the (After+1)th firing of Stage at Site
@@ -245,9 +216,6 @@ type Result struct {
 	// IndexedQueries aggregates the per-site count of queries answered from
 	// a value index instead of an extent scan.
 	IndexedQueries int64
-	// ProtocolSwitches aggregates the per-site count of completed adaptive
-	// protocol switches (zero unless Protocol is "adaptive").
-	ProtocolSwitches int64
 	// Breakdown is the per-phase latency view, filled when
 	// Params.LatencyProfile armed the registries.
 	Breakdown *LatencyBreakdown
@@ -309,14 +277,7 @@ func (c *Cluster) Stop() {
 // allocation. The returned cluster is ready to accept transactions.
 func BuildCluster(p Params, hook sched.HistoryHook) (*Cluster, error) {
 	p = p.withDefaults()
-	base, adaptive := p.Protocol, false
-	if base == "adaptive" {
-		// Adaptive runs start every document on the ladder's middle rung and
-		// let the policy climb toward xdgl or descend toward doclock from
-		// observed contention.
-		base, adaptive = "node2pl", true
-	}
-	proto, err := lock.ByName(base)
+	proto, err := lock.ByName(p.Protocol)
 	if err != nil {
 		return nil, err
 	}
@@ -348,8 +309,6 @@ func BuildCluster(p Params, hook sched.HistoryHook) (*Cluster, error) {
 			Replication:       p.Replication,
 			WriteQuorum:       p.WriteQuorum,
 			IndexedKeys:       p.IndexedKeys,
-			AutoIndexAfter:    p.AutoIndexAfter,
-			Adaptive:          sched.AdaptiveConfig{Enabled: adaptive, Window: p.AdaptiveWindow},
 		}
 		if p.ReplApplyLag > 0 {
 			// Each site gets its own hook struct: the crash victim's kill
@@ -458,8 +417,6 @@ func armCrash(spec *CrashSpec, hooks *sched.CrashHooks, sites []*sched.Site) {
 		hooks.AfterIntent = func(txn.ID, []string) { fire() }
 	case CrashMidCheckpoint:
 		hooks.BeforeCheckpoint = func(string) { fire() }
-	case CrashBeforeSwitch:
-		hooks.BeforeProtocolSwitch = func(string, string, string) { fire() }
 	}
 }
 
@@ -539,20 +496,9 @@ func RunOn(ctx context.Context, cluster *Cluster, p Params) *Result {
 				}
 				return int64(rng.Intn(xmark.PredicateQueryRange))
 			}
-			// Hot-key skew over the sections of the picked document. The Zipf
-			// generator replaces the uniform section draw (one draw either
-			// way), keeping the rest of the client's rng stream aligned with
-			// unskewed runs of the same seed.
-			var secZipf *rand.Zipf
-			if p.HotKeyZipf > 1 {
-				secZipf = rand.NewZipf(rng, p.HotKeyZipf, 1, 255)
-			}
 			pickSection := func(doc DocInfo) string {
 				if len(doc.Sections) == 0 {
 					return "people"
-				}
-				if secZipf != nil {
-					return doc.Sections[int(secZipf.Uint64())%len(doc.Sections)]
 				}
 				return doc.Sections[rng.Intn(len(doc.Sections))]
 			}
@@ -611,7 +557,6 @@ func RunOn(ctx context.Context, cluster *Cluster, p Params) *Result {
 		res.SnapshotReads += st.SnapshotReads
 		res.SnapshotPublishes += st.SnapshotPublishes
 		res.IndexedQueries += st.IndexedQueries
-		res.ProtocolSwitches += st.ProtocolSwitches
 	}
 	if res.Committed > 0 {
 		res.MeanRespMs /= float64(res.Committed)
@@ -678,19 +623,13 @@ func p95(latencies []time.Duration) float64 {
 
 // buildTxn assembles one client transaction per the workload percentages.
 // Each operation picks a document (fragment) and then a query or update
-// against a section that document actually holds (the section choice — and
-// any hot-key skew — lives in pickSection). A read-only transaction is all
-// queries; the update draw still happens so the rng stream stays aligned
-// across the read-only split. With ValuePredPct set, that share of the reads
-// become id point lookups (value picked by pickVal) — the shape the value
-// index serves. With AnalyticsPct set, that share of the read transactions
-// become whole-section scans.
+// against a section that document actually holds (picked by pickSection). A
+// read-only transaction is all queries; the update draw still happens so the
+// rng stream stays aligned across the read-only split. With ValuePredPct
+// set, that share of the reads become id point lookups (value picked by
+// pickVal) — the shape the value index serves.
 func buildTxn(p Params, readOnly bool, pick func() DocInfo, pickVal func() int64, pickSection func(DocInfo) string, rng *rand.Rand, uniq int64) []txn.Operation {
 	isUpdateTxn := rng.Intn(100) < p.UpdateTxPct && !readOnly
-	// Analytics draw only for read transactions, and only when the knob is
-	// set — update transactions short-circuit before touching the rng, the
-	// same pattern the isUpdateTxn case below uses.
-	isAnalyticsTxn := p.AnalyticsPct > 0 && !isUpdateTxn && rng.Intn(100) < p.AnalyticsPct
 	ops := make([]txn.Operation, 0, p.OpsPerTx)
 	for i := 0; i < p.OpsPerTx; i++ {
 		doc := pick()
@@ -699,8 +638,6 @@ func buildTxn(p Params, readOnly bool, pick func() DocInfo, pickVal func() int64
 		case isUpdateTxn && rng.Intn(100) < p.UpdateOpPct:
 			u := xmark.UpdateFor(section, uniq*100+int64(i), rng)
 			ops = append(ops, txn.NewUpdate(doc.Name, u))
-		case isAnalyticsTxn:
-			ops = append(ops, txn.NewQuery(doc.Name, xmark.ScanQueryFor(section)))
 		case p.ValuePredPct > 0 && rng.Intn(100) < p.ValuePredPct:
 			ops = append(ops, txn.NewQuery(doc.Name, xmark.PredicateQueryFor(section, pickVal())))
 		default:
@@ -722,9 +659,6 @@ func (r *Result) String() string {
 	}
 	if r.Params.ValuePredPct > 0 || r.IndexedQueries > 0 {
 		row += fmt.Sprintf(" idxq=%d", r.IndexedQueries)
-	}
-	if r.Params.Protocol == "adaptive" {
-		row += fmt.Sprintf(" switches=%d", r.ProtocolSwitches)
 	}
 	if b := r.Breakdown; b != nil {
 		row += fmt.Sprintf("\n  phase ms (p50/p99): lock-wait=%.2f/%.2f exec=%.2f/%.2f 2pc-decision=%.2f/%.2f 2pc-fanout=%.2f/%.2f quorum-ack=%.2f/%.2f persist=%.2f/%.2f",

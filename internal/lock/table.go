@@ -248,18 +248,6 @@ func (t *Table) ReleaseAll(id txn.ID) int {
 	return released
 }
 
-// Held reports whether the transaction holds at least one lock. Cheaper than
-// HeldBy for admission checks: one map lookup, no grant walk.
-func (t *Table) Held(id txn.ID) bool {
-	return len(t.held[id]) > 0
-}
-
-// OwnerCount returns the number of distinct transactions holding at least one
-// lock — the quiescence condition of an online protocol switch: a table with
-// zero owners has no in-flight strict-2PL transaction whose footprint could
-// straddle two protocols.
-func (t *Table) OwnerCount() int { return len(t.held) }
-
 // HeldBy returns the number of grants currently held by the transaction.
 func (t *Table) HeldBy(id txn.ID) int {
 	n := 0

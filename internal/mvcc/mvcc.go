@@ -44,14 +44,12 @@ type Version struct {
 	idx     *vindex.DocIndex
 }
 
-// ValueIndex returns the version's snapshot value index, building it on
-// first use from keys() — the live index's enabled-key set at build time.
-// Keys enabled after the build are simply absent: reads probing them fall
-// back to scanning this version, never to the live index. Safe for
-// concurrent use by lock-free readers.
-func (v *Version) ValueIndex(keys func() []string) *vindex.DocIndex {
+// ValueIndex returns the version's snapshot value index, building it over
+// keys on first use. A site's keys never change, so every caller passes the
+// same set. Safe for concurrent use by lock-free readers.
+func (v *Version) ValueIndex(keys []string) *vindex.DocIndex {
 	v.idxOnce.Do(func() {
-		v.idx = vindex.BuildDocIndex(v.Doc, keys())
+		v.idx = vindex.BuildDocIndex(v.Doc, keys)
 	})
 	return v.idx
 }

@@ -89,22 +89,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Bounds returns the histogram's bucket upper bounds. The slice is the
-// histogram's own backing array and must not be mutated.
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
-// Snapshot copies the current non-cumulative bucket counts: len(Bounds())+1
-// entries, the last being the +Inf overflow bucket. Windowed consumers (the
-// adaptive scheduler's policy engine) diff two snapshots to recover the
-// distribution of exactly one interval and feed it to QuantileOverBuckets.
-func (h *Histogram) Snapshot() []int64 {
-	out := make([]int64, len(h.buckets))
-	for i := range h.buckets {
-		out[i] = h.buckets[i].Load()
-	}
-	return out
-}
-
 // Quantile estimates the q-quantile of this histogram alone.
 func (h *Histogram) Quantile(q float64) float64 { return Quantile(q, h) }
 

@@ -346,9 +346,6 @@ func (v *HistogramVec) Children() []*Histogram {
 	return out
 }
 
-// Bounds returns the family's bucket upper bounds.
-func (v *HistogramVec) Bounds() []float64 { return append([]float64(nil), v.bounds...) }
-
 func (v *HistogramVec) metricName() string { return v.name }
 
 // ---- quantile estimation ----
@@ -373,9 +370,7 @@ func Quantile(q float64, hists ...*Histogram) float64 {
 
 // QuantileOverBuckets estimates the q-quantile of an explicit non-cumulative
 // bucket-count vector over the given bounds (len(counts) == len(bounds)+1,
-// the last entry being the +Inf overflow) — the windowed-delta companion of
-// Quantile: diff two Histogram.Snapshot calls and pass the difference here to
-// get the quantile of exactly that interval. Returns NaN when the counts sum
+// the last entry being the +Inf overflow). Returns NaN when the counts sum
 // to zero.
 func QuantileOverBuckets(q float64, bounds []float64, counts []int64) float64 {
 	var total int64

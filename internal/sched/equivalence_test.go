@@ -1,12 +1,11 @@
-// Cross-protocol equivalence and adaptive scenario tests. These live in the
-// external test package so they can drive the full harness (which imports
-// sched) against every lock protocol, including the adaptive scheduler.
+// Cross-protocol equivalence tests. These live in the external test package
+// so they can drive the full harness (which imports sched) against every
+// lock protocol.
 package sched_test
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -25,23 +24,19 @@ import (
 	"repro/internal/xupdate"
 )
 
-// equivalenceProtocols is the table every cross-protocol test iterates: the
-// three static rungs of the granularity ladder plus the run-time adaptive
-// scheduler. A new lock protocol must be added here (see CONTRIBUTING.md).
-var equivalenceProtocols = []string{"xdgl", "node2pl", "doclock", "adaptive"}
+// equivalenceProtocols is the table every cross-protocol test iterates. A
+// new lock protocol must be added here (see CONTRIBUTING.md).
+var equivalenceProtocols = []string{"xdgl", "node2pl", "doclock"}
 
 // TestCrossProtocolEquivalence runs the same seeded serial workload under
 // every protocol and requires byte-identical serialized XML on every replica:
 // with one client the submission order is deterministic, so any divergence
-// means a protocol (or a mid-run protocol switch) corrupted scheduling.
+// means a protocol corrupted scheduling.
 func TestCrossProtocolEquivalence(t *testing.T) {
 	base := harness.Params{
 		Sites: 3, Clients: 1, TxPerClient: 10, OpsPerTx: 4,
 		UpdateTxPct: 70, UpdateOpPct: 50,
 		BaseBytes: 24 << 10, Seed: 42,
-		// A short window so the adaptive run has a real chance to switch
-		// mid-workload — equivalence must hold across switches too.
-		AdaptiveWindow: 5 * time.Millisecond,
 	}
 	digests := make(map[string]string)
 	for _, proto := range equivalenceProtocols {
@@ -81,8 +76,7 @@ func TestCrossProtocolEquivalence(t *testing.T) {
 // TestCrossProtocolConvergence is the concurrent companion: with many
 // clients the commit order is protocol-dependent, so final states may differ
 // ACROSS protocols — but within one run every replica must still converge to
-// identical XML, under every protocol including adaptive (whose per-document
-// switches are per-replica and unsynchronized).
+// identical XML, under every protocol.
 func TestCrossProtocolConvergence(t *testing.T) {
 	for _, proto := range equivalenceProtocols {
 		t.Run(proto, func(t *testing.T) {
@@ -91,7 +85,6 @@ func TestCrossProtocolConvergence(t *testing.T) {
 				UpdateTxPct: 60, UpdateOpPct: 50,
 				BaseBytes: 24 << 10, Seed: 77,
 				Protocol:             proto,
-				AdaptiveWindow:       5 * time.Millisecond,
 				DeadlockInterval:     5 * time.Millisecond,
 				CheckSerializability: true,
 			}
@@ -117,7 +110,6 @@ func TestCrossProtocolConvergenceDigest(t *testing.T) {
 				UpdateTxPct: 60, UpdateOpPct: 50,
 				BaseBytes: 24 << 10, Seed: 99,
 				Protocol:         proto,
-				AdaptiveWindow:   5 * time.Millisecond,
 				DeadlockInterval: 5 * time.Millisecond,
 			}
 			cluster, err := harness.BuildCluster(p, nil)
@@ -136,61 +128,6 @@ func TestCrossProtocolConvergenceDigest(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSwitchesUnderSkew is the headline scenario: a hot-key skewed
-// mixed OLTP/analytics workload that a static protocol choice serves badly
-// from one end of the ladder or the other. The adaptive scheduler must (a)
-// actually switch at least once, and (b) not lose to the worse static
-// protocol on committed work.
-func TestAdaptiveSwitchesUnderSkew(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scenario run takes ~1s per protocol")
-	}
-	// Long enough that the adaptive run spends most of its wall clock AFTER
-	// its switches (the hysteresis dwell pins the first ~100ms), so the
-	// comparison measures the adapted regime, not the ramp.
-	base := harness.Params{
-		Sites: 2, Clients: 10, TxPerClient: 40, OpsPerTx: 4,
-		UpdateTxPct: 80, UpdateOpPct: 60,
-		HotKeyZipf: 2.5, AnalyticsPct: 30,
-		BaseBytes: 16 << 10, Seed: 7,
-		DeadlockInterval: 5 * time.Millisecond,
-		AdaptiveWindow:   10 * time.Millisecond,
-	}
-	run := func(proto string) *harness.Result {
-		p := base
-		p.Protocol = proto
-		res, err := harness.Run(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Committed == 0 {
-			t.Fatalf("%s: nothing committed", proto)
-		}
-		t.Logf("%s: %v", proto, res)
-		return res
-	}
-	adaptive := run("adaptive")
-	xdgl := run("xdgl")
-	doclock := run("doclock")
-
-	if adaptive.ProtocolSwitches == 0 {
-		t.Error("adaptive run under skew never switched protocols")
-	}
-	// The adaptive run must at least match the losing static choice. The
-	// comparison uses committed transactions, not wall-clock throughput:
-	// all three runs submit the identical transaction set, so committed
-	// count measures how much of it the protocol saved from deadlock
-	// aborts — while tx/s is dominated by host CPU contention when the
-	// suite runs alongside other -race tests. The 0.85 factor absorbs
-	// scheduler-noise variance in these short CI runs — the real gap
-	// between the static extremes is far larger than 15%.
-	worst := math.Min(float64(xdgl.Committed), float64(doclock.Committed))
-	if float64(adaptive.Committed) < 0.85*worst {
-		t.Errorf("adaptive committed %d of %d, lost to the worse static protocol (%.0f)",
-			adaptive.Committed, adaptive.Total, worst)
-	}
-}
-
 // replaySite builds (or, over the same directory, rebuilds) a single
 // journaled FileStore site under the named protocol.
 func replaySite(t *testing.T, dir, proto string, hooks *sched.CrashHooks) *sched.Site {
@@ -204,9 +141,7 @@ func replaySite(t *testing.T, dir, proto string, hooks *sched.CrashHooks) *sched
 		t.Fatal(err)
 	}
 	cfg := sched.Config{Store: st, Journal: journal, RetryInterval: 2 * time.Millisecond, Hooks: hooks}
-	if proto == "adaptive" {
-		cfg.Adaptive = sched.AdaptiveConfig{Enabled: true, Window: 5 * time.Millisecond}
-	} else if cfg.Protocol, err = lock.ByName(proto); err != nil {
+	if cfg.Protocol, err = lock.ByName(proto); err != nil {
 		t.Fatal(err)
 	}
 	s := sched.New(cfg)

@@ -131,4 +131,7 @@ func TestStatusMessage(t *testing.T) {
 	if !st.Ready || st.Site != 0 || len(st.Documents) != 1 || st.Committed != 1 {
 		t.Fatalf("status = %+v", st)
 	}
+	if want := sites[0].Protocol().Name(); st.Protocol != want {
+		t.Fatalf("status protocol = %q, want %q", st.Protocol, want)
+	}
 }

@@ -31,9 +31,6 @@ type siteMetrics struct {
 	staleRefusals, catchupRecords                  *obs.Counter
 	indexedQueries                                 *obs.Counter
 	conflicts                                      *obs.CounterVec // per doc; Stats folds Total
-	docOps                                         *obs.CounterVec // per doc; adaptive-policy signal
-	docDeadlocks                                   *obs.CounterVec // per doc; adaptive-policy signal
-	protocolSwitches                               *obs.CounterVec // per doc; Stats folds Total
 
 	// Latency histograms (armed-gated).
 	lockWait      *obs.HistogramVec // per doc: first conflict -> grant
@@ -49,16 +46,10 @@ type siteMetrics struct {
 }
 
 // docMetrics are the per-document child handles cached on each docState.
-// ops, deadlocks and the lock-wait histogram double as the adaptive policy
-// engine's per-document signals (adapt.go): counters are always live, and
-// the policy loop arms the registry so the histogram records too.
 type docMetrics struct {
 	lockWait     *obs.Histogram
 	opExec       *obs.Histogram
 	conflicts    *obs.Counter
-	ops          *obs.Counter
-	deadlocks    *obs.Counter
-	switches     *obs.Counter
 	persistSave  *obs.Histogram
 	persistBatch *obs.Histogram
 	replApply    *obs.Histogram
@@ -69,9 +60,6 @@ func (m *siteMetrics) docMetrics(doc string) docMetrics {
 		lockWait:     m.lockWait.With(doc),
 		opExec:       m.opExec.With(doc),
 		conflicts:    m.conflicts.With(doc),
-		ops:          m.docOps.With(doc),
-		deadlocks:    m.docDeadlocks.With(doc),
-		switches:     m.protocolSwitches.With(doc),
 		persistSave:  m.persistSave.With(doc),
 		persistBatch: m.persistBatch.With(doc),
 		replApply:    m.replApply.With(doc),
@@ -107,9 +95,6 @@ func newSiteMetrics(s *Site, reg *obs.Registry) *siteMetrics {
 		catchupRecords:     reg.Counter("dtx_repl_catchup_records_total", "Replication records applied during recovery catch-up."),
 		indexedQueries:     reg.Counter("dtx_indexed_queries_total", "Queries answered from a value index instead of an extent scan."),
 		conflicts:          reg.CounterVec("dtx_op_conflicts_total", "Lock acquisition failures.", "doc"),
-		docOps:             reg.CounterVec("dtx_doc_ops_executed_total", "Operations executed, per document (adaptive-policy signal).", "doc"),
-		docDeadlocks:       reg.CounterVec("dtx_doc_deadlocks_total", "Local deadlock cycles found, per document (adaptive-policy signal).", "doc"),
-		protocolSwitches:   reg.CounterVec("dtx_protocol_switches_total", "Completed online lock-protocol switches, per document.", "doc"),
 
 		lockWait:      reg.HistogramVec("dtx_lock_wait_seconds", "Lock-wait time per operation: first conflicting attempt to grant.", "doc", obs.LatencyBuckets),
 		opExec:        reg.HistogramVec("dtx_op_exec_seconds", "2PC execute phase: one operation routed, executed and acknowledged.", "doc", obs.LatencyBuckets),
@@ -159,16 +144,6 @@ func newSiteMetrics(s *Site, reg *obs.Registry) *siteMetrics {
 		var out []obs.LabeledValue
 		for _, ds := range s.allDocs() {
 			out = append(out, obs.LabeledValue{Label: ds.name, Value: float64(ds.versions.Pinned())})
-		}
-		return out
-	})
-	reg.LabeledGaugeFunc("dtx_doc_protocol_rung", "Active lock protocol per document on the granularity ladder: 0=doclock, 1=node2pl, 2=xdgl, -1=unmanaged.", "doc", func() []obs.LabeledValue {
-		var out []obs.LabeledValue
-		for _, ds := range s.allDocs() {
-			ds.mu.Lock()
-			rung := ladderIndex(ds.proto.Name())
-			ds.mu.Unlock()
-			out = append(out, obs.LabeledValue{Label: ds.name, Value: float64(rung)})
 		}
 		return out
 	})

@@ -106,20 +106,9 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 
-	// A protocol switch is draining this domain: transactions holding no
-	// locks here yet are refused admission — acquired:false with no
-	// conflicts parks them in the coordinator's wait mode, and the retry
-	// interval readmits them under the new protocol once the swap lands.
-	// Transactions already holding locks pass, so the drain's quiescence
-	// condition (zero lock owners) is reachable: strict 2PL releases their
-	// footprint at commit or abort.
-	if ds.draining && !ds.table.Held(id) {
-		return localResult{acquired: false}
-	}
-
-	// Translate the operation into lock requests under the domain's active
-	// protocol. Queries go through the site's parse cache; update targets
-	// are pre-parsed on the Update itself.
+	// Translate the operation into lock requests under the site's protocol.
+	// Queries go through the site's parse cache; update targets are
+	// pre-parsed on the Update itself.
 	var reqs []lock.Request
 	var q *xpath.Query
 	var err error
@@ -127,10 +116,10 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 	case txn.OpQuery:
 		q, err = s.queries.Get(op.Query)
 		if err == nil {
-			reqs, err = ds.proto.QueryRequests(ds.doc, ds.guide, q)
+			reqs, err = s.cfg.Protocol.QueryRequests(ds.doc, ds.guide, q)
 		}
 	case txn.OpUpdate:
-		reqs, err = ds.proto.UpdateRequests(ds.doc, ds.guide, op.Update)
+		reqs, err = s.cfg.Protocol.UpdateRequests(ds.doc, ds.guide, op.Update)
 	default:
 		err = fmt.Errorf("unknown operation kind %d", op.Kind)
 	}
@@ -161,7 +150,6 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 		deadlock := ds.graph.CycleThrough(id) != nil
 		if deadlock {
 			s.m.localDeadlocks.Inc()
-			ds.met.deadlocks.Inc()
 		}
 		return localResult{acquired: false, deadlock: deadlock, conflicts: conflicts}
 	}
@@ -188,10 +176,10 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 	case txn.OpQuery:
 		// Indexed path first: a predicate over an indexed key is answered
 		// from postings (plus residual filters) instead of scanning the
-		// matched extents. Falls back to the scan — and feeds the auto-index
-		// miss counters — when no index covers the query. Both run under
-		// ds.mu, so the index is exactly as current as the tree.
-		if nodes, ok := ds.guide.EvalIndexed(q, ds.doc); ok {
+		// matched extents. Falls back to the scan when no index covers the
+		// query. Both run under ds.mu, so the index is exactly as current as
+		// the tree.
+		if nodes, ok := ds.guide.EvalIndexed(q); ok {
 			out.results = xpath.RenderStrings(q, nodes)
 			s.m.indexedQueries.Inc()
 		} else {
@@ -212,7 +200,6 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 	}
 	if out.executed {
 		s.m.opsExecuted.Inc()
-		ds.met.ops.Inc()
 	}
 	return out
 }

@@ -51,8 +51,7 @@ func newCluster(t *testing.T, n int, mutate func(*Config)) ([]*Site, *transport.
 
 // newClusterWithProtocol pins the cluster to a named protocol, so
 // cross-protocol tests take the protocol as a table parameter instead of
-// hardcoding one in the mutate closure. "" keeps the default; "adaptive"
-// starts from the default and enables the run-time adaptive policy.
+// hardcoding one in the mutate closure. "" keeps the default.
 func newClusterWithProtocol(t *testing.T, n int, protocol string, mutate func(*Config)) ([]*Site, *transport.Network) {
 	t.Helper()
 	net := transport.NewNetwork()
@@ -69,11 +68,7 @@ func newClusterWithProtocol(t *testing.T, n int, protocol string, mutate func(*C
 			Catalog:       catalog,
 			RetryInterval: 5 * time.Millisecond,
 		}
-		switch protocol {
-		case "":
-		case "adaptive":
-			cfg.Adaptive = AdaptiveConfig{Enabled: true}
-		default:
+		if protocol != "" {
 			p, err := lock.ByName(protocol)
 			if err != nil {
 				t.Fatal(err)
@@ -509,9 +504,9 @@ func TestLivenessUnderContention(t *testing.T) {
 	}
 }
 
-// TestProtocolSwap runs the same read/write transaction under every static
-// protocol on the granularity ladder, taking the protocol as a table
-// parameter rather than hardcoding one configuration.
+// TestProtocolSwap runs the same read/write transaction under every
+// protocol, taking the protocol as a table parameter rather than hardcoding
+// one configuration.
 func TestProtocolSwap(t *testing.T) {
 	for _, proto := range []string{"xdgl", "node2pl", "doclock"} {
 		t.Run(proto, func(t *testing.T) {

@@ -62,17 +62,9 @@ type Config struct {
 	SiteID int
 	// Sites lists every site in the system, for deadlock detection sweeps.
 	Sites []int
-	// Protocol is the concurrency-control protocol (default XDGL). With the
-	// adaptive scheduler enabled it is the protocol every document STARTS
-	// under; each document may then move along the granularity ladder at
-	// run time (adapt.go).
+	// Protocol is the concurrency-control protocol (default XDGL): the lock
+	// protocol of every document at the site for the site's whole life.
 	Protocol lock.Protocol
-	// Adaptive configures run-time adaptive concurrency control: when
-	// Enabled, a per-site policy loop samples each document's conflict rate,
-	// windowed lock-wait p99 and deadlock rate every Window and switches the
-	// document between DocLock, Node2PL and XDGL at quiescent points, with
-	// hysteresis (see AdaptiveConfig).
-	Adaptive AdaptiveConfig
 	// Catalog maps documents to the sites holding replicas.
 	Catalog *replica.Catalog
 	// Store is the persistence backend (default in-memory).
@@ -147,12 +139,6 @@ type Config struct {
 	// range predicates are answered from postings instead of scanning the
 	// extent; everything else falls back to the scan.
 	IndexedKeys []string
-	// AutoIndexAfter, when positive, enables the auto-index heuristic: a
-	// key that would have served a predicate but is not indexed is counted
-	// on every scan fallback, and after this many misses it is indexed
-	// automatically (postings built under the domain mutex on the next
-	// locked query). Zero disables the heuristic.
-	AutoIndexAfter int
 	// Recovering starts the site in recovering state: it answers heartbeats
 	// not-ready and refuses operations until FinishRecovery, so peers keep
 	// routing around it while internal/recovery replays the journal and
@@ -212,13 +198,6 @@ type CrashHooks struct {
 	// replication-lag injection point (a sleeping hook makes a follower that
 	// knows it lags, which is what the bounded-staleness refusal keys on).
 	BeforeReplApply func(doc string, from int)
-	// BeforeProtocolSwitch fires at the quiescent point of an online
-	// protocol switch: the domain's lock table has drained to zero owners
-	// and admissions are blocked, immediately before the protocol is
-	// swapped — the "mid-switch" crash point. The active protocol is never
-	// persisted, so a site killed here restarts under its configured
-	// default.
-	BeforeProtocolSwitch func(doc, from, to string)
 }
 
 // GrantInfo describes one granted lock for history recording. Guard carries
@@ -249,9 +228,6 @@ type HistoryHook interface {
 func (c Config) withDefaults() Config {
 	if c.Protocol == nil {
 		c.Protocol = lock.XDGL{}
-	}
-	if c.Adaptive.Enabled {
-		c.Adaptive = c.Adaptive.withDefaults()
 	}
 	if c.Catalog == nil {
 		c.Catalog = replica.NewCatalog()
@@ -304,7 +280,6 @@ type Stats struct {
 	ReplStaleRefusals  int64 // snapshot reads refused for exceeding the staleness bound
 	ReplCatchupRecords int64 // replication records applied during recovery catch-up
 	IndexedQueries     int64 // queries answered from a value index instead of an extent scan
-	ProtocolSwitches   int64 // completed online protocol switches (adapt.go)
 }
 
 // docState bundles the in-memory representation of one document at a site:
@@ -337,15 +312,6 @@ type docState struct {
 	// newest commit trimmed off, the floor below which no state can be cut.
 	undoLog []undoEntry
 	trimTS  txn.TS
-
-	// proto is the lock protocol currently active on this domain, seeded
-	// from Config.Protocol and swapped at quiescent points by SwitchProtocol
-	// (adapt.go). draining blocks new admissions while a switch waits for
-	// the lock table to empty: processOperation refuses transactions that
-	// hold nothing here yet (the coordinator's wait mode retries them) and
-	// admits the rest so the drain can complete. Both guarded by mu.
-	proto    lock.Protocol
-	draining bool
 
 	// met caches this document's child metric handles (resolved once here,
 	// so the hot paths never do a labelled-vec map lookup).
@@ -847,9 +813,8 @@ func (s *Site) markFinishedLocked(id txn.ID, committed bool) {
 // ID returns the site identifier.
 func (s *Site) ID() int { return s.id }
 
-// Protocol returns the configured concurrency-control protocol — the one
-// every document starts under. With the adaptive scheduler enabled, a
-// document's currently ACTIVE protocol may differ; DocProtocol reports it.
+// Protocol returns the concurrency-control protocol of every document at
+// the site.
 func (s *Site) Protocol() lock.Protocol { return s.cfg.Protocol }
 
 // Catalog returns the replica catalog the site routes with.
@@ -871,10 +836,6 @@ func (s *Site) Attach(join func(transport.Handler) (transport.Node, error)) erro
 	if s.cfg.HeartbeatInterval > 0 {
 		s.wg.Add(1)
 		go s.heartbeatLoop()
-	}
-	if s.cfg.Adaptive.Enabled {
-		s.wg.Add(1)
-		go s.adaptLoop()
 	}
 	return nil
 }
@@ -987,7 +948,6 @@ func (s *Site) Stats() Stats {
 		ReplStaleRefusals:  m.staleRefusals.Value(),
 		ReplCatchupRecords: m.catchupRecords.Value(),
 		IndexedQueries:     m.indexedQueries.Value(),
-		ProtocolSwitches:   m.protocolSwitches.Total(),
 	}
 }
 
@@ -999,11 +959,11 @@ func (s *Site) Stats() Stats {
 // the tree is the saved image the Store (or catch-up) hands back.
 func (s *Site) newDocState(doc *xmltree.Document, idx int64) *docState {
 	g := dataguide.Build(doc)
-	if len(s.cfg.IndexedKeys) > 0 || s.cfg.AutoIndexAfter > 0 {
+	if len(s.cfg.IndexedKeys) > 0 {
 		// Every install path builds its state here, so a replayed or caught-up
 		// document rebuilds its postings from the recovered tree; later updates
 		// maintain them through the guide hooks inside the same ds.mu section.
-		g.AttachIndex(vindex.New(s.cfg.IndexedKeys, s.cfg.AutoIndexAfter))
+		g.AttachIndex(vindex.New(s.cfg.IndexedKeys))
 		g.ReindexAll(doc)
 	}
 	ch := mvcc.NewChain(mvcc.Options{})
@@ -1019,7 +979,6 @@ func (s *Site) newDocState(doc *xmltree.Document, idx int64) *docState {
 		guide:       g,
 		table:       lock.NewTable(g),
 		graph:       wfg.New(),
-		proto:       s.cfg.Protocol,
 		versions:    ch,
 		met:         s.m.docMetrics(doc.Name),
 		replApplied: idx,
@@ -1374,6 +1333,7 @@ func (s *Site) siteStatus() transport.SiteStatusResp {
 		Committed: st.TxnsCommitted,
 		Aborted:   st.TxnsAborted,
 		Failed:    st.TxnsFailed,
+		Protocol:  s.cfg.Protocol.Name(),
 	}
 	sort.Strings(resp.Documents)
 	for _, name := range resp.Documents {
@@ -1391,7 +1351,6 @@ func (s *Site) siteStatus() transport.SiteStatusResp {
 		d.Applied = ds.replApplied
 		d.Head = ds.knownHead
 		d.Checkpoint = ds.savedIdx
-		d.Protocol = ds.proto.Name()
 		ds.mu.Unlock()
 		if d.Applied > d.Head {
 			// The primary's own applied position IS the head.

@@ -143,18 +143,11 @@ func (s *Site) snapshotRead(id txn.ID, ts txn.TS, coordinator int, docName, quer
 
 // snapshotEval evaluates a snapshot read's query against its pinned
 // version, through the version's value index when one covers the query.
-// Keys enabled after the version's index was built are absent from it, so
-// those reads fall back to scanning the pinned tree; cold keys still feed
-// the live index's auto-index miss counters (a lock-free counter bump).
 func (s *Site) snapshotEval(ds *docState, q *xpath.Query, ver *mvcc.Version) ([]string, bool) {
 	if ix := ds.guide.ValueIndex(); ix != nil {
-		if plan, ok := vindex.PlanQuery(q); ok {
-			if ix.Enabled(plan.Key) {
-				if nodes, ok := ver.ValueIndex(ix.Keys).Eval(q, plan); ok {
-					return xpath.RenderStrings(q, nodes), true
-				}
-			} else {
-				ix.NoteMiss(plan.Key)
+		if plan, ok := vindex.PlanQuery(q); ok && ix.Enabled(plan.Key) {
+			if nodes, ok := ver.ValueIndex(ix.Keys()).Eval(q, plan); ok {
+				return xpath.RenderStrings(q, nodes), true
 			}
 		}
 	}

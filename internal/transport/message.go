@@ -175,10 +175,7 @@ type PeerStatus struct {
 // or replica), the last log record it applied (the journal head), the record
 // its saved image reflects (Checkpoint — a restart replays the records
 // between the two), the newest record it knows the primary holds, and the
-// gap to it. Outside quorum mode Head equals Applied. Protocol names the lock
-// protocol currently active on the document's scheduling domain — under
-// adaptive concurrency control it can differ per document and change over a
-// run.
+// gap to it. Outside quorum mode Head equals Applied.
 type DocStatus struct {
 	Name       string
 	Primary    int
@@ -187,14 +184,14 @@ type DocStatus struct {
 	Checkpoint int64
 	Head       int64
 	Behind     int64
-	Protocol   string
 }
 
-// SiteStatusResp reports a site's documents, liveness view and headline
-// counters.
+// SiteStatusResp reports a site's documents, liveness view, headline
+// counters and the lock protocol every document at the site runs under.
 type SiteStatusResp struct {
 	Site      int
 	Ready     bool
+	Protocol  string
 	Documents []string
 	Docs      []DocStatus
 	Peers     []PeerStatus

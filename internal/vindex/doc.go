@@ -24,22 +24,9 @@ type docEntry struct {
 	attrs map[string]*postings
 }
 
-// BuildDocIndex walks the snapshot once and indexes every enabled key.
-// keys is the live index's key set at build time; a key enabled later is
-// simply absent here and those reads fall back to scanning this version.
+// BuildDocIndex walks the snapshot once and indexes every given key.
 func BuildDocIndex(doc *xmltree.Document, keys []string) *DocIndex {
-	ks := &keySet{text: make(map[string]bool), attrs: make(map[string]bool)}
-	for _, k := range keys {
-		name, isAttr := splitKey(k)
-		if name == "" {
-			continue
-		}
-		if isAttr {
-			ks.attrs[name] = true
-		} else {
-			ks.text[name] = true
-		}
-	}
+	ks := newKeySet(keys)
 	di := &DocIndex{ks: ks, entries: make(map[string]*docEntry)}
 	if ks.empty() || doc.Root == nil {
 		return di
@@ -88,13 +75,7 @@ func BuildDocIndex(doc *xmltree.Document, keys []string) *DocIndex {
 }
 
 // Covers reports whether this DocIndex was built with the given key.
-func (di *DocIndex) Covers(key string) bool {
-	name, isAttr := splitKey(key)
-	if isAttr {
-		return di.ks.attrs[name]
-	}
-	return di.ks.text[name]
-}
+func (di *DocIndex) Covers(key string) bool { return di.ks.covers(key) }
 
 // Eval serves q from the snapshot postings under the given plan, returning
 // (nodes, true) when this index covers the plan's key and (nil, false)

@@ -25,8 +25,7 @@ type Plan struct {
 // over an attribute, the step's own text, or a child element. Steps after
 // the predicate step are evaluated from the candidate set, so a trailing
 // selection like //person[id='7']/emailaddress stays indexable. Whether the
-// chosen key is actually indexed is the caller's check — a plan with a cold
-// key is what feeds the auto-index miss counters.
+// chosen key is actually indexed is the caller's check.
 func PlanQuery(q *xpath.Query) (Plan, bool) {
 	predStep := -1
 	for i, st := range q.Steps {

@@ -23,34 +23,54 @@
 // An Index belongs to exactly one live document and is maintained by the
 // DataGuide hooks in the same ds.mu critical section that mutates the tree:
 // postings and groups are guarded by the owning scheduling domain's mutex
-// and are never touched off-lock. The enabled-key set is published through
-// an atomic pointer and the miss counters behind their own small mutex, so
-// the lock-free MVCC snapshot-read path can check key coverage and record
-// scan misses without the domain mutex. Snapshot readers never consult the
-// live postings at all — they build a DocIndex over their pinned immutable
+// and are never touched off-lock. The key set is fixed by New and never
+// changes, so the lock-free MVCC snapshot-read path can check key coverage
+// without the domain mutex. Snapshot readers never consult the live
+// postings at all — they build a DocIndex over their pinned immutable
 // version (see doc.go), so a half-applied posting is unobservable by
 // construction.
 package vindex
 
 import (
-	"maps"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
-// keySet is the immutable published form of the enabled keys. Replaced
-// wholesale (copy-on-write under ds.mu) so lock-free readers can Load it.
+// keySet is the parsed, immutable form of a list of index keys.
 type keySet struct {
 	text  map[string]bool // element labels whose text is indexed
 	attrs map[string]bool // attribute names (without the '@') indexed
 }
 
+func newKeySet(keys []string) *keySet {
+	ks := &keySet{text: make(map[string]bool), attrs: make(map[string]bool)}
+	for _, k := range keys {
+		name, isAttr := splitKey(k)
+		if name == "" {
+			continue
+		}
+		if isAttr {
+			ks.attrs[name] = true
+		} else {
+			ks.text[name] = true
+		}
+	}
+	return ks
+}
+
 func (ks *keySet) empty() bool { return len(ks.text) == 0 && len(ks.attrs) == 0 }
+
+// covers reports whether key is in the set.
+func (ks *keySet) covers(key string) bool {
+	name, isAttr := splitKey(key)
+	if isAttr {
+		return ks.attrs[name]
+	}
+	return ks.text[name]
+}
 
 // splitKey parses an index key: "@name" selects an attribute, anything else
 // an element label.
@@ -159,121 +179,32 @@ type group struct {
 type Index struct {
 	groups map[int64]*group // guide-node ID → postings; under ds.mu
 
-	keys atomic.Pointer[keySet] // lock-free reads; replaced under ds.mu
-
-	// Scan-miss accounting for the auto-index heuristic. Guarded by missMu
-	// because the snapshot-read path records misses without ds.mu.
-	missMu  sync.Mutex
-	misses  map[string]int
-	pending []string // keys past the threshold, awaiting enable+rebuild
-	auto    int      // misses before a key is auto-indexed; 0 disables
+	// keys and sorted are fixed by New: read off-lock by snapshot readers.
+	keys   *keySet
+	sorted []string
 }
 
-// New builds an empty index with the given initially enabled keys.
-// autoAfter > 0 enables the auto-index heuristic: a key is promoted into
-// the enabled set after that many scan misses on it.
-func New(keys []string, autoAfter int) *Index {
-	ix := &Index{
-		groups: make(map[int64]*group),
-		misses: make(map[string]int),
-		auto:   autoAfter,
-	}
-	ks := &keySet{text: make(map[string]bool), attrs: make(map[string]bool)}
-	for _, k := range keys {
-		name, isAttr := splitKey(k)
-		if name == "" {
-			continue
-		}
-		if isAttr {
-			ks.attrs[name] = true
-		} else {
-			ks.text[name] = true
-		}
-	}
-	ix.keys.Store(ks)
-	return ix
-}
-
-// Enabled reports whether key is currently indexed. Safe off-lock.
-func (ix *Index) Enabled(key string) bool {
-	name, isAttr := splitKey(key)
-	ks := ix.keys.Load()
-	if isAttr {
-		return ks.attrs[name]
-	}
-	return ks.text[name]
-}
-
-// Keys returns the enabled keys in canonical sorted form ("@name" for
-// attributes). Safe off-lock; snapshot DocIndex builds capture it.
-func (ix *Index) Keys() []string {
-	ks := ix.keys.Load()
-	out := make([]string, 0, len(ks.text)+len(ks.attrs))
+// New builds an empty index over the given keys; the key set never
+// changes afterwards.
+func New(keys []string) *Index {
+	ks := newKeySet(keys)
+	sorted := make([]string, 0, len(ks.text)+len(ks.attrs))
 	for k := range ks.text {
-		out = append(out, k)
+		sorted = append(sorted, k)
 	}
 	for k := range ks.attrs {
-		out = append(out, "@"+k)
+		sorted = append(sorted, "@"+k)
 	}
-	sort.Strings(out)
-	return out
+	sort.Strings(sorted)
+	return &Index{groups: make(map[int64]*group), keys: ks, sorted: sorted}
 }
 
-// HasKeys reports whether any key is enabled. Safe off-lock.
-func (ix *Index) HasKeys() bool { return !ix.keys.Load().empty() }
+// Enabled reports whether key is indexed. Safe off-lock.
+func (ix *Index) Enabled(key string) bool { return ix.keys.covers(key) }
 
-// EnableKey adds key to the enabled set. Caller holds ds.mu and must
-// rebuild the key's postings (DataGuide.ReindexKey) before the next lookup.
-func (ix *Index) EnableKey(key string) {
-	name, isAttr := splitKey(key)
-	if name == "" {
-		return
-	}
-	old := ix.keys.Load()
-	ks := &keySet{text: maps.Clone(old.text), attrs: maps.Clone(old.attrs)}
-	if isAttr {
-		ks.attrs[name] = true
-	} else {
-		ks.text[name] = true
-	}
-	ix.keys.Store(ks)
-}
-
-// NoteMiss records a predicate evaluation that fell back to a scan because
-// key was not indexed. Thread-safe; called from both locked and snapshot
-// read paths.
-func (ix *Index) NoteMiss(key string) {
-	if ix.auto <= 0 || ix.Enabled(key) {
-		return
-	}
-	ix.missMu.Lock()
-	ix.misses[key]++
-	if ix.misses[key] == ix.auto {
-		ix.pending = append(ix.pending, key)
-	}
-	ix.missMu.Unlock()
-}
-
-// TakeAutoKeys drains the keys whose miss counters crossed the threshold,
-// enabling each. Caller holds ds.mu and must rebuild postings for every
-// returned key. Keys that became enabled some other way are skipped.
-func (ix *Index) TakeAutoKeys() []string {
-	if ix.auto <= 0 {
-		return nil
-	}
-	ix.missMu.Lock()
-	drained := ix.pending
-	ix.pending = nil
-	ix.missMu.Unlock()
-	var enabled []string
-	for _, k := range drained {
-		if !ix.Enabled(k) {
-			ix.EnableKey(k)
-			enabled = append(enabled, k)
-		}
-	}
-	return enabled
-}
+// Keys returns the keys in canonical sorted form ("@name" for attributes).
+// Safe off-lock; callers must not modify the slice.
+func (ix *Index) Keys() []string { return ix.sorted }
 
 func (ix *Index) getGroup(gid int64, create bool) *group {
 	g := ix.groups[gid]
@@ -285,19 +216,19 @@ func (ix *Index) getGroup(gid int64, create bool) *group {
 }
 
 // Add indexes node n, a member of guide node gid's extent, under every
-// enabled key it matches. Called under ds.mu by the DataGuide extent hooks.
+// indexed key it matches. Called under ds.mu by the DataGuide extent hooks.
 func (ix *Index) Add(gid int64, n *xmltree.Node) {
-	ks := ix.keys.Load()
+	ks := ix.keys
 	if ks.empty() {
 		return
 	}
 	if ks.text[n.Name] {
-		ix.AddTextPosting(gid, n)
+		ix.addTextPosting(gid, n)
 	}
 	if len(ks.attrs) > 0 {
 		for _, a := range n.Attrs {
 			if ks.attrs[a.Name] {
-				ix.AddAttrPosting(gid, n, a.Name, a.Value)
+				ix.addAttrPosting(gid, n, a.Name, a.Value)
 			}
 		}
 	}
@@ -305,7 +236,7 @@ func (ix *Index) Add(gid int64, n *xmltree.Node) {
 
 // Remove drops every posting of n from guide node gid. Called under ds.mu.
 func (ix *Index) Remove(gid int64, n *xmltree.Node) {
-	ks := ix.keys.Load()
+	ks := ix.keys
 	if ks.empty() {
 		return
 	}
@@ -328,7 +259,7 @@ func (ix *Index) Remove(gid int64, n *xmltree.Node) {
 // TextChanged re-keys n's text posting after a Change update or its undo.
 // Called under ds.mu, after the mutation.
 func (ix *Index) TextChanged(gid int64, n *xmltree.Node, old string) {
-	if old == n.Text || !ix.keys.Load().text[n.Name] {
+	if old == n.Text || !ix.keys.text[n.Name] {
 		return
 	}
 	g := ix.getGroup(gid, true)
@@ -343,7 +274,7 @@ func (ix *Index) TextChanged(gid int64, n *xmltree.Node, old string) {
 // old/oldExisted describe the pre-mutation state; the new state is read off
 // the node. Called under ds.mu, after the mutation.
 func (ix *Index) AttrChanged(gid int64, n *xmltree.Node, attr, old string, oldExisted bool) {
-	if !ix.keys.Load().attrs[attr] {
+	if !ix.keys.attrs[attr] {
 		return
 	}
 	cur, curExists := n.Attr(attr)
@@ -367,9 +298,8 @@ func (ix *Index) AttrChanged(gid int64, n *xmltree.Node, attr, old string, oldEx
 	}
 }
 
-// AddTextPosting records n's text under guide node gid unconditionally;
-// bulk rebuilds use it after enabling a key. Under ds.mu.
-func (ix *Index) AddTextPosting(gid int64, n *xmltree.Node) {
+// addTextPosting records n's text under guide node gid. Under ds.mu.
+func (ix *Index) addTextPosting(gid int64, n *xmltree.Node) {
 	g := ix.getGroup(gid, true)
 	if g.text == nil {
 		g.text = newPostings()
@@ -377,9 +307,9 @@ func (ix *Index) AddTextPosting(gid int64, n *xmltree.Node) {
 	g.text.add(n.Text, n)
 }
 
-// AddAttrPosting records one attribute value of n under guide node gid
-// unconditionally; bulk rebuilds use it after enabling a key. Under ds.mu.
-func (ix *Index) AddAttrPosting(gid int64, n *xmltree.Node, attr, val string) {
+// addAttrPosting records one attribute value of n under guide node gid.
+// Under ds.mu.
+func (ix *Index) addAttrPosting(gid int64, n *xmltree.Node, attr, val string) {
 	g := ix.getGroup(gid, true)
 	if g.attrs == nil {
 		g.attrs = make(map[string]*postings)

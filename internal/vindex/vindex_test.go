@@ -24,14 +24,14 @@ const testDocXML = `<site>
   </items>
 </site>`
 
-func buildIndexed(t *testing.T, keys []string, auto int) (*xmltree.Document, *dataguide.DataGuide) {
+func buildIndexed(t *testing.T, keys []string) (*xmltree.Document, *dataguide.DataGuide) {
 	t.Helper()
 	doc, err := xmltree.ParseString("d", testDocXML)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := dataguide.Build(doc)
-	g.AttachIndex(vindex.New(keys, auto))
+	g.AttachIndex(vindex.New(keys))
 	g.ReindexAll(doc)
 	return doc, g
 }
@@ -41,7 +41,7 @@ func buildIndexed(t *testing.T, keys []string, auto int) (*xmltree.Document, *da
 func assertSame(t *testing.T, g *dataguide.DataGuide, doc *xmltree.Document, raw string) {
 	t.Helper()
 	q := xpath.MustParse(raw)
-	indexed, ok := g.EvalIndexed(q, doc)
+	indexed, ok := g.EvalIndexed(q)
 	if !ok {
 		t.Fatalf("%s: not served from the index", raw)
 	}
@@ -57,7 +57,7 @@ func assertSame(t *testing.T, g *dataguide.DataGuide, doc *xmltree.Document, raw
 }
 
 func TestIndexedMatchesScan(t *testing.T) {
-	doc, g := buildIndexed(t, []string{"id", "name", "price", "@key"}, 0)
+	doc, g := buildIndexed(t, []string{"id", "name", "price", "@key"})
 	for _, raw := range []string{
 		"//person[id='2']",                 // child predicate, final step
 		"//person[id='2']/name",            // child predicate + trailing step
@@ -108,7 +108,7 @@ func TestPlanQueryShapes(t *testing.T) {
 // through xupdate with an indexed guide and checks the index stays exactly
 // scan-equivalent after each step.
 func TestIndexMaintenance(t *testing.T) {
-	doc, g := buildIndexed(t, []string{"id", "name", "@key"}, 0)
+	doc, g := buildIndexed(t, []string{"id", "name", "@key"})
 	queries := []string{
 		"//person[id='2']/name",
 		"//person[name='Ana']",
@@ -120,7 +120,7 @@ func TestIndexMaintenance(t *testing.T) {
 		t.Helper()
 		for _, raw := range queries {
 			q := xpath.MustParse(raw)
-			indexed, ok := g.EvalIndexed(q, doc)
+			indexed, ok := g.EvalIndexed(q)
 			if !ok {
 				t.Fatalf("%s: %s left the index path", step, raw)
 			}
@@ -167,34 +167,6 @@ func TestIndexMaintenance(t *testing.T) {
 	}
 }
 
-// TestAutoIndexPromotion: with AutoIndexAfter set, repeated misses on a cold
-// key promote it into the enabled set and build its postings, after which
-// the same query is index-served.
-func TestAutoIndexPromotion(t *testing.T) {
-	doc, g := buildIndexed(t, nil, 2)
-	q := xpath.MustParse("//person[id='2']/name")
-	for i := 0; i < 2; i++ {
-		if _, ok := g.EvalIndexed(q, doc); ok {
-			t.Fatalf("call %d: cold key served from the index", i)
-		}
-	}
-	// Third call drains the pending key, rebuilds its postings, and serves.
-	nodes, ok := g.EvalIndexed(q, doc)
-	if !ok {
-		t.Fatal("key was not auto-indexed after threshold misses")
-	}
-	scan := xpath.Eval(q, doc)
-	if len(nodes) != len(scan) || nodes[0] != scan[0] {
-		t.Fatalf("auto-indexed result %v != scan %v", nodes, scan)
-	}
-	if !g.ValueIndex().Enabled("id") {
-		t.Fatal("id not in the enabled set after promotion")
-	}
-	if g.ValueIndex().Enabled("name") {
-		t.Fatal("unrelated key enabled")
-	}
-}
-
 // TestDocIndexMatchesScan: the snapshot-side DocIndex built from an
 // immutable tree answers exactly what a scan of that tree answers, and
 // refuses keys it was not built with.
@@ -232,7 +204,7 @@ func TestDocIndexMatchesScan(t *testing.T) {
 			}
 		}
 	}
-	// A key enabled after the build is absent: the reader must fall back.
+	// A key it was not built with is absent: the reader must fall back.
 	q := xpath.MustParse("//person[name='Ana']")
 	plan, ok := vindex.PlanQuery(q)
 	if !ok {
@@ -252,7 +224,7 @@ func TestOrderedLookupTotalOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := dataguide.Build(doc)
-	g.AttachIndex(vindex.New([]string{"w"}, 0))
+	g.AttachIndex(vindex.New([]string{"w"}))
 	g.ReindexAll(doc)
 	for _, raw := range []string{
 		"//v[w>'3']",  // 10 and 9 numerically; "abc" is above every number
@@ -276,7 +248,7 @@ func TestNestedRangeMatchesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := dataguide.Build(doc)
-	g.AttachIndex(vindex.New([]string{"w"}, 0))
+	g.AttachIndex(vindex.New([]string{"w"}))
 	g.ReindexAll(doc)
 	for _, raw := range []string{
 		"//g[w>'2']",    // five nested hits, posted in value order
@@ -296,22 +268,22 @@ func TestIndexDisabledFallsBack(t *testing.T) {
 	}
 	g := dataguide.Build(doc)
 	// No index attached at all: EvalIndexed must always decline.
-	if _, ok := g.EvalIndexed(xpath.MustParse("//person[id='2']"), doc); ok {
+	if _, ok := g.EvalIndexed(xpath.MustParse("//person[id='2']")); ok {
 		t.Fatal("unattached guide served from an index")
 	}
-	// Attached but the key is cold and auto-indexing is off.
-	g.AttachIndex(vindex.New([]string{"name"}, 0))
+	// Attached, but the query's key is not indexed.
+	g.AttachIndex(vindex.New([]string{"name"}))
 	g.ReindexAll(doc)
-	if _, ok := g.EvalIndexed(xpath.MustParse("//person[id='2']"), doc); ok {
-		t.Fatal("cold key served from an index")
+	if _, ok := g.EvalIndexed(xpath.MustParse("//person[id='2']")); ok {
+		t.Fatal("unindexed key served from an index")
 	}
-	if _, ok := g.EvalIndexed(xpath.MustParse("//person[name='Ana']"), doc); !ok {
+	if _, ok := g.EvalIndexed(xpath.MustParse("//person[name='Ana']")); !ok {
 		t.Fatal("enabled key not served")
 	}
 }
 
 func TestIndexKeysCanonical(t *testing.T) {
-	ix := vindex.New([]string{"id", "@key", "name"}, 0)
+	ix := vindex.New([]string{"id", "@key", "name"})
 	got := fmt.Sprintf("%v", ix.Keys())
 	if got != "[@key id name]" {
 		t.Fatalf("Keys() = %s", got)

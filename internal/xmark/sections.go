@@ -80,30 +80,6 @@ func QueryFor(section string, rng *rand.Rand) string {
 	return qs[rng.Intn(len(qs))]
 }
 
-// ScanQueryFor returns the broadest read for a section: a whole-class
-// descendant scan that touches every element of the section. These are the
-// "analytics" operations of a mixed OLTP/analytics workload — under
-// fine-grained protocols they acquire wide intention/read lock sets and
-// collide with every writer in the section, which is exactly the pressure
-// signal the adaptive policy watches for.
-func ScanQueryFor(section string) string {
-	if region, ok := strings.CutPrefix(section, "regions/"); ok {
-		return "//" + region + "/item"
-	}
-	switch section {
-	case "people":
-		return "//person"
-	case "open_auctions":
-		return "//open_auction"
-	case "closed_auctions":
-		return "//closed_auction"
-	case "categories":
-		return "//category"
-	default:
-		return "/site"
-	}
-}
-
 // PredicateQueryRange is the id domain PredicateQueryFor draws from. Ids in
 // generated documents are dense from zero per section, so small documents
 // make some lookups miss — a realistic point-query mix either way.
@@ -111,8 +87,7 @@ const PredicateQueryRange = 512
 
 // PredicateQueryFor returns a point lookup for the section: an equality
 // predicate over the section's id element, the query shape the value index
-// serves. Index the "id" key (or let auto-indexing promote it) to take these
-// off the scan path.
+// serves. Index the "id" key to take these off the scan path.
 func PredicateQueryFor(section string, id int64) string {
 	if region, ok := strings.CutPrefix(section, "regions/"); ok {
 		return fmt.Sprintf("//%s/item[id='%d']/name", region, id)
