@@ -86,8 +86,6 @@ type Config struct {
 	// Protocol selects the locking protocol of every document at every site
 	// (default XDGL).
 	Protocol Protocol
-	// NetworkLatency injects synthetic one-way latency between sites.
-	NetworkLatency time.Duration
 	// DeadlockCheckInterval is the period of the distributed deadlock
 	// detector (default 10ms).
 	DeadlockCheckInterval time.Duration
@@ -117,36 +115,21 @@ type Config struct {
 	// lowest-numbered replica site), ships the committed effects to the
 	// followers through a replication log, and acknowledges once WriteQuorum
 	// replicas hold them durably — so writes keep flowing while followers
-	// are down, and read-only transactions are served from followers within
-	// MaxStaleness.
+	// are down. Read-only transactions are served from followers that have
+	// not known themselves behind the primary for longer than a second; a
+	// follower further behind than 512 records catches up by whole-document
+	// transfer.
 	Replication string
 	// WriteQuorum is the number of replicas (primary included) that must
 	// durably hold a write before its commit acknowledges, in quorum mode.
 	// Zero selects a majority of each document's replica set.
 	WriteQuorum int
-	// MaxStaleness bounds, in quorum mode, how long a follower that knows it
-	// lags the primary keeps serving snapshot reads before refusing them (the
-	// coordinator then retries at the primary). Zero selects 1s.
-	MaxStaleness time.Duration
-	// ReplHorizon is the per-document record capacity of each site's
-	// replication log in quorum mode; a follower further behind than the
-	// horizon catches up by whole-document transfer. Zero selects 512.
-	ReplHorizon int
 	// IndexedKeys names the value keys every site indexes on every document:
 	// "@name" indexes the values of attribute name, a bare element name
 	// indexes the text of elements with that label. Queries whose final step
 	// carries an equality or ordered comparison over an indexed key are
 	// answered from the index instead of scanning the matched extents.
 	IndexedKeys []string
-	// SlowTxnThreshold enables the structured transaction tracer: every
-	// transaction whose total time reaches the threshold emits one JSON line
-	// (begin, per-operation lock waits, each 2PC phase, quorum ack, finish)
-	// to TraceSink. Zero leaves tracing off unless TraceSink is set, in which
-	// case EVERY transaction is traced — the trace-everything debugging mode.
-	SlowTxnThreshold time.Duration
-	// TraceSink receives one line of JSON per traced transaction. It must not
-	// call back into the cluster.
-	TraceSink func(line string)
 }
 
 // Replication modes for Config.Replication.
@@ -192,20 +175,13 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.DeadlockCheckInterval = 10 * time.Millisecond
 	}
 	if cfg.HeartbeatInterval == 0 {
-		// Default failure detection, scaled to the synthetic latency so a
-		// deliberately slow network (the paper's WAN experiments) is not
-		// misread as a dead cluster.
 		cfg.HeartbeatInterval = 100 * time.Millisecond
-		if min := 4 * cfg.NetworkLatency; cfg.HeartbeatInterval < min {
-			cfg.HeartbeatInterval = min
-		}
 	}
 	proto, err := lock.ByName(string(cfg.Protocol))
 	if err != nil {
 		return nil, err
 	}
 	net := transport.NewNetwork()
-	net.SetLatency(cfg.NetworkLatency)
 	catalog := replica.NewCatalog()
 	ids := make([]int, cfg.Sites)
 	for i := range ids {
@@ -277,11 +253,7 @@ func (c *Cluster) buildSite(i int, recovering bool) (*sched.Site, error) {
 		HeartbeatMisses:   c.cfg.HeartbeatMisses,
 		Replication:       c.cfg.Replication,
 		WriteQuorum:       c.cfg.WriteQuorum,
-		MaxStaleness:      c.cfg.MaxStaleness,
-		ReplHorizon:       c.cfg.ReplHorizon,
 		IndexedKeys:       c.cfg.IndexedKeys,
-		SlowTxnThreshold:  c.cfg.SlowTxnThreshold,
-		TraceSink:         c.cfg.TraceSink,
 		Recovering:        recovering,
 	})
 	if err := site.AttachNetwork(c.network); err != nil {
@@ -397,16 +369,6 @@ func (c *Cluster) PeerStatuses(site int) (map[int]string, error) {
 	return out, nil
 }
 
-// OpenIntent re-exports the journal's record of a commit no checkpoint
-// covers yet.
-type OpenIntent = store.OpenIntent
-
-// RecoverJournal scans a site's commit journal (written when Config.StoreDir
-// is set) for the commits a restart of the site would replay.
-func RecoverJournal(storeDir string, site int) ([]OpenIntent, error) {
-	return store.Recover(fmt.Sprintf("%s/site%d/commit.log", storeDir, site))
-}
-
 // Sites returns the number of sites.
 func (c *Cluster) Sites() int { return len(c.ids) }
 
@@ -484,49 +446,10 @@ func (c *Cluster) DocumentXML(site int, name string) (string, error) {
 	return doc.String(), nil
 }
 
-// Stats re-exports the per-site scheduler counters.
-type Stats = sched.Stats
-
-// SiteStats returns the counters of one site.
-func (c *Cluster) SiteStats(site int) (Stats, error) {
-	if site < 0 || site >= len(c.ids) {
-		return Stats{}, fmt.Errorf("%w: site %d (cluster has %d)", ErrSiteOutOfRange, site, len(c.ids))
-	}
-	return c.site(site).Stats(), nil
-}
-
-// TotalStats sums the counters of every site — the cluster-wide view of the
-// per-site registries.
-func (c *Cluster) TotalStats() Stats {
-	var t Stats
-	for _, s := range c.allSites() {
-		st := s.Stats()
-		t.TxnsCommitted += st.TxnsCommitted
-		t.TxnsAborted += st.TxnsAborted
-		t.TxnsFailed += st.TxnsFailed
-		t.DeadlockAborts += st.DeadlockAborts
-		t.LocalDeadlocks += st.LocalDeadlocks
-		t.DistDeadlocks += st.DistDeadlocks
-		t.OpsExecuted += st.OpsExecuted
-		t.OpConflicts += st.OpConflicts
-		t.RemoteOpsSent += st.RemoteOpsSent
-		t.RemoteOpsProcessed += st.RemoteOpsProcessed
-		t.LocksAcquired += st.LocksAcquired
-		t.PersistErrors += st.PersistErrors
-		t.SnapshotReads += st.SnapshotReads
-		t.SnapshotPublishes += st.SnapshotPublishes
-		t.LogRecordsShipped += st.LogRecordsShipped
-		t.LogRecordsApplied += st.LogRecordsApplied
-		t.ReplStaleRefusals += st.ReplStaleRefusals
-		t.ReplCatchupRecords += st.ReplCatchupRecords
-		t.IndexedQueries += st.IndexedQueries
-	}
-	return t
-}
-
-// Metrics returns one site's observability registry (see internal/obs): the
-// counters behind SiteStats plus the armed-gated latency histograms. Arm it
-// to enable the histograms; render it with its Text method or obs.Handler.
+// Metrics returns one site's observability registry (see internal/obs): its
+// event counters, read by name with Count (an unknown name is an error), and
+// the armed-gated latency histograms. Arm it to enable the histograms;
+// render it with its Text method or obs.Handler.
 func (c *Cluster) Metrics(site int) (*obs.Registry, error) {
 	if site < 0 || site >= len(c.ids) {
 		return nil, fmt.Errorf("%w: site %d (cluster has %d)", ErrSiteOutOfRange, site, len(c.ids))

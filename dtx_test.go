@@ -6,9 +6,26 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/store"
 )
 
 const peopleXML = `<people><person><id>4</id><name>Ana</name></person></people>`
+
+// count reads one of a site's counters by name; a name the site never
+// registered fails the test.
+func count(t testing.TB, c *Cluster, site int, name string) int64 {
+	t.Helper()
+	reg, err := c.Metrics(site)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := reg.Count(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
 
 func TestClusterQuickstart(t *testing.T) {
 	c, err := New(Config{Sites: 2})
@@ -53,12 +70,8 @@ func TestClusterQuickstart(t *testing.T) {
 	if got := c.SitesOf("d1"); len(got) != 2 {
 		t.Fatalf("SitesOf = %v", got)
 	}
-	st, err := c.SiteStats(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.TxnsCommitted != 1 {
-		t.Fatalf("stats = %+v", st)
+	if n := count(t, c, 0, "dtx_txns_committed_total"); n != 1 {
+		t.Fatalf("committed = %d, want 1", n)
 	}
 }
 
@@ -203,8 +216,8 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := c.DocumentXML(9, "d"); err == nil {
 		t.Error("out-of-range DocumentXML accepted")
 	}
-	if _, err := c.SiteStats(9); err == nil {
-		t.Error("out-of-range SiteStats accepted")
+	if _, err := c.Metrics(9); err == nil {
+		t.Error("out-of-range Metrics accepted")
 	}
 	if _, err := c.CheckDeadlocks(9); err == nil {
 		t.Error("out-of-range CheckDeadlocks accepted")
@@ -277,10 +290,12 @@ func TestClusterJournal(t *testing.T) {
 		t.Fatalf("%v %+v", err, res)
 	}
 	c.Close()
-	open, err := RecoverJournal(dir, 0)
+	journal, err := store.OpenJournal(dir + "/site0/commit.log")
 	if err != nil {
 		t.Fatal(err)
 	}
+	open := journal.OpenIntents()
+	journal.Close()
 	if len(open) != 0 {
 		t.Fatalf("clean shutdown left open intents: %+v", open)
 	}

@@ -108,13 +108,20 @@ func main() {
 	fmt.Printf("committed: %d, given up after retries: %d\n", commits, victims)
 	var deadlocks int64
 	for site := 0; site < cluster.Sites(); site++ {
-		st, err := cluster.SiteStats(site)
+		reg, err := cluster.Metrics(site)
 		if err != nil {
 			log.Fatal(err)
 		}
-		deadlocks += st.DeadlockAborts
+		count := func(name string) int64 {
+			n, err := reg.Count(name)
+			if err != nil {
+				log.Fatal(err)
+			}
+			return n
+		}
+		deadlocks += count("dtx_deadlock_aborts_total")
 		fmt.Printf("site %d: %d ops executed, %d lock conflicts, %d remote ops processed\n",
-			site, st.OpsExecuted, st.OpConflicts, st.RemoteOpsProcessed)
+			site, count("dtx_ops_executed_total"), count("dtx_op_conflicts_total"), count("dtx_remote_ops_processed_total"))
 	}
 	fmt.Printf("deadlock victims across the cluster: %d\n", deadlocks)
 }

@@ -51,11 +51,7 @@ func TestValueIndexQueriesMatchScan(t *testing.T) {
 		}
 		var indexed int64
 		for site := 0; site < c.Sites(); site++ {
-			st, err := c.SiteStats(site)
-			if err != nil {
-				t.Fatal(err)
-			}
-			indexed += st.IndexedQueries
+			indexed += count(t, c, site, "dtx_indexed_queries_total")
 		}
 		return out, indexed
 	}
@@ -137,11 +133,7 @@ func TestValueIndexSnapshotRead(t *testing.T) {
 	// Both the pinned and the fresh read should have been index-served.
 	var indexed int64
 	for site := 0; site < c.Sites(); site++ {
-		st, err := c.SiteStats(site)
-		if err != nil {
-			t.Fatal(err)
-		}
-		indexed += st.IndexedQueries
+		indexed += count(t, c, site, "dtx_indexed_queries_total")
 	}
 	if indexed < 2 {
 		t.Fatalf("indexed snapshot reads = %d, want >= 2", indexed)
@@ -210,8 +202,11 @@ func TestValueIndexConcurrentReads(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	readers.Wait()
-	st := c.TotalStats()
-	if st.IndexedQueries == 0 {
+	var indexed int64
+	for site := 0; site < c.Sites(); site++ {
+		indexed += count(t, c, site, "dtx_indexed_queries_total")
+	}
+	if indexed == 0 {
 		t.Fatal("no read was answered from a value index")
 	}
 }

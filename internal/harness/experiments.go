@@ -305,19 +305,6 @@ func Fig12(ctx context.Context, sc Scale) ([]Figure, error) {
 	return []Figure{fig}, nil
 }
 
-// AllExperiments runs every figure at the given scale.
-func AllExperiments(ctx context.Context, sc Scale) ([]Figure, error) {
-	var out []Figure
-	for _, f := range []func(context.Context, Scale) ([]Figure, error){Fig9, Fig10, Fig11a, Fig11b, Fig12} {
-		figs, err := f(ctx, sc)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, figs...)
-	}
-	return out, nil
-}
-
 func protoLabel(proto string) string {
 	switch proto {
 	case "xdgl":

@@ -254,19 +254,6 @@ func TestBuildClusterInvariants(t *testing.T) {
 	}
 }
 
-func TestRunWithGuardAblationProtocol(t *testing.T) {
-	res, err := Run(quickParams(func(p *Params) {
-		p.Protocol = "xdgl-noguard"
-		p.CheckSerializability = true
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Committed == 0 {
-		t.Fatal("nothing committed under xdgl-noguard")
-	}
-}
-
 // TestCrashInjectionWorkload: a chaos run — a replica dies mid-checkpoint
 // under the auction workload (enough update transactions for its document to
 // come due for one); the run completes, the survivors keep committing, and

@@ -75,9 +75,6 @@ type Params struct {
 	// CheckSerializability attaches the history recorder and verifies the
 	// committed history after the run (slows large runs slightly).
 	CheckSerializability bool
-	// VictimOldest flips the deadlock victim rule to oldest-in-cycle (the
-	// paper's rule is newest); an ablation knob.
-	VictimOldest bool
 	// Heartbeat enables failure detection with the given period (zero
 	// disables it, the default). Required for Crash runs: it is what lets
 	// the surviving sites detect the kill, resolve the victim's orphaned
@@ -303,7 +300,6 @@ func BuildCluster(p Params, hook sched.HistoryHook) (*Cluster, error) {
 			DeadlockInterval:  p.DeadlockInterval,
 			OpDelay:           p.OpDelay,
 			History:           hook,
-			VictimOldest:      p.VictimOldest,
 			HeartbeatInterval: p.Heartbeat,
 			HeartbeatMisses:   2,
 			Replication:       p.Replication,
@@ -550,13 +546,12 @@ func RunOn(ctx context.Context, cluster *Cluster, p Params) *Result {
 	wg.Wait()
 	res.Wall = time.Since(start)
 
-	// Per-site stats: deadlock-victim aborts and MVCC snapshot counters.
+	// Per-site counters: deadlock-victim aborts and MVCC snapshot counters.
 	for _, s := range cluster.Sites {
-		st := s.Stats()
-		res.Deadlocks += int(st.DeadlockAborts)
-		res.SnapshotReads += st.SnapshotReads
-		res.SnapshotPublishes += st.SnapshotPublishes
-		res.IndexedQueries += st.IndexedQueries
+		res.Deadlocks += int(siteCount(s, "dtx_deadlock_aborts_total"))
+		res.SnapshotReads += siteCount(s, "dtx_snapshot_reads_total")
+		res.SnapshotPublishes += siteCount(s, "dtx_snapshot_publishes_total")
+		res.IndexedQueries += siteCount(s, "dtx_indexed_queries_total")
 	}
 	if res.Committed > 0 {
 		res.MeanRespMs /= float64(res.Committed)
@@ -568,6 +563,16 @@ func RunOn(ctx context.Context, cluster *Cluster, p Params) *Result {
 		res.Breakdown = collectBreakdown(cluster)
 	}
 	return res
+}
+
+// siteCount reads one of the counters every site registers (sched's
+// metrics.go); an unknown name is a programming error.
+func siteCount(s *sched.Site, name string) int64 {
+	n, err := s.Metrics().Count(name)
+	if err != nil {
+		panic(err)
+	}
+	return n
 }
 
 // collectBreakdown merges each phase's histograms across every site (and

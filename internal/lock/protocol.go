@@ -30,11 +30,9 @@ func ByName(name string) (Protocol, error) {
 	switch name {
 	case "xdgl", "":
 		return XDGL{}, nil
-	case "xdgl-noguard":
-		return XDGLNoGuard{}, nil
-	case "node2pl", "tree":
+	case "node2pl":
 		return Node2PL{}, nil
-	case "doclock", "doc":
+	case "doclock":
 		return DocLock{}, nil
 	default:
 		return nil, fmt.Errorf("lock: unknown protocol %q", name)
@@ -264,33 +262,4 @@ func (DocLock) UpdateRequests(doc *xmltree.Document, _ *dataguide.DataGuide, u *
 		return nil, err
 	}
 	return []Request{{DocNode: doc.Root, Mode: W}}, nil
-}
-
-// XDGLNoGuard is XDGL with the predicate guards stripped: pure class-level
-// locking on the DataGuide. An ablation quantifying how much of XDGL's
-// concurrency comes from the DGLOCK predicate refinement — point operations
-// on distinct instances of one class conflict under this variant.
-type XDGLNoGuard struct{}
-
-// Name implements Protocol.
-func (XDGLNoGuard) Name() string { return "xdgl-noguard" }
-
-func stripGuards(reqs []Request, err error) ([]Request, error) {
-	if err != nil {
-		return nil, err
-	}
-	for i := range reqs {
-		reqs[i].Guard = nil
-	}
-	return reqs, nil
-}
-
-// QueryRequests implements Protocol.
-func (XDGLNoGuard) QueryRequests(doc *xmltree.Document, g *dataguide.DataGuide, q *xpath.Query) ([]Request, error) {
-	return stripGuards(XDGL{}.QueryRequests(doc, g, q))
-}
-
-// UpdateRequests implements Protocol.
-func (XDGLNoGuard) UpdateRequests(doc *xmltree.Document, g *dataguide.DataGuide, u *xupdate.Update) ([]Request, error) {
-	return stripGuards(XDGL{}.UpdateRequests(doc, g, u))
 }

@@ -42,8 +42,7 @@ func docAndGuide(t *testing.T) (*xmltree.Document, *dataguide.DataGuide) {
 
 func TestByName(t *testing.T) {
 	for name, want := range map[string]string{
-		"xdgl": "xdgl", "": "xdgl", "node2pl": "node2pl", "tree": "node2pl",
-		"doclock": "doclock", "doc": "doclock",
+		"xdgl": "xdgl", "": "xdgl", "node2pl": "node2pl", "doclock": "doclock",
 	} {
 		p, err := ByName(name)
 		if err != nil {
@@ -53,8 +52,10 @@ func TestByName(t *testing.T) {
 			t.Fatalf("ByName(%q) = %s, want %s", name, p.Name(), want)
 		}
 	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Fatal("expected error for unknown protocol")
+	for _, name := range []string{"bogus", "tree", "doc", "xdgl-noguard"} {
+		if _, err := ByName(name); err == nil {
+			t.Fatalf("ByName(%q) accepted an unknown protocol", name)
+		}
 	}
 }
 

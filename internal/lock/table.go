@@ -79,24 +79,20 @@ type grant struct {
 // access under its site mutex, which matches the paper's design where the
 // lock manager is a passive component driven by the scheduler.
 type Table struct {
-	guide  *dataguide.DataGuide
 	grants map[grantKey][]grant
 	// held tracks, per transaction, the set of (node, mode) pairs already
 	// granted so duplicate requests are absorbed quickly.
 	held map[txn.ID]map[grantKey]uint16
 }
 
-// NewTable creates an empty lock table over the document's DataGuide.
-func NewTable(g *dataguide.DataGuide) *Table {
+// NewTable creates an empty lock table over the document's DataGuide; its
+// grants key on the guide's nodes, so the table keeps no reference to it.
+func NewTable(_ *dataguide.DataGuide) *Table {
 	return &Table{
-		guide:  g,
 		grants: make(map[grantKey][]grant),
 		held:   make(map[txn.ID]map[grantKey]uint16),
 	}
 }
-
-// Guide returns the DataGuide the table locks over.
-func (t *Table) Guide() *dataguide.DataGuide { return t.guide }
 
 func modeBit(m Mode) uint16 { return 1 << uint(m) }
 

@@ -4,9 +4,9 @@
 // (sched's MetricsReq handler) and to the harness (Quantile).
 //
 // The design contract is that instrumentation is effectively free when
-// nobody is looking. Counters are single atomic adds — exactly what the
-// scheduler's old Stats struct cost — and are always live, because they are
-// the one source of truth behind the sched.Stats compatibility view.
+// nobody is looking. Counters are single atomic adds and are always live:
+// the registry is the only place a site's event counts are kept, and Count
+// is how callers read them.
 // Everything with a time.Now in it (histogram observations, Span) is gated
 // on ONE atomic load of the registry's armed flag: an unarmed registry takes
 // the load, sees zero and returns before touching the clock or any bucket.
@@ -185,10 +185,30 @@ func (r *Registry) CounterVec(name, help, labelKey string) *CounterVec {
 	return v
 }
 
+// Count reads the counter registered under name; a CounterVec reads as the
+// sum of its children. It registers nothing: a name that was never
+// registered, or one registered as another kind, is an error rather than a
+// silent zero.
+func (r *Registry) Count(name string) (int64, error) {
+	r.mu.Lock()
+	m, ok := r.byName[name]
+	r.mu.Unlock()
+	switch m := m.(type) {
+	case *Counter:
+		return m.Value(), nil
+	case *CounterVec:
+		return m.Total(), nil
+	}
+	if !ok {
+		return 0, fmt.Errorf("obs: no metric %q", name)
+	}
+	return 0, fmt.Errorf("obs: %q is not a counter", name)
+}
+
 // ---- Counter ----
 
-// Counter is a monotonically increasing atomic counter. Always live: it is
-// the storage behind sched.Stats, armed or not.
+// Counter is a monotonically increasing atomic counter. Always live, armed
+// or not.
 type Counter struct {
 	v     atomic.Int64
 	name  string
@@ -279,7 +299,7 @@ func (v *CounterVec) With(label string) *Counter {
 	return c
 }
 
-// Total sums all children — the fold used by the Stats compatibility view.
+// Total sums all children.
 func (v *CounterVec) Total() int64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()

@@ -29,6 +29,30 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestCount reads counters and counter families by name, and refuses names
+// that were never registered or are not counters — without registering them.
+func TestCount(t *testing.T) {
+	r := New()
+	r.Counter("c_total", "a counter").Add(3)
+	v := r.CounterVec("v_total", "a family", "doc")
+	v.With("a").Add(2)
+	v.With("b").Inc()
+	r.Histogram("h_seconds", "latency", LatencyBuckets)
+	for name, want := range map[string]int64{"c_total": 3, "v_total": 3} {
+		if got, err := r.Count(name); err != nil || got != want {
+			t.Fatalf("Count(%q) = %d, %v; want %d", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"c_totl", "h_seconds"} {
+		if _, err := r.Count(name); err == nil {
+			t.Fatalf("Count(%q) succeeded", name)
+		}
+	}
+	if strings.Contains(r.Text(), "c_totl") {
+		t.Fatal("Count registered the name it looked up")
+	}
+}
+
 func TestHistogramGatedOnArm(t *testing.T) {
 	r := New()
 	h := r.Histogram("h_seconds", "latency", LatencyBuckets)

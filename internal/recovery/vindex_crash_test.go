@@ -78,7 +78,11 @@ func TestCrashValueIndexReplay(t *testing.T) {
 	assertIndexedMatchesScan("after restart")
 	var indexed int64
 	for _, s := range c.sites {
-		indexed += s.Stats().IndexedQueries
+		n, err := s.Metrics().Count("dtx_indexed_queries_total")
+		if err != nil {
+			t.Fatal(err)
+		}
+		indexed += n
 	}
 	if indexed == 0 {
 		t.Fatal("no site answered the lookup from its index")

@@ -174,7 +174,7 @@ func FragmentDocument(doc *xmltree.Document, n int) ([]Fragment, error) {
 	units := make([]unit, 0, len(doc.Root.Children))
 	total := 0
 	for _, k := range doc.Root.Children {
-		sz := subtreeBytes(k)
+		sz := k.ByteSize()
 		units = append(units, unit{node: k, size: sz})
 		total += sz
 	}
@@ -189,7 +189,7 @@ func FragmentDocument(doc *xmltree.Document, n int) ([]Fragment, error) {
 			if u.size > share && len(u.node.Children) > 0 {
 				chain := append(append([]*xmltree.Node(nil), u.chain...), u.node)
 				for _, c := range u.node.Children {
-					next = append(next, unit{chain: chain, node: c, size: subtreeBytes(c)})
+					next = append(next, unit{chain: chain, node: c, size: c.ByteSize()})
 				}
 				changed = true
 			} else {
@@ -239,18 +239,6 @@ func FragmentDocument(doc *xmltree.Document, n int) ([]Fragment, error) {
 		return nil, fmt.Errorf("replica: produced %d fragments, want %d", len(frags), n)
 	}
 	return frags, nil
-}
-
-func subtreeBytes(n *xmltree.Node) int {
-	size := 2*len(n.Name) + 5
-	for _, a := range n.Attrs {
-		size += len(a.Name) + len(a.Value) + 4
-	}
-	size += len(n.Text)
-	for _, c := range n.Children {
-		size += subtreeBytes(c)
-	}
-	return size
 }
 
 func buildFragment(src *xmltree.Document, idx int, units []unit) Fragment {

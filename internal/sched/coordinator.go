@@ -689,20 +689,22 @@ func (s *Site) abortTransaction(ct *coordTxn) bool {
 		s.failTransaction(ct)
 		return false
 	}
-	_ = s.abortLocal(id) // local cancellation cannot refuse
+	s.abortLocal(id) // local cancellation cannot refuse
 	return true
 }
 
-// failTransaction broadcasts failure (Algorithm 6, l. 6–9) to the remote
-// sites concurrently, then marks the failure locally — the same
-// remote-first release order as abort, for the same liveness reason.
+// failTransaction is the failure path of Algorithm 6 (l. 6–9): clean
+// cancellation was given up on, but every site still undoes what it can and
+// releases its locks so it stays usable — the same AbortReq fan-out as
+// abort, remote-first for the same liveness reason. The distinction from
+// abort is only the outcome the coordinator reports to the client.
 func (s *Site) failTransaction(ct *coordTxn) {
 	id := ct.t.ID
 	if remote := ct.remoteSites(s.id); len(remote) > 0 {
 		_, _ = fanOut(remote, func(site int) bool {
-			_, _ = s.send(context.Background(), site, transport.FailReq{Txn: id})
+			_, _ = s.send(context.Background(), site, transport.AbortReq{Txn: id})
 			return true
 		})
 	}
-	s.failLocal(id)
+	s.abortLocal(id)
 }

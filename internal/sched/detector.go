@@ -91,14 +91,8 @@ func (s *Site) resolveCycle(union *wfg.Graph) bool {
 	if cycle == nil {
 		return false
 	}
-	var victim txn.ID
-	if s.cfg.VictimOldest {
-		victim = union.OldestInCycle(cycle)
-	} else {
-		victim = union.NewestInCycle(cycle)
-	}
 	s.m.distDeadlocks.Inc()
-	s.signalVictim(victim, "distributed deadlock victim")
+	s.signalVictim(union.NewestInCycle(cycle), "distributed deadlock victim")
 	return true
 }
 

@@ -47,27 +47,6 @@ func driveCrossedInserts(t *testing.T, s1, s2 *Site) (*Result, *Result) {
 	return res1, res2
 }
 
-func TestDetectorOldestVictim(t *testing.T) {
-	// With VictimOldest, the cycle of §2.4 kills t1 instead of t2.
-	sites, _ := newCluster(t, 2, func(c *Config) {
-		c.OpDelay = 40 * time.Millisecond
-		c.VictimOldest = true
-		c.DeadlockInterval = 8 * time.Millisecond
-	})
-	s1, s2 := sites[0], sites[1]
-	addDoc(t, s1, "d1", peopleXML)
-	addDoc(t, s2, "d1", peopleXML)
-	addDoc(t, s2, "d2", productsXML)
-
-	res1, res2 := driveCrossedInserts(t, s1, s2)
-	if res1.State != txn.Aborted {
-		t.Fatalf("t1 = %v (%s), want aborted under oldest-victim", res1.State, res1.Reason)
-	}
-	if res2.State != txn.Committed {
-		t.Fatalf("t2 = %v (%s), want committed under oldest-victim", res2.State, res2.Reason)
-	}
-}
-
 func TestDetectorBackgroundResolves(t *testing.T) {
 	// Same tangle, background detector only (no manual CheckDeadlocks):
 	// both transactions must terminate, newest aborted.
@@ -85,7 +64,7 @@ func TestDetectorBackgroundResolves(t *testing.T) {
 		t.Fatalf("t1=%v t2=%v, want committed/aborted", res1.State, res2.State)
 	}
 	// At least one site recorded the distributed detection.
-	dist := sites[0].Stats().DistDeadlocks + sites[1].Stats().DistDeadlocks
+	dist := count(t, sites[0], "dtx_deadlocks_distributed_total") + count(t, sites[1], "dtx_deadlocks_distributed_total")
 	if dist == 0 {
 		t.Fatal("no distributed deadlock recorded")
 	}

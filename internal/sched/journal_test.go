@@ -62,10 +62,12 @@ func TestCommitJournaling(t *testing.T) {
 	s.Sync()
 	journal.Close()
 
-	open, err = store.Recover(journal.Path())
+	reopened, err := store.OpenJournal(journal.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
+	open = reopened.OpenIntents()
+	reopened.Close()
 	if len(open) != 0 {
 		t.Fatalf("open intents after Sync: %+v", open)
 	}
@@ -95,10 +97,12 @@ func TestRecoveryDetectsOpenIntent(t *testing.T) {
 	}
 	journal.Close()
 
-	open, err := store.Recover(path)
+	reopened, err := store.OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	open := reopened.OpenIntents()
+	reopened.Close()
 	if len(open) != 1 || open[0].Txn != "t0.7" || open[0].Docs[0] != "d2" {
 		t.Fatalf("open = %+v", open)
 	}

@@ -292,7 +292,7 @@ func (s *Site) sweepOrphans() {
 		case transport.OutcomeCommitted:
 			_ = s.commitLocal(id)
 		case transport.OutcomeAborted:
-			_ = s.abortLocal(id)
+			s.abortLocal(id)
 		}
 	}
 
@@ -350,7 +350,7 @@ func (s *Site) resolveOrphan(id txn.ID) {
 				return
 			}
 		default:
-			_ = s.abortLocal(id)
+			s.abortLocal(id)
 			return
 		}
 	}

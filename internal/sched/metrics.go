@@ -12,8 +12,8 @@ import (
 )
 
 // siteMetrics holds the site's pre-resolved metric handles. The counters are
-// the ONE source of truth behind the Stats compatibility view — each is the
-// same single atomic add the old Stats struct fields were. Histograms and
+// the only record of the site's events: callers read them by name through
+// Registry.Count (Site.Metrics, dtx.Cluster.Metrics). Histograms and
 // spans are gated on the registry's armed flag (see internal/obs), so an
 // unconfigured site pays one atomic load per would-be observation and
 // nothing else. Per-document children are resolved once in newDocState and
@@ -21,7 +21,7 @@ import (
 type siteMetrics struct {
 	reg *obs.Registry
 
-	// Stats-fold counters (always live).
+	// Counters (always live).
 	txnsCommitted, txnsAborted, txnsFailed         *obs.Counter
 	deadlockAborts, localDeadlocks, distDeadlocks  *obs.Counter
 	opsExecuted, remoteOpsSent, remoteOpsProcessed *obs.Counter
@@ -30,7 +30,7 @@ type siteMetrics struct {
 	logShipped, logApplied                         *obs.Counter
 	staleRefusals, catchupRecords                  *obs.Counter
 	indexedQueries                                 *obs.Counter
-	conflicts                                      *obs.CounterVec // per doc; Stats folds Total
+	conflicts                                      *obs.CounterVec // per doc; Count reads the total
 
 	// Latency histograms (armed-gated).
 	lockWait      *obs.HistogramVec // per doc: first conflict -> grant
@@ -66,13 +66,11 @@ func (m *siteMetrics) docMetrics(doc string) docMetrics {
 	}
 }
 
-// newSiteMetrics registers the scheduler's metric families on the registry
-// (creating an unarmed one when the config brought none) and wires the
-// exposition-time gauges over the site's live state.
-func newSiteMetrics(s *Site, reg *obs.Registry) *siteMetrics {
-	if reg == nil {
-		reg = obs.New()
-	}
+// newSiteMetrics builds the site's unarmed registry, registers the
+// scheduler's metric families on it and wires the exposition-time gauges
+// over the site's live state.
+func newSiteMetrics(s *Site) *siteMetrics {
+	reg := obs.New()
 	reg.SetLabel("site", strconv.Itoa(s.id))
 	m := &siteMetrics{
 		reg:                reg,

@@ -66,9 +66,9 @@ func TestMetricsContention(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := s0.Stats()
-	if st.TxnsCommitted == 0 {
-		t.Fatalf("no commits: %+v", st)
+	committed := count(t, s0, "dtx_txns_committed_total")
+	if committed == 0 {
+		t.Fatal("no commits")
 	}
 	if n := histCount(s0.m.opExec); n == 0 {
 		t.Error("dtx_op_exec_seconds empty after committed work")
@@ -76,13 +76,13 @@ func TestMetricsContention(t *testing.T) {
 	if n := histCount(s0.m.lockWait); n == 0 {
 		t.Error("dtx_lock_wait_seconds empty after contended workload")
 	}
-	if n := s0.m.decisionWrite.Count(); n < st.TxnsCommitted || n == 0 {
+	if n := s0.m.decisionWrite.Count(); n < committed || n == 0 {
 		t.Errorf("dtx_2pc_decision_write_seconds count = %d, want >= %d (one per distributed commit)",
-			n, st.TxnsCommitted)
+			n, committed)
 	}
-	if n := s0.m.commitFanout.Count(); n < st.TxnsCommitted || n == 0 {
+	if n := s0.m.commitFanout.Count(); n < committed || n == 0 {
 		t.Errorf("dtx_2pc_commit_fanout_seconds count = %d, want >= %d (one per distributed commit)",
-			n, st.TxnsCommitted)
+			n, committed)
 	}
 	s0.Sync()
 	if n := histCount(s0.m.persistSave); n == 0 {

@@ -541,7 +541,7 @@ func (s *Site) consolidate(id txn.ID, changed []shipItem) (ships []shipItem, won
 // passed its tombstone re-check holds the document mutex from that check
 // through recording its update in the undo log, so the revert below sees it;
 // operations arriving later are refused by the tombstone.
-func (s *Site) abortLocal(id txn.ID) error {
+func (s *Site) abortLocal(id txn.ID) {
 	pt, _, _ := s.tombstone(id, false)
 	var names []string
 	if pt != nil {
@@ -557,13 +557,4 @@ func (s *Site) abortLocal(id txn.ID) error {
 	}
 	wake := s.releaseLocks(id, names)
 	s.notifyWaiters(wake)
-	return nil
-}
-
-// failLocal marks a transaction failed at this site. The paper's failure
-// path (Algorithm 6, l. 6–9) gives up on clean cancellation; locally we
-// still undo what we can and release locks so the site stays usable — the
-// distinction from abort is the reported client outcome.
-func (s *Site) failLocal(id txn.ID) {
-	_ = s.abortLocal(id)
 }

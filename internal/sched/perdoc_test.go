@@ -53,7 +53,7 @@ func TestPerDocumentProgress(t *testing.T) {
 
 	// Wait until the conflict is registered (the waiter is parked).
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().OpConflicts == 0 {
+	for count(t, s, "dtx_op_conflicts_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("waiter never conflicted")
 		}

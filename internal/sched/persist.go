@@ -27,7 +27,7 @@ import (
 // and everything but cutting the head happens outside the domain mutex.
 //
 // A failed Save is latched on the document (persistErr) and counted in
-// Stats.PersistErrors: later commits touching the document refuse
+// dtx_persist_errors_total: later commits touching the document refuse
 // consolidation, so the failure surfaces instead of being silently dropped.
 
 // checkpointEvery is how many records may accumulate on a document before

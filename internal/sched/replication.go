@@ -47,6 +47,11 @@ const (
 	ReplicationQuorum = "quorum"
 )
 
+// replHorizon is how many replication records the primary's shipping window
+// retains per document; a follower further behind catches up by
+// whole-document transfer.
+const replHorizon = 512
+
 // errQuorumShort reports a commit that consolidated locally — past the point
 // of no return: journaled, locks released — but could not gather the write
 // quorum for its replication records. The outcome is "commit uncertain", not

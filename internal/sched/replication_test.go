@@ -54,11 +54,11 @@ func TestReplicationLogShipToFollower(t *testing.T) {
 	if d0.String() != d1.String() {
 		t.Fatalf("follower diverged:\nprimary  %s\nfollower %s", d0, d1)
 	}
-	if got := sites[0].Stats().LogRecordsShipped; got < 1 {
-		t.Fatalf("LogRecordsShipped = %d, want >= 1", got)
+	if got := count(t, sites[0], "dtx_repl_records_shipped_total"); got < 1 {
+		t.Fatalf("records shipped = %d, want >= 1", got)
 	}
-	if got := sites[1].Stats().LogRecordsApplied; got < 1 {
-		t.Fatalf("LogRecordsApplied = %d, want >= 1", got)
+	if got := count(t, sites[1], "dtx_repl_records_applied_total"); got < 1 {
+		t.Fatalf("records applied = %d, want >= 1", got)
 	}
 }
 
@@ -102,8 +102,8 @@ func TestReplicationFollowerStaleRefusal(t *testing.T) {
 	if len(ro.Results[0]) != 1 || ro.Results[0][0] != "Zoe" {
 		t.Fatalf("stale read served: %v (want the primary's committed value)", ro.Results[0])
 	}
-	if got := sites[1].Stats().ReplStaleRefusals; got < 1 {
-		t.Fatalf("ReplStaleRefusals = %d, want >= 1", got)
+	if got := count(t, sites[1], "dtx_repl_stale_refusals_total"); got < 1 {
+		t.Fatalf("stale refusals = %d, want >= 1", got)
 	}
 }
 
@@ -201,8 +201,8 @@ func TestReplicationEagerModeUnchanged(t *testing.T) {
 	if err != nil || res.State != txn.Committed {
 		t.Fatalf("commit: %v / %+v", err, res)
 	}
-	if got := sites[0].Stats().LogRecordsShipped; got != 0 {
-		t.Fatalf("LogRecordsShipped = %d in eager mode", got)
+	if got := count(t, sites[0], "dtx_repl_records_shipped_total"); got != 0 {
+		t.Fatalf("records shipped = %d in eager mode", got)
 	}
 	d1, err := sites[1].Document("d1")
 	if err != nil {

@@ -44,6 +44,17 @@ func personSpec(id, name string) *xupdate.NodeSpec {
 // protocol comes from DTX_PROTOCOL when set — the nightly protocol-matrix CI
 // job runs the whole suite once per protocol that way — and is the scheduler
 // default (xdgl) otherwise.
+// count reads one of the site's counters by name; a name the site never
+// registered fails the test.
+func count(t testing.TB, s *Site, name string) int64 {
+	t.Helper()
+	n, err := s.Metrics().Count(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func newCluster(t *testing.T, n int, mutate func(*Config)) ([]*Site, *transport.Network) {
 	t.Helper()
 	return newClusterWithProtocol(t, n, os.Getenv("DTX_PROTOCOL"), mutate)
@@ -135,9 +146,8 @@ func TestSingleSiteQueryAndUpdate(t *testing.T) {
 	if stored.Len() != 1+3*4 {
 		t.Fatalf("persisted doc has %d nodes, want 13", stored.Len())
 	}
-	st := s.Stats()
-	if st.TxnsCommitted != 1 || st.TxnsAborted != 0 {
-		t.Fatalf("stats = %+v", st)
+	if c, a := count(t, s, "dtx_txns_committed_total"), count(t, s, "dtx_txns_aborted_total"); c != 1 || a != 0 {
+		t.Fatalf("committed %d, aborted %d; want 1, 0", c, a)
 	}
 }
 
@@ -289,10 +299,10 @@ func TestRemoteOnlyDocument(t *testing.T) {
 	if len(res.Results[0]) != 1 || res.Results[0][0] != "Desk" {
 		t.Fatalf("results = %v", res.Results[0])
 	}
-	if sites[0].Stats().RemoteOpsSent == 0 {
+	if count(t, sites[0], "dtx_remote_ops_sent_total") == 0 {
 		t.Fatal("operation did not go remote")
 	}
-	if sites[1].Stats().RemoteOpsProcessed == 0 {
+	if count(t, sites[1], "dtx_remote_ops_processed_total") == 0 {
 		t.Fatal("participant processed nothing")
 	}
 }

@@ -53,8 +53,8 @@ func TestSessionInteractive(t *testing.T) {
 	if err := sess.Commit(); !errors.Is(err, txn.ErrTxnDone) {
 		t.Fatalf("second commit = %v", err)
 	}
-	if st := s.Stats(); st.TxnsCommitted != 1 {
-		t.Fatalf("stats = %+v", st)
+	if n := count(t, s, "dtx_txns_committed_total"); n != 1 {
+		t.Fatalf("committed = %d, want 1", n)
 	}
 }
 
@@ -108,8 +108,8 @@ func TestSessionAbortRollsBack(t *testing.T) {
 	if err := sess.Abort(); !errors.Is(err, txn.ErrAborted) {
 		t.Fatalf("second abort = %v", err)
 	}
-	if st := s.Stats(); st.TxnsAborted != 1 {
-		t.Fatalf("stats = %+v", st)
+	if n := count(t, s, "dtx_txns_aborted_total"); n != 1 {
+		t.Fatalf("aborted = %d, want 1", n)
 	}
 }
 

@@ -43,7 +43,6 @@ import (
 	"repro/internal/dataguide"
 	"repro/internal/lock"
 	"repro/internal/mvcc"
-	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/transport"
@@ -85,10 +84,6 @@ type Config struct {
 	// serializability checking (see internal/harness). All sites of a
 	// cluster share one hook so the event order is globally consistent.
 	History HistoryHook
-	// VictimOldest switches the distributed deadlock victim rule from the
-	// paper's "most recent transaction in the circle" to the oldest — an
-	// ablation knob; both rules guarantee progress.
-	VictimOldest bool
 	// Journal, when set, is the site's redo log: every local commit appends
 	// one intent carrying its applied operations before it acknowledges, and
 	// a restarted site replays the intents its saved documents do not cover
@@ -128,10 +123,6 @@ type Config struct {
 	// selects 1s). A follower past the bound refuses with a retry-at-primary
 	// code instead of serving arbitrarily old data.
 	MaxStaleness time.Duration
-	// ReplHorizon bounds how many replication-log records are retained per
-	// document for incremental follower catch-up (zero selects 512); a
-	// follower further behind falls back to whole-document transfer.
-	ReplHorizon int
 	// IndexedKeys lists the value-index keys maintained on every document at
 	// this site: "@name" indexes the values of attribute name, a bare name
 	// indexes the text of elements with that label (serving [name='v'] child
@@ -144,14 +135,6 @@ type Config struct {
 	// routing around it while internal/recovery replays the journal and
 	// catches its documents up.
 	Recovering bool
-	// Metrics, when set, is the observability registry the site registers its
-	// metric families on (internal/obs); nil builds a private unarmed one.
-	// The site's counters are always live either way — they back Stats — but
-	// histogram/span collection only happens once the registry is armed
-	// (dtxd's -metrics-addr listener, a MetricsReq scrape, or the harness's
-	// latency breakdown arm it). Unarmed, each would-be observation costs one
-	// atomic load.
-	Metrics *obs.Registry
 	// SlowTxnThreshold is the slow-transaction tracer's emission bound: a
 	// transaction whose total time reaches it has its event timeline (begin,
 	// per-op lock waits, each 2PC phase, quorum ack, commit) emitted as one
@@ -244,42 +227,10 @@ func (c Config) withDefaults() Config {
 	if len(c.Sites) == 0 {
 		c.Sites = []int{c.SiteID}
 	}
-	if c.Replication == ReplicationQuorum {
-		if c.MaxStaleness <= 0 {
-			c.MaxStaleness = time.Second
-		}
-		if c.ReplHorizon <= 0 {
-			c.ReplHorizon = 512
-		}
+	if c.Replication == ReplicationQuorum && c.MaxStaleness <= 0 {
+		c.MaxStaleness = time.Second
 	}
 	return c
-}
-
-// Stats counts site-level events; all counters are monotonic. It is the
-// compatibility view over the site's obs registry: each field is assembled
-// from the registry counter of the same meaning by Site.Stats, so the
-// registry is the one source of truth and this struct stays a cheap
-// value-type snapshot for callers (harness, dtxbench, the public SiteStats).
-type Stats struct {
-	TxnsCommitted      int64
-	TxnsAborted        int64
-	TxnsFailed         int64
-	DeadlockAborts     int64 // transactions aborted because of a deadlock
-	LocalDeadlocks     int64 // cycles found while adding a wait edge (Alg. 3)
-	DistDeadlocks      int64 // cycles found by the periodic detector (Alg. 4)
-	OpsExecuted        int64
-	OpConflicts        int64 // lock acquisition failures
-	RemoteOpsSent      int64
-	RemoteOpsProcessed int64
-	LocksAcquired      int64
-	PersistErrors      int64 // failed checkpoints (see persist.go)
-	SnapshotReads      int64 // queries served from MVCC versions, lock-free
-	SnapshotPublishes  int64 // committed versions materialised into a chain
-	LogRecordsShipped  int64 // replication records acked by a follower (per record, per follower)
-	LogRecordsApplied  int64 // shipped replication records applied at this follower
-	ReplStaleRefusals  int64 // snapshot reads refused for exceeding the staleness bound
-	ReplCatchupRecords int64 // replication records applied during recovery catch-up
-	IndexedQueries     int64 // queries answered from a value index instead of an extent scan
 }
 
 // docState bundles the in-memory representation of one document at a site:
@@ -635,9 +586,8 @@ type Site struct {
 	docsMu sync.RWMutex
 	docs   map[string]*docState
 
-	// m holds the site's metric handles; its counters back Stats. traceArmed
-	// is fixed at construction from the trace config (read lock-free on the
-	// hot path).
+	// m holds the site's metric handles. traceArmed is fixed at
+	// construction from the trace config (read lock-free on the hot path).
 	m          *siteMetrics
 	traceArmed bool
 
@@ -721,7 +671,7 @@ func New(cfg Config) *Site {
 	if !cfg.Recovering {
 		s.ready = 1
 	}
-	s.m = newSiteMetrics(s, cfg.Metrics)
+	s.m = newSiteMetrics(s)
 	s.traceArmed = cfg.TraceSink != nil || cfg.SlowTxnThreshold > 0
 	if s.traceArmed {
 		// Traces carry the same timings the histograms do; configuring the
@@ -731,7 +681,7 @@ func New(cfg Config) *Site {
 	s.liveness = newLiveness(cfg.HeartbeatInterval > 0, s.abortOrphans)
 	s.persistCond = sync.NewCond(&s.persistMu)
 	if cfg.Replication == ReplicationQuorum {
-		s.replLog = store.NewReplLog(cfg.ReplHorizon)
+		s.replLog = store.NewReplLog(replHorizon)
 		s.recentWrites = make(map[string]time.Time)
 	}
 	if cfg.Journal != nil {
@@ -922,33 +872,6 @@ func (s *Site) exitCommit() {
 		s.persistCond.Broadcast()
 	}
 	s.persistMu.Unlock()
-}
-
-// Stats returns a snapshot of the site's counters, assembled from the obs
-// registry (the storage; see metrics.go).
-func (s *Site) Stats() Stats {
-	m := s.m
-	return Stats{
-		TxnsCommitted:      m.txnsCommitted.Value(),
-		TxnsAborted:        m.txnsAborted.Value(),
-		TxnsFailed:         m.txnsFailed.Value(),
-		DeadlockAborts:     m.deadlockAborts.Value(),
-		LocalDeadlocks:     m.localDeadlocks.Value(),
-		DistDeadlocks:      m.distDeadlocks.Value(),
-		OpsExecuted:        m.opsExecuted.Value(),
-		OpConflicts:        m.conflicts.Total(),
-		RemoteOpsSent:      m.remoteOpsSent.Value(),
-		RemoteOpsProcessed: m.remoteOpsProcessed.Value(),
-		LocksAcquired:      m.locksAcquired.Value(),
-		PersistErrors:      m.persistErrors.Value(),
-		SnapshotReads:      m.snapshotReads.Value(),
-		SnapshotPublishes:  m.snapshotPublishes.Value(),
-		LogRecordsShipped:  m.logShipped.Value(),
-		LogRecordsApplied:  m.logApplied.Value(),
-		ReplStaleRefusals:  m.staleRefusals.Value(),
-		ReplCatchupRecords: m.catchupRecords.Value(),
-		IndexedQueries:     m.indexedQueries.Value(),
-	}
 }
 
 // newDocState builds the scheduling domain of a freshly installed document
@@ -1214,13 +1137,7 @@ func (s *Site) HandleMessage(from int, msg any) (any, error) {
 	case transport.LogFetchReq:
 		return s.handleLogFetch(m), nil
 	case transport.AbortReq:
-		err := s.abortLocal(m.Txn)
-		if err != nil {
-			return transport.Ack{OK: false, Error: err.Error()}, nil
-		}
-		return transport.Ack{OK: true}, nil
-	case transport.FailReq:
-		s.failLocal(m.Txn)
+		s.abortLocal(m.Txn)
 		return transport.Ack{OK: true}, nil
 	case transport.WFGReq:
 		return transport.WFGResp{Edges: s.localEdges()}, nil
@@ -1324,15 +1241,14 @@ func (s *Site) handleFetchDoc(req transport.FetchDocReq) transport.FetchDocResp 
 
 // siteStatus reports the site's operational state for dtxctl -status.
 func (s *Site) siteStatus() transport.SiteStatusResp {
-	st := s.Stats()
 	resp := transport.SiteStatusResp{
 		Site:      s.id,
 		Ready:     s.Ready(),
 		Documents: s.Documents(),
 		Peers:     s.PeerStates(),
-		Committed: st.TxnsCommitted,
-		Aborted:   st.TxnsAborted,
-		Failed:    st.TxnsFailed,
+		Committed: s.m.txnsCommitted.Value(),
+		Aborted:   s.m.txnsAborted.Value(),
+		Failed:    s.m.txnsFailed.Value(),
 		Protocol:  s.cfg.Protocol.Name(),
 	}
 	sort.Strings(resp.Documents)

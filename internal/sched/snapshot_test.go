@@ -35,7 +35,7 @@ func TestSnapshotReadZeroLocks(t *testing.T) {
 	})); err != nil {
 		t.Fatal(err)
 	}
-	locksBefore := s.Stats().LocksAcquired
+	locksBefore := count(t, s, "dtx_locks_acquired_total")
 
 	reader, err := s.BeginReadOnly(context.Background())
 	if err != nil {
@@ -51,7 +51,7 @@ func TestSnapshotReadZeroLocks(t *testing.T) {
 	if len(names) != 2 {
 		t.Fatalf("snapshot read = %v, want the 2 committed names (writer's insert is uncommitted)", names)
 	}
-	if got := s.Stats().LocksAcquired; got != locksBefore {
+	if got := count(t, s, "dtx_locks_acquired_total"); got != locksBefore {
 		t.Fatalf("read-only transaction acquired %d locks, want 0", got-locksBefore)
 	}
 	if edges := s.localEdges(); len(edges) != 0 {
@@ -315,8 +315,8 @@ func TestSnapshotReadRemote(t *testing.T) {
 	if pinned != 0 {
 		t.Fatalf("remote site still holds %d pin sets after commit", pinned)
 	}
-	if got := sites[1].Stats().SnapshotReads; got != 1 {
-		t.Fatalf("remote SnapshotReads = %d, want 1", got)
+	if got := count(t, sites[1], "dtx_snapshot_reads_total"); got != 1 {
+		t.Fatalf("remote snapshot reads = %d, want 1", got)
 	}
 }
 
@@ -393,7 +393,7 @@ func TestSnapshotConcurrentReadersWriters(t *testing.T) {
 		return
 	}
 	// No reader was ever a deadlock victim.
-	if v := s.Stats().DeadlockAborts; v != 0 {
+	if v := count(t, s, "dtx_deadlock_aborts_total"); v != 0 {
 		t.Fatalf("deadlock victims = %d in a snapshot-reader workload, want 0", v)
 	}
 }

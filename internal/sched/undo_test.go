@@ -45,7 +45,7 @@ func TestPartialAcquireUndoneEverywhere(t *testing.T) {
 	// (the partial execution was undone).
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		conflicts := s0.Stats().OpConflicts + s1.Stats().OpConflicts
+		conflicts := count(t, s0, "dtx_op_conflicts_total") + count(t, s1, "dtx_op_conflicts_total")
 		if conflicts > 0 {
 			break
 		}
@@ -71,9 +71,7 @@ func TestPartialAcquireUndoneEverywhere(t *testing.T) {
 	}
 
 	// Release the blocker; the insert must now complete at both sites.
-	if err := s1.abortLocal(blocker); err != nil {
-		t.Fatal(err)
-	}
+	s1.abortLocal(blocker)
 	select {
 	case r := <-done:
 		if r.State != txn.Committed {
@@ -133,14 +131,14 @@ func TestStatsAccounting(t *testing.T) {
 	if _, err := s.Submit([]txn.Operation{txn.NewQuery("missing", "/x")}); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.TxnsCommitted != 3 || st.TxnsFailed != 1 || st.TxnsAborted != 0 {
-		t.Fatalf("stats = %+v", st)
+	c, f, a := count(t, s, "dtx_txns_committed_total"), count(t, s, "dtx_txns_failed_total"), count(t, s, "dtx_txns_aborted_total")
+	if c != 3 || f != 1 || a != 0 {
+		t.Fatalf("committed %d, failed %d, aborted %d; want 3, 1, 0", c, f, a)
 	}
-	if st.OpsExecuted != 3 {
-		t.Fatalf("ops executed = %d", st.OpsExecuted)
+	if n := count(t, s, "dtx_ops_executed_total"); n != 3 {
+		t.Fatalf("ops executed = %d", n)
 	}
-	if st.LocksAcquired == 0 {
+	if count(t, s, "dtx_locks_acquired_total") == 0 {
 		t.Fatal("no locks recorded")
 	}
 }
@@ -187,7 +185,7 @@ func TestUndoneOperationLeavesDocumentClean(t *testing.T) {
 	if _, err := s.SubmitReadOnly([]txn.Operation{txn.NewQuery("d1", "//person/id")}); err != nil {
 		t.Fatal(err)
 	}
-	publishes := s.Stats().SnapshotPublishes
+	publishes := count(t, s, "dtx_snapshot_publishes_total")
 
 	id := txn.ID{Site: 0, Seq: 999}
 	res := s.processOperation(id, 50, 0, 0, txn.NewUpdate("d1", &xupdate.Update{
@@ -205,7 +203,7 @@ func TestUndoneOperationLeavesDocumentClean(t *testing.T) {
 	if err != nil || len(ro.Results[0]) != 2 {
 		t.Fatalf("read after the commit: %v %+v", err, ro)
 	}
-	if got := s.Stats().SnapshotPublishes; got != publishes {
+	if got := count(t, s, "dtx_snapshot_publishes_total"); got != publishes {
 		t.Fatalf("dtx_snapshot_publishes_total moved %d -> %d for a transaction that changed nothing", publishes, got)
 	}
 	if recs, err := s.cfg.Journal.OpenRecords("d1"); err != nil || len(recs) != 0 {

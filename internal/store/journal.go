@@ -655,15 +655,3 @@ type OpenIntent struct {
 	Txn  string
 	Docs []string
 }
-
-// Recover scans a journal file and returns its open intents, in intent
-// order. A missing journal file means nothing to recover. Recover is the
-// offline view; a live Journal answers the same question from memory with
-// OpenIntents.
-func Recover(path string) ([]OpenIntent, error) {
-	j := newJournal(path)
-	if _, _, err := j.replay(); err != nil {
-		return nil, err
-	}
-	return j.OpenIntents(), nil
-}

@@ -10,6 +10,17 @@ import (
 	"testing"
 )
 
+// replayOpen scans the journal file at path without opening it for append
+// (a torn tail stays on disk) and returns its open intents — the commits a
+// restart would replay.
+func replayOpen(path string) ([]OpenIntent, error) {
+	j := newJournal(path)
+	if _, _, err := j.replay(); err != nil {
+		return nil, err
+	}
+	return j.OpenIntents(), nil
+}
+
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "commit.log")
 	j, err := OpenJournal(path)
@@ -33,7 +44,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	open, err := Recover(path)
+	open, err := replayOpen(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +72,7 @@ func TestJournalCleanRecovery(t *testing.T) {
 		}
 	}
 	j.Close()
-	open, err := Recover(path)
+	open, err := replayOpen(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +82,7 @@ func TestJournalCleanRecovery(t *testing.T) {
 }
 
 func TestJournalMissingFile(t *testing.T) {
-	open, err := Recover(filepath.Join(t.TempDir(), "absent.log"))
+	open, err := replayOpen(filepath.Join(t.TempDir(), "absent.log"))
 	if err != nil || open != nil {
 		t.Fatalf("missing journal: %v %v", open, err)
 	}
@@ -109,7 +120,7 @@ func TestJournalTornTailIgnored(t *testing.T) {
 	if err := os.WriteFile(path, whole[:len(whole)-20], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	open, err := Recover(path)
+	open, err := replayOpen(path)
 	if err != nil || len(open) != 0 {
 		t.Fatalf("torn tail: open = %+v, err = %v", open, err)
 	}
@@ -121,7 +132,7 @@ func TestJournalTornTailIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	open, err = Recover(path)
+	open, err = replayOpen(path)
 	if err != nil || len(open) != 1 || open[0].Txn != "t3" {
 		t.Fatalf("after append over the cut tail: open = %+v, err = %v", open, err)
 	}
@@ -157,7 +168,7 @@ func TestJournalDamagedInteriorFails(t *testing.T) {
 			if err := os.WriteFile(path, []byte(damage(line)+"\n"), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if open, err := Recover(path); err != nil || len(open) != 0 {
+			if open, err := replayOpen(path); err != nil || len(open) != 0 {
 				t.Fatalf("damaged final line: open = %+v, err = %v", open, err)
 			}
 			// With a record after it, it is damage.
@@ -165,7 +176,7 @@ func TestJournalDamagedInteriorFails(t *testing.T) {
 			if _, err := OpenJournal(path); err == nil {
 				t.Fatal("OpenJournal accepted a damaged interior record")
 			}
-			if _, err := Recover(path); err == nil {
+			if _, err := replayOpen(path); err == nil {
 				t.Fatal("Recover accepted a damaged interior record")
 			}
 		})
@@ -306,7 +317,7 @@ func TestJournalConcurrentAppends(t *testing.T) {
 	}
 	wg.Wait()
 	j.Close()
-	open, err := Recover(path)
+	open, err := replayOpen(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +389,7 @@ func TestJournalDecisionLifecycle(t *testing.T) {
 	j.Close()
 
 	// The offline view agrees.
-	open, err := Recover(path)
+	open, err := replayOpen(path)
 	if err != nil || len(open) != 0 {
 		t.Fatalf("recover: %v %v", open, err)
 	}

@@ -42,9 +42,6 @@ type docLog struct {
 
 // NewReplLog creates a log retaining up to horizon records per document.
 func NewReplLog(horizon int) *ReplLog {
-	if horizon <= 0 {
-		horizon = 512
-	}
 	return &ReplLog{horizon: horizon, docs: make(map[string]*docLog)}
 }
 

@@ -155,7 +155,7 @@ func FuzzJournalReplay(f *testing.F) {
 		_ = j.Decisions()
 		_ = j.MaxSeq(0)
 		_, _ = j.OpenRecords("d1")
-		if _, err := Recover(path); err != nil {
+		if _, err := replayOpen(path); err != nil {
 			t.Fatalf("Recover after OpenJournal succeeded: %v", err)
 		}
 		// Whatever survived must be appendable and reopenable: a torn tail
@@ -163,7 +163,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := j.LogDecision("t9.9"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Recover(path); err != nil {
+		if _, err := replayOpen(path); err != nil {
 			t.Fatalf("Recover after append: %v", err)
 		}
 	})

@@ -64,9 +64,6 @@ type CommitReq struct{ Txn txn.ID }
 // AbortReq asks a participant to cancel a transaction (Algorithm 6).
 type AbortReq struct{ Txn txn.ID }
 
-// FailReq tells a participant the transaction failed (Algorithm 6, l. 7).
-type FailReq struct{ Txn txn.ID }
-
 // Ack is the generic acknowledgement response. Consolidated distinguishes a
 // failed CommitReq whose receiver nonetheless applied the transaction's
 // effects (e.g. a quorum shortfall after the local commit point of no
@@ -303,7 +300,6 @@ func init() {
 	gob.Register(UndoOpReq{})
 	gob.Register(CommitReq{})
 	gob.Register(AbortReq{})
-	gob.Register(FailReq{})
 	gob.Register(Ack{})
 	gob.Register(WFGReq{})
 	gob.Register(WFGResp{})

@@ -265,21 +265,6 @@ func (g *Graph) NewestInCycle(cycle []txn.ID) txn.ID {
 	return victim
 }
 
-// OldestInCycle returns the least recently started transaction among the
-// cycle members — the alternative victim rule used by the ablation study.
-func (g *Graph) OldestInCycle(cycle []txn.ID) txn.ID {
-	if len(cycle) == 0 {
-		return txn.Zero
-	}
-	victim := cycle[0]
-	for _, id := range cycle[1:] {
-		if txn.Newer(g.ts[victim], victim, g.ts[id], id) {
-			victim = id
-		}
-	}
-	return victim
-}
-
 // TS returns the timestamp recorded for a transaction (zero if unknown).
 func (g *Graph) TS(id txn.ID) txn.TS { return g.ts[id] }
 

@@ -109,22 +109,10 @@ func Gen(cfg Config) *xmltree.Document {
 			}
 		}
 		if added != nil {
-			size += subtreeBytes(added)
+			size += added.ByteSize()
 		}
 	}
 	return doc
-}
-
-func subtreeBytes(n *xmltree.Node) int {
-	size := 2*len(n.Name) + 5
-	for _, a := range n.Attrs {
-		size += len(a.Name) + len(a.Value) + 4
-	}
-	size += len(n.Text)
-	for _, c := range n.Children {
-		size += subtreeBytes(c)
-	}
-	return size
 }
 
 func attach(doc *xmltree.Document, parent *xmltree.Node, name string) *xmltree.Node {

@@ -107,15 +107,22 @@ func (d *Document) Len() int {
 // bytes. The estimate counts tags, attributes and text, and is what the
 // fragmentation and base-size experiments use as their "MB" dial.
 func (d *Document) ByteSize() int {
-	size := 0
-	d.Walk(func(n *Node) bool {
-		size += 2*len(n.Name) + 5 // <name></name>
-		for _, a := range n.Attrs {
-			size += len(a.Name) + len(a.Value) + 4
-		}
-		size += len(n.Text)
-		return true
-	})
+	if d.Root == nil {
+		return 0
+	}
+	return d.Root.ByteSize()
+}
+
+// ByteSize is Document.ByteSize's estimate for the subtree rooted at n.
+func (n *Node) ByteSize() int {
+	size := 2*len(n.Name) + 5 // <name></name>
+	for _, a := range n.Attrs {
+		size += len(a.Name) + len(a.Value) + 4
+	}
+	size += len(n.Text)
+	for _, c := range n.Children {
+		size += c.ByteSize()
+	}
 	return size
 }
 

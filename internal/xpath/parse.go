@@ -91,7 +91,6 @@ type Query struct {
 	// Attr, when non-empty, selects the named attribute of the target nodes
 	// (a trailing /@name step).
 	Attr      string
-	raw       string
 	structKey string
 }
 
@@ -129,16 +128,13 @@ func (q *Query) String() string {
 	return b.String()
 }
 
-// Raw returns the original query text as given to Parse.
-func (q *Query) Raw() string { return q.raw }
-
 // StructureKey returns a canonical rendering of the parts of the query that
 // determine its evaluation against a structural summary: the axes and
 // element names of every step, plus the child-element names of predicates.
 // Predicate *values* and positions are omitted — a DataGuide cannot decide
 // them, so two queries differing only there reach exactly the same summary
-// nodes. Structural-summary caches key on this instead of Raw so that e.g.
-// //person[id='7']/name and //person[id='9']/name share one entry.
+// nodes. Structural-summary caches key on this instead of the query text so
+// that e.g. //person[id='7']/name and //person[id='9']/name share one entry.
 func (q *Query) StructureKey() string {
 	if q.structKey == "" {
 		// Queries assembled literally (tests) bypass Parse; derive per call
@@ -196,7 +192,7 @@ func Parse(input string) (*Query, error) {
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	q := &Query{raw: input}
+	q := &Query{}
 	if p.tok.kind != tokSlash && p.tok.kind != tokDSlash {
 		return nil, p.lex.errf(p.tok.pos, "query must start with '/' or '//'")
 	}

@@ -146,13 +146,13 @@ func TestQuorumPrimaryDownFailsWrites(t *testing.T) {
 }
 
 // TestQuorumCatchUpPastHorizon: a follower that missed more records than the
-// primary's log retains cannot catch up incrementally — recovery falls back
-// to whole-document transfer and re-anchors the replication position at the
-// transferred head, after which incremental shipping resumes.
+// primary's log retains (512 per document) cannot catch up incrementally —
+// recovery falls back to whole-document transfer and re-anchors the
+// replication position at the transferred head, after which incremental
+// shipping resumes.
 func TestQuorumCatchUpPastHorizon(t *testing.T) {
-	cfg := quorumConfig(t)
-	cfg.ReplHorizon = 4
-	cluster, err := dtx.New(cfg)
+	const horizon = 512
+	cluster, err := dtx.New(quorumConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +166,9 @@ func TestQuorumCatchUpPastHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Push the primary's log well past the horizon while the follower is
-	// down: its resume position (0) falls behind the compaction floor.
-	for i := 0; i < 8; i++ {
+	// Push the primary's log past the horizon while the follower is down:
+	// its resume position (0) falls behind the compaction floor.
+	for i := 0; i < horizon+8; i++ {
 		if res, err := cluster.Submit(0, dtx.Change("d1", "//person[id='4']/name",
 			fmt.Sprintf("N%d", i))); err != nil || !res.Committed {
 			t.Fatalf("write %d: %v / %+v", i, err, res)

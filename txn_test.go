@@ -70,6 +70,65 @@ func TestTxnInteractiveAcrossSites(t *testing.T) {
 	}
 }
 
+// TestTxnDoBatch: a batch of reads spanning two sites returns each query's
+// results in operation order; a batch holding an update is refused up front
+// and leaves the transaction live, which then writes and commits.
+func TestTxnDoBatch(t *testing.T) {
+	c, err := New(Config{Sites: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.LoadXML("d1", `<people><person><id>4</id><name>Ana</name></person><person><id>5</id><name>Bo</name></person></people>`, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.LoadXML("d2", `<products><product><id>14</id><price>120.00</price></product></products>`, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	txn, err := c.Begin(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := txn.DoBatch(
+		Query("d2", "//product/price"),
+		Query("d1", "//person/name"),
+		Query("d1", "//person[id='5']/id"),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{{"120.00"}, {"Ana", "Bo"}, {"5"}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("DoBatch = %v, want %v", got, want)
+	}
+
+	if _, err := txn.DoBatch(Query("d1", "//person/name"), Change("d1", "//person[id='4']/name", "Zed")); err == nil {
+		t.Fatal("a batch holding an update was accepted")
+	}
+	if txn.Err() != nil {
+		t.Fatalf("refused batch resolved the transaction: %v", txn.Err())
+	}
+	if err := txn.Change("d2", "//product[id='14']/price", "9.99"); err != nil {
+		t.Fatalf("step after the refused batch: %v", err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ doc, want, not string }{
+		{"d2", "<price>9.99</price>", "120.00"},
+		{"d1", "<name>Ana</name>", "Zed"},
+	} {
+		xml, err := c.DocumentXML(1, tc.doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(xml, tc.want) || strings.Contains(xml, tc.not) {
+			t.Fatalf("committed %s = %s, want %s and no %s", tc.doc, xml, tc.want, tc.not)
+		}
+	}
+}
+
 // TestTxnCancelMidFlightReleasesLocks is the second acceptance criterion:
 // cancelling the context of an in-flight interactive transaction aborts it
 // with errors.Is(err, ErrAborted) and releases all its locks at every
