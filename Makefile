@@ -42,6 +42,7 @@ fuzz:
 	go test -fuzz=FuzzImageHeader -fuzztime $(FUZZTIME) -run '^$$' ./internal/store
 	go test -fuzz=FuzzApplyPeelRestoreUndo -fuzztime $(FUZZTIME) -run '^$$' ./internal/xupdate
 	go test -fuzz=FuzzEvalDocOrder -fuzztime $(FUZZTIME) -run '^$$' ./internal/xpath
+	go test -fuzz=FuzzGuidedEval -fuzztime $(FUZZTIME) -run '^$$' ./internal/dataguide
 
 # Size of the program: tracked non-test Go lines outside the benchmark
 # driver. ROADMAP aim 2 wants it to shrink; CI prints it per run.
@@ -50,7 +51,7 @@ loc:
 
 # The ratchet behind `make loc`: a PR that grows the program past the budget
 # fails the gate; one that shrinks it lowers LOC_BUDGET to its own result.
-LOC_BUDGET = 17424
+LOC_BUDGET = 17420
 
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "non-test Go lines outside bench/: $$n (budget $(LOC_BUDGET))"; [ $$n -le $(LOC_BUDGET) ]

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/vindex"
 	"repro/internal/xmltree"
@@ -53,16 +54,10 @@ func (n *Node) Child(label string) *Node {
 
 // Path returns the label path of the node, e.g. "/site/people/person".
 func (n *Node) Path() string {
-	var parts []string
-	for cur := n; cur != nil; cur = cur.Parent {
-		parts = append(parts, cur.Label)
+	if n.Parent == nil {
+		return "/" + n.Label
 	}
-	var b strings.Builder
-	for i := len(parts) - 1; i >= 0; i-- {
-		b.WriteByte('/')
-		b.WriteString(parts[i])
-	}
-	return b.String()
+	return n.Parent.Path() + "/" + n.Label
 }
 
 // Ancestors returns the chain from parent to root.
@@ -92,7 +87,6 @@ func (n *Node) Descendants() []*Node {
 // DataGuide is the structural summary of one document. A DataGuide is not
 // safe for concurrent use; the scheduler serialises access per document.
 type DataGuide struct {
-	Doc  string // document name this guide summarises
 	Root *Node
 
 	nodes  map[NodeID]*Node
@@ -106,6 +100,12 @@ type DataGuide struct {
 	// appears or tombstones are pruned.
 	version uint64
 	memo    map[string]*memoEntry
+
+	// paths is the document's cell for the immutable label-path summary
+	// that xpath.Eval prunes descendant steps with (Document.Paths);
+	// published is the version whose summary it holds.
+	paths     *atomic.Value
+	published uint64
 
 	// vidx, when attached, is the live value index maintained alongside the
 	// extents: every extent add/remove and every text/attribute change
@@ -137,11 +137,12 @@ const memoCap = 1024
 // Build constructs the strong DataGuide of doc.
 func Build(doc *xmltree.Document) *DataGuide {
 	g := &DataGuide{
-		Doc:    doc.Name,
 		nodes:  make(map[NodeID]*Node),
 		byDoc:  make(map[xmltree.NodeID]*Node),
 		nextID: 1,
+		paths:  new(atomic.Value),
 	}
+	doc.Paths = g.paths
 	g.Root = g.newNode(doc.Root.Name, nil)
 	g.addToExtent(g.Root, doc.Root)
 	var walk func(dn *xmltree.Node, gn *Node)
@@ -153,7 +154,33 @@ func Build(doc *xmltree.Document) *DataGuide {
 		}
 	}
 	walk(doc.Root, g.Root)
+	g.publish()
 	return g
+}
+
+// publish stores a fresh label-path summary into the document's cell when
+// the structural version moved since the last one. Build and AddSubtree, the
+// only ways a document node gets a path, call it last, so no copy of the tree
+// holds a path its summary lacks. A path the summary knows beyond the tree's
+// (EnsureChild's, a tombstone) only prunes less.
+func (g *DataGuide) publish() {
+	if g.published != g.version {
+		g.published = g.version
+		g.paths.Store(&xpath.Summary{Child: map[string]*xpath.Summary{g.Root.Label: summarize(g.Root)}})
+	}
+}
+
+// summarize copies the label paths at and below n into an immutable summary.
+func summarize(n *Node) *xpath.Summary {
+	s := &xpath.Summary{Child: make(map[string]*xpath.Summary, len(n.order)), Below: make(map[string]bool)}
+	for _, label := range n.order {
+		c := summarize(n.children[label])
+		s.Child[label], s.Below[label] = c, true
+		for l := range c.Below {
+			s.Below[l] = true
+		}
+	}
+	return s
 }
 
 func (g *DataGuide) newNode(label string, parent *Node) *Node {
@@ -265,6 +292,7 @@ func (g *DataGuide) AddSubtree(n *xmltree.Node) error {
 		}
 	}
 	walk(n, gn)
+	g.publish()
 	return nil
 }
 
@@ -282,17 +310,8 @@ func (g *DataGuide) RemoveSubtree(n *xmltree.Node) {
 	}
 }
 
-// Rename updates the guide for a subtree whose root element was renamed:
-// all paths below the renamed node move. Call after the document mutation.
-func (g *DataGuide) Rename(n *xmltree.Node) error {
-	// Remove old registrations (byDoc still has them), then re-add with the
-	// new paths.
-	g.RemoveSubtree(n)
-	return g.AddSubtree(n)
-}
-
-// Move updates the guide for a subtree that changed position (transpose).
-// Semantics match Rename: re-register under current paths.
+// Move updates the guide for a subtree that changed position (transpose):
+// re-register it under its current paths.
 func (g *DataGuide) Move(n *xmltree.Node) error {
 	g.RemoveSubtree(n)
 	return g.AddSubtree(n)
@@ -300,7 +319,8 @@ func (g *DataGuide) Move(n *xmltree.Node) error {
 
 // Compact removes summary nodes with empty extents and no descendants with
 // non-empty extents. It must only be called when no locks reference the
-// guide (e.g. between experiment runs).
+// guide and no reader holds a pinned copy of the document (e.g. between
+// experiment runs): the next summary published lacks the pruned paths.
 func (g *DataGuide) Compact() int {
 	removed := 0
 	var prune func(n *Node) bool // returns true if n should be kept
@@ -363,7 +383,7 @@ func (g *DataGuide) Targets(q *xpath.Query) []*Node {
 	if e.hasT {
 		return e.targets
 	}
-	t := g.computeTargets(q.Steps)
+	t, _ := g.computeTargets(q.Steps)
 	e.targets = t[:len(t):len(t)]
 	e.hasT = true
 	return e.targets
@@ -382,64 +402,57 @@ func (g *DataGuide) TargetsPrefix(q *xpath.Query, n int) []*Node {
 	if e.hasA && e.anchorN == n {
 		return e.anchor
 	}
-	t := g.computeTargets(q.Steps[:n])
+	t, _ := g.computeTargets(q.Steps[:n])
 	e.anchor = t[:len(t):len(t)]
 	e.anchorN = n
 	e.hasA = true
 	return e.anchor
 }
 
-func (g *DataGuide) computeTargets(steps []xpath.Step) []*Node {
-	ctx := []*Node{}
-	for i, step := range steps {
+// computeTargets is the one step loop over the summary behind Targets,
+// TargetsPrefix and PredicateNodes: it returns the summary nodes the steps
+// reach and the summary nodes of every child predicate's element under its
+// step's nodes, in first-reached order.
+func (g *DataGuide) computeTargets(steps []xpath.Step) (targets, preds []*Node) {
+	// The first step's context is a virtual node whose only child is the root.
+	ctx := []*Node{{children: map[string]*Node{g.Root.Label: g.Root}, order: []string{g.Root.Label}}}
+	pseen := map[NodeID]bool{}
+	for _, step := range steps {
 		var next []*Node
 		nseen := map[NodeID]bool{}
 		add := func(n *Node) {
-			if !nseen[n.ID] {
+			if (step.Name == "*" || step.Name == n.Label) && !nseen[n.ID] {
 				nseen[n.ID] = true
 				next = append(next, n)
 			}
 		}
-		if i == 0 {
-			switch step.Axis {
-			case xpath.Child:
-				if step.Name == "*" || step.Name == g.Root.Label {
-					add(g.Root)
+		for _, c := range ctx {
+			if step.Axis == xpath.Child {
+				for _, ch := range c.Children() {
+					add(ch)
 				}
-			case xpath.Descendant:
-				if step.Name == "*" || step.Name == g.Root.Label {
-					add(g.Root)
-				}
-				for _, d := range g.Root.Descendants() {
-					if step.Name == "*" || step.Name == d.Label {
-						add(d)
-					}
-				}
-			}
-		} else {
-			for _, c := range ctx {
-				switch step.Axis {
-				case xpath.Child:
-					for _, ch := range c.Children() {
-						if step.Name == "*" || step.Name == ch.Label {
-							add(ch)
-						}
-					}
-				case xpath.Descendant:
-					for _, d := range c.Descendants() {
-						if step.Name == "*" || step.Name == d.Label {
-							add(d)
-						}
-					}
+			} else {
+				for _, d := range c.Descendants() {
+					add(d)
 				}
 			}
 		}
-		ctx = next
-		if len(ctx) == 0 {
-			return nil
+		for _, p := range step.Preds {
+			if p.Kind != xpath.PredChild {
+				continue
+			}
+			for _, n := range next {
+				if pc := n.Child(p.Name); pc != nil && !pseen[pc.ID] {
+					pseen[pc.ID] = true
+					preds = append(preds, pc)
+				}
+			}
+		}
+		if ctx = next; len(ctx) == 0 {
+			return nil, preds
 		}
 	}
-	return ctx
+	return ctx, preds
 }
 
 // PredicateNodes returns, for each step of the query that has a child or
@@ -452,72 +465,10 @@ func (g *DataGuide) PredicateNodes(q *xpath.Query) []*Node {
 	if e.hasP {
 		return e.preds
 	}
-	p := g.computePredicateNodes(q)
+	_, p := g.computeTargets(q.Steps)
 	e.preds = p[:len(p):len(p)]
 	e.hasP = true
 	return e.preds
-}
-
-func (g *DataGuide) computePredicateNodes(q *xpath.Query) []*Node {
-	var out []*Node
-	seen := map[NodeID]bool{}
-	// Re-run the step evaluation, collecting predicate children per step.
-	ctx := []*Node{}
-	for i, step := range q.Steps {
-		var next []*Node
-		nseen := map[NodeID]bool{}
-		add := func(n *Node) {
-			if !nseen[n.ID] {
-				nseen[n.ID] = true
-				next = append(next, n)
-			}
-		}
-		if i == 0 {
-			if step.Name == "*" || step.Name == g.Root.Label {
-				add(g.Root)
-			}
-			if step.Axis == xpath.Descendant {
-				for _, d := range g.Root.Descendants() {
-					if step.Name == "*" || step.Name == d.Label {
-						add(d)
-					}
-				}
-			}
-		} else {
-			for _, c := range ctx {
-				switch step.Axis {
-				case xpath.Child:
-					for _, ch := range c.Children() {
-						if step.Name == "*" || step.Name == ch.Label {
-							add(ch)
-						}
-					}
-				case xpath.Descendant:
-					for _, d := range c.Descendants() {
-						if step.Name == "*" || step.Name == d.Label {
-							add(d)
-						}
-					}
-				}
-			}
-		}
-		for _, p := range step.Preds {
-			if p.Kind != xpath.PredChild {
-				continue
-			}
-			for _, n := range next {
-				if pc := n.Child(p.Name); pc != nil && !seen[pc.ID] {
-					seen[pc.ID] = true
-					out = append(out, pc)
-				}
-			}
-		}
-		ctx = next
-		if len(ctx) == 0 {
-			break
-		}
-	}
-	return out
 }
 
 // Paths returns every label path present in the guide (including tombstones)

@@ -223,3 +223,43 @@ func TestSlowTxnThresholdFilters(t *testing.T) {
 		t.Fatalf("fast transaction traced %d time(s)", count)
 	}
 }
+
+// TestOpEvalHistogram: dtx_op_eval_seconds takes one observation per query
+// evaluated at the participant, on the locked path and on the snapshot path,
+// under the queried document's label — and none while the registry is
+// unarmed.
+func TestOpEvalHistogram(t *testing.T) {
+	sites, _ := newCluster(t, 1, nil)
+	s := sites[0]
+	addDoc(t, s, "d1", peopleXML)
+	addDoc(t, s, "d2", productsXML)
+	query := []txn.Operation{txn.NewQuery("d1", "//person/name")}
+	if _, err := s.Submit(query); err != nil {
+		t.Fatal(err)
+	}
+	if n := histCount(s.m.opEval); n != 0 {
+		t.Fatalf("unarmed registry recorded %d evaluations", n)
+	}
+
+	s.Metrics().Arm()
+	const locked, snapshot = 5, 3
+	for range locked {
+		if res, err := s.Submit(query); err != nil || res.State != txn.Committed {
+			t.Fatalf("locked query: %v %+v", err, res)
+		}
+	}
+	for range snapshot {
+		if res, err := s.SubmitReadOnly(query); err != nil || res.State != txn.Committed {
+			t.Fatalf("snapshot query: %v %+v", err, res)
+		}
+	}
+	if n := s.m.opEval.With("d1").Count(); n != locked+snapshot {
+		t.Fatalf("dtx_op_eval_seconds{doc=d1} count = %d, want %d", n, locked+snapshot)
+	}
+	if n := s.m.opEval.With("d2").Count(); n != 0 {
+		t.Fatalf("dtx_op_eval_seconds{doc=d2} count = %d, want 0", n)
+	}
+	if text := s.MetricsText(); !strings.Contains(text, fmt.Sprintf(`dtx_op_eval_seconds_count{site="0",doc="d1"} %d`, locked+snapshot)) {
+		t.Fatalf("exposition lacks the d1 eval count:\n%s", text)
+	}
+}

@@ -179,12 +179,14 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 		// matched extents. Falls back to the scan when no index covers the
 		// query. Both run under ds.mu, so the index is exactly as current as
 		// the tree.
+		sp := s.m.reg.Span()
 		if nodes, ok := ds.guide.EvalIndexed(q); ok {
 			out.results = xpath.RenderStrings(q, nodes)
 			s.m.indexedQueries.Inc()
 		} else {
 			out.results = xpath.EvalStrings(q, ds.doc)
 		}
+		sp.Done(ds.met.opEval)
 		out.executed = true
 	case txn.OpUpdate:
 		rec, _, aerr := xupdate.Apply(op.Update, ds.doc, ds.guide)

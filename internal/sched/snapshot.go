@@ -144,6 +144,7 @@ func (s *Site) snapshotRead(id txn.ID, ts txn.TS, coordinator int, docName, quer
 // snapshotEval evaluates a snapshot read's query against its pinned
 // version, through the version's value index when one covers the query.
 func (s *Site) snapshotEval(ds *docState, q *xpath.Query, ver *mvcc.Version) ([]string, bool) {
+	defer s.m.reg.Span().Done(ds.met.opEval)
 	if ix := ds.guide.ValueIndex(); ix != nil {
 		if plan, ok := vindex.PlanQuery(q); ok && ix.Enabled(plan.Key) {
 			if nodes, ok := ver.ValueIndex(ix.Keys()).Eval(q, plan); ok {

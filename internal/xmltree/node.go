@@ -57,6 +57,10 @@ type Document struct {
 	// Atomic so the otherwise read-only WriteTo stays safe to call on a
 	// document that another goroutine is serializing.
 	lastWriteSize atomic.Int64
+	// Paths is the cell the document's DataGuide publishes its label-path
+	// summary (an *xpath.Summary) in. Snapshot shares it, as paths only grow
+	// and the newest summary covers every older copy; Clone does not.
+	Paths *atomic.Value
 }
 
 // NewDocument creates an empty document with a root element named rootName.
@@ -197,16 +201,7 @@ func (n *Node) Index() int {
 // LabelPath returns the slash-separated element-name path from the root to
 // n, e.g. "/site/people/person". This is the key the DataGuide summarises.
 func (n *Node) LabelPath() string {
-	var parts []string
-	for cur := n; cur != nil; cur = cur.Parent {
-		parts = append(parts, cur.Name)
-	}
-	var b strings.Builder
-	for i := len(parts) - 1; i >= 0; i-- {
-		b.WriteByte('/')
-		b.WriteString(parts[i])
-	}
-	return b.String()
+	return "/" + strings.Join(n.PathSegments(), "/")
 }
 
 // PathSegments returns the element names from root to n, root first.
@@ -403,7 +398,7 @@ func (d *Document) Clone() *Document {
 // tree in a handful of arena blocks, so snapshotting a document on every
 // commit does not flood the garbage collector with per-node allocations.
 func (d *Document) Snapshot() *Document {
-	nd := &Document{Name: d.Name, nextID: d.nextID}
+	nd := &Document{Name: d.Name, nextID: d.nextID, Paths: d.Paths}
 	nd.lastWriteSize.Store(d.lastWriteSize.Load())
 	// One counting walk (a few percent of the copy) sizes the arenas exactly:
 	// the nodes, their child-pointer runs and their attribute runs each fill

@@ -25,12 +25,19 @@ import (
 // below a match, and predicates and the attribute filter keep both. So a
 // query pays for its result, not for the document: only a child step over
 // nested contexts (and every step after it) needs the per-step dedupe and
-// the final SortDocOrder.
+// the final SortDocOrder. When the document's DataGuide publishes a label-path
+// summary (Document.Paths), a descendant step also skips every subtree whose
+// path holds no element of the step's name: the same walk, in the same
+// order, minus subtrees that provably hold no match.
 func Eval(q *Query, doc *xmltree.Document) []*xmltree.Node {
 	// The context of the first step is a virtual document node whose only
 	// child is the root element.
 	top := &xmltree.Node{Children: []*xmltree.Node{doc.Root}}
-	out, ordered := evalSteps(q.Steps, []*xmltree.Node{top}, true)
+	var sum *Summary
+	if doc.Paths != nil {
+		sum, _ = doc.Paths.Load().(*Summary)
+	}
+	out, ordered := evalSteps(q.Steps, []*xmltree.Node{top}, true, sum)
 	if q.Attr != "" {
 		kept := out[:0]
 		for _, n := range out {
@@ -54,14 +61,15 @@ func Eval(q *Query, doc *xmltree.Document) []*xmltree.Node {
 // Index-assisted evaluation uses it to resolve the steps that follow an
 // indexed predicate step.
 func EvalSteps(steps []Step, ctx []*xmltree.Node) []*xmltree.Node {
-	out, _ := evalSteps(steps, ctx, false)
+	out, _ := evalSteps(steps, ctx, false, nil)
 	return out
 }
 
 // evalSteps is the one step loop behind Eval and EvalSteps. ordered says ctx
 // is in document order with no node inside another's subtree; the second
-// result says whether the returned set is in document order.
-func evalSteps(steps []Step, ctx []*xmltree.Node, ordered bool) ([]*xmltree.Node, bool) {
+// result says whether the returned set is in document order. sum, the
+// document's label-path summary when non-nil, prunes the descendant walks.
+func evalSteps(steps []Step, ctx []*xmltree.Node, ordered bool, sum *Summary) ([]*xmltree.Node, bool) {
 	flat := ordered // no node of ctx is an ancestor of another
 	for _, step := range steps {
 		var next []*xmltree.Node
@@ -91,13 +99,13 @@ func evalSteps(steps []Step, ctx []*xmltree.Node, ordered bool) ([]*xmltree.Node
 					continue
 				}
 				last = c
-				d.walk(c, false)
+				d.walk(c, sum.at(c), false)
 			}
 			next, flat = d.out, !d.nested
 		default:
 			d := descent{name: step.Name, seen: make(map[*xmltree.Node]bool)}
 			for _, c := range ctx {
-				d.walk(c, false)
+				d.walk(c, sum.at(c), false)
 			}
 			next = d.out
 		}
@@ -118,9 +126,10 @@ type descent struct {
 	nested bool                   // some collected node lies below another
 }
 
-// walk visits the nodes strictly below n; under says n is itself collected
-// or lies below a collected node.
-func (d *descent) walk(n *xmltree.Node, under bool) {
+// walk visits the nodes strictly below n, whose summary path is at (nil
+// when unknown), except below a child whose path has no element named name
+// below it; under says n is itself collected or lies below a collected node.
+func (d *descent) walk(n *xmltree.Node, at *Summary, under bool) {
 	for _, c := range n.Children {
 		match := nameMatches(d.name, c.Name) && !d.seen[c]
 		if match {
@@ -130,7 +139,9 @@ func (d *descent) walk(n *xmltree.Node, under bool) {
 			d.out = append(d.out, c)
 			d.nested = d.nested || under
 		}
-		d.walk(c, under || match)
+		if cs := at.child(c.Name); cs == nil || cs.Below[d.name] || d.name == "*" {
+			d.walk(c, cs, under || match)
+		}
 	}
 }
 
@@ -176,7 +187,7 @@ func applyPreds(preds []Pred, nodes []*xmltree.Node) []*xmltree.Node {
 		// a positional predicate counts over the unfiltered sequence.
 		kept := nodes[:0]
 		for i, n := range nodes {
-			if matchPred(p, n, i) {
+			if p.Match(n, i) {
 				kept = append(kept, n)
 			}
 		}
@@ -186,10 +197,6 @@ func applyPreds(preds []Pred, nodes []*xmltree.Node) []*xmltree.Node {
 		}
 	}
 	return nodes
-}
-
-func matchPred(p Pred, n *xmltree.Node, idx int) bool {
-	return p.Match(n, idx)
 }
 
 // Match reports whether n at 1-based position idx+1 within its filtered

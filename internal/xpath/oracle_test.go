@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/xmltree"
@@ -83,7 +84,7 @@ func oracleApplyPreds(preds []Pred, nodes []*xmltree.Node) []*xmltree.Node {
 	for _, p := range preds {
 		var kept []*xmltree.Node
 		for i, n := range nodes {
-			if matchPred(p, n, i) {
+			if p.Match(n, i) {
 				kept = append(kept, n)
 			}
 		}
@@ -141,13 +142,51 @@ const nestedXML = `<a k="1">
   <a><a><a k="3"><b>9</b></a></a><b>7</b></a>
 </a>`
 
-// assertSameAsOracle fails unless Eval returns exactly the oracle's nodes.
+// assertSameAsOracle fails unless Eval returns exactly the oracle's nodes:
+// on the document alone, with the summary of its label paths attached the
+// way its DataGuide publishes one (plus a path the tree does not have, as a
+// guide keeps paths the tree lost), and with a summary that does not know
+// its root.
 func assertSameAsOracle(t *testing.T, doc *xmltree.Document, q *Query) {
 	t.Helper()
-	got, want := Eval(q, doc), oracleEval(q, doc)
-	if !slices.Equal(got, want) || (got == nil) != (want == nil) {
-		t.Fatalf("%s on %s:\n got %s\nwant %s", q, doc, describe(got), describe(want))
+	want := oracleEval(q, doc)
+	defer func() { doc.Paths = nil }()
+	foreign := &Summary{Child: map[string]*Summary{"zz": {}}, Below: map[string]bool{"zz": true}}
+	for _, sum := range []*Summary{nil, summarize(doc), foreign} {
+		doc.Paths = nil
+		if sum != nil {
+			doc.Paths = new(atomic.Value)
+			doc.Paths.Store(sum)
+		}
+		if got := Eval(q, doc); !slices.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("%s on %s (summary %v):\n got %s\nwant %s", q, doc, sum != nil, describe(got), describe(want))
+		}
 	}
+}
+
+// summarize builds the summary of doc's label paths the way its DataGuide
+// would, plus a spare path "spare" below the root.
+func summarize(doc *xmltree.Document) *Summary {
+	top := &Summary{Child: map[string]*Summary{}, Below: map[string]bool{}}
+	var add func(s *Summary, n *xmltree.Node)
+	add = func(s *Summary, n *xmltree.Node) {
+		c := s.Child[n.Name]
+		if c == nil {
+			c = &Summary{Child: map[string]*Summary{}, Below: map[string]bool{}}
+			s.Child[n.Name] = c
+		}
+		for _, k := range n.Children {
+			add(c, k)
+		}
+		s.Below[n.Name] = true
+		for l := range c.Below {
+			s.Below[l] = true
+		}
+	}
+	add(top, doc.Root)
+	top.Child[doc.Root.Name].Child["spare"] = &Summary{}
+	top.Child[doc.Root.Name].Below["spare"], top.Below["spare"] = true, true
+	return top
 }
 
 func describe(nodes []*xmltree.Node) string {
