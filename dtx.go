@@ -116,8 +116,11 @@ type Config struct {
 	// followers through a replication log, and acknowledges once WriteQuorum
 	// replicas hold them durably — so writes keep flowing while followers
 	// are down. Read-only transactions are served from followers that have
-	// not known themselves behind the primary for longer than a second; a
-	// follower further behind than 512 records catches up by whole-document
+	// not known themselves behind the primary for longer than a second. A
+	// lagging follower catches up incrementally from the primary's undo
+	// log, which keeps at least the last 64 records per document (the
+	// checkpoint interval; after a primary restart, the records past its
+	// last checkpoint); one further behind catches up by whole-document
 	// transfer.
 	Replication string
 	// WriteQuorum is the number of replicas (primary included) that must

@@ -8,7 +8,7 @@
 // incrementally maintained under the five update operations rather than
 // being rebuilt: lock references must stay stable while transactions run.
 // A DataGuide node whose extent becomes empty is kept as a tombstone so that
-// in-flight lock references remain valid; Compact removes tombstones.
+// in-flight lock references remain valid: label paths only ever grow.
 package dataguide
 
 import (
@@ -93,11 +93,11 @@ type DataGuide struct {
 	byDoc  map[xmltree.NodeID]*Node // document node -> summary node
 	nextID NodeID
 
-	// version counts structural changes: summary-node creation and Compact.
-	// Extent churn does not bump it — Targets and PredicateNodes read only
-	// the node/label structure, so their memoized results stay valid across
+	// version counts structural changes: summary-node creation. Extent
+	// churn does not bump it — Targets and PredicateNodes read only the
+	// node/label structure, so their memoized results stay valid across
 	// value updates and are invalidated exactly when a new label path
-	// appears or tombstones are pruned.
+	// appears.
 	version uint64
 	memo    map[string]*memoEntry
 
@@ -227,7 +227,7 @@ func (g *DataGuide) removeFromExtent(gn *Node, n *xmltree.Node) {
 func (g *DataGuide) Node(id NodeID) *Node { return g.nodes[id] }
 
 // Version returns the structural version: it changes exactly when the set
-// of summary nodes changes (a new label path or a Compact). Extent-only
+// of summary nodes changes (a new label path). Extent-only
 // updates leave it untouched. Callers can use it to validate caches derived
 // from the guide's structure — lock derivations, query target sets.
 func (g *DataGuide) Version() uint64 { return g.version }
@@ -315,35 +315,6 @@ func (g *DataGuide) RemoveSubtree(n *xmltree.Node) {
 func (g *DataGuide) Move(n *xmltree.Node) error {
 	g.RemoveSubtree(n)
 	return g.AddSubtree(n)
-}
-
-// Compact removes summary nodes with empty extents and no descendants with
-// non-empty extents. It must only be called when no locks reference the
-// guide and no reader holds a pinned copy of the document (e.g. between
-// experiment runs): the next summary published lacks the pruned paths.
-func (g *DataGuide) Compact() int {
-	removed := 0
-	var prune func(n *Node) bool // returns true if n should be kept
-	prune = func(n *Node) bool {
-		var keptOrder []string
-		for _, label := range n.order {
-			c := n.children[label]
-			if prune(c) {
-				keptOrder = append(keptOrder, label)
-			} else {
-				delete(n.children, label)
-				delete(g.nodes, c.ID)
-				removed++
-			}
-		}
-		n.order = keptOrder
-		return len(n.Extent) > 0 || len(n.children) > 0
-	}
-	prune(g.Root)
-	if removed > 0 {
-		g.version++
-	}
-	return removed
 }
 
 // lookupMemo returns the memo entry for the query shape, valid at the

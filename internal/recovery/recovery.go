@@ -229,11 +229,12 @@ func resolveDecisions(s *sched.Site, opts Options, report *Report) error {
 // catchUp converges every locally held document with the live replicas. In
 // quorum-replication mode the incremental path runs first: resume from the
 // position the saved image plus this site's own journal replay reached and
-// fetch only the missing replication-log span from the primary. Only when
-// that cannot converge the document — span past the shipping horizon,
-// unreachable primary, or eager mode — does catch-up fall back to fetching
-// the committed document from a live replica. A document with no path to
-// convergence keeps its local image plus replay (and the report omits it).
+// fetch only the missing span from the primary's undo log. Only when that
+// cannot converge the document — span past the undo log's window (at least
+// the last 64 records), unreachable primary, or eager mode — does catch-up
+// fall back to fetching the committed document from a live replica. A
+// document with no path to convergence keeps its local image plus replay
+// (and the report omits it).
 func catchUp(s *sched.Site, opts Options, report *Report) {
 	for _, name := range report.Documents {
 		ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)

@@ -184,7 +184,7 @@ func (s *Site) execOp(ctx context.Context, ct *coordTxn, opIdx int) error {
 		if len(sites) == 0 && len(down) == 0 {
 			return fmt.Errorf("%w: no site holds %q", txn.ErrUnknownDocument, op.Doc)
 		}
-		if s.replLog != nil {
+		if s.quorum {
 			// Quorum mode: every operation of a read-write transaction runs
 			// at the document's primary only — lock state must live in one
 			// place — and the committed effects reach the followers through

@@ -522,14 +522,11 @@ func (s *Site) consolidate(id txn.ID, changed []shipItem) (ships []shipItem, won
 			}
 		}
 		ds.replApplied = rec.Index
-		if s.replLog != nil {
-			s.replLog.Append(ds.name, *rec)
-		}
 		ds.versions.Advance(cts)
 		s.checkpointIfDueLocked(ds)
 		ds.mu.Unlock()
 	}
-	if s.replLog == nil {
+	if !s.quorum {
 		return nil, true, nil
 	}
 	return changed, true, nil

@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -18,21 +20,25 @@ import (
 // mode every operation of a read-write transaction runs at its document's
 // primary (the lowest-numbered catalog site); at commit the primary journals
 // one record per changed document — the transaction's applied updates, in
-// order — inside its intent, mirrors it into an in-memory shipping window
-// (store.ReplLog), and streams the unacked suffix to each follower. The
-// commit acknowledges once Config.WriteQuorum replicas (primary included)
-// have durably acked, so a partially-down replica set keeps accepting writes
-// — the availability the eager mode's write-to-every-copy rule gives up.
+// order — inside its intent, and streams the unacked suffix to each
+// follower. There is no separate shipping copy: a span is read back from the
+// document's undo log, whose committed entries carry each update's operation,
+// commit timestamp and record index (recordsSince), so the incremental
+// window is the undo log's own — at least the last checkpointEvery records.
+// The commit acknowledges once Config.WriteQuorum replicas (primary
+// included) have durably acked, so a partially-down replica set keeps
+// accepting writes — the availability the eager mode's write-to-every-copy
+// rule gives up.
 //
 // Followers apply records strictly in index order (idempotent on overlap,
 // NACK-with-NeedFrom on gaps), journal them as intents of their own, advance
 // their MVCC chains with the primary's commit timestamp, and serve snapshot
 // reads as long as they are not knowingly behind for longer than
-// Config.MaxStaleness; past the bound they refuse with CodeReplicaStale and
-// the coordinator retries at the primary without marking them suspect. A
+// maxStaleness; past the bound they refuse with CodeReplicaStale and the
+// coordinator retries at the primary without marking them suspect. A
 // restarted follower replays its own open intents onto its saved image and
-// fetches the rest of the span from the primary's log; only past the
-// shipping horizon does it fall back to whole-document transfer.
+// fetches the rest of the span from the primary's undo log; only past that
+// window does it fall back to whole-document transfer.
 //
 // applyRecords is the one replay path: follower ship, recovery catch-up and
 // load-time journal replay (both modes) all go through it.
@@ -47,10 +53,10 @@ const (
 	ReplicationQuorum = "quorum"
 )
 
-// replHorizon is how many replication records the primary's shipping window
-// retains per document; a follower further behind catches up by
-// whole-document transfer.
-const replHorizon = 512
+// maxStaleness bounds how long a follower may knowingly lag its primary and
+// still serve snapshot reads; past it the follower refuses with a
+// retry-at-primary code instead of serving arbitrarily old data.
+const maxStaleness = time.Second
 
 // errQuorumShort reports a commit that consolidated locally — past the point
 // of no return: journaled, locks released — but could not gather the write
@@ -94,7 +100,7 @@ func (s *Site) quorumFor(replicas int) int {
 // primary within the staleness window (read-your-writes: a follower may not
 // have applied the write yet without knowing it is behind).
 func (s *Site) noteWrites(ct *coordTxn) {
-	if s.replLog == nil {
+	if !s.quorum {
 		return
 	}
 	now := time.Now()
@@ -110,13 +116,13 @@ func (s *Site) noteWrites(ct *coordTxn) {
 // recentlyWritten reports whether a read-write transaction submitted through
 // this site committed an update to doc within the staleness window.
 func (s *Site) recentlyWritten(doc string) bool {
-	if s.replLog == nil {
+	if !s.quorum {
 		return false
 	}
 	s.rywMu.Lock()
 	t, ok := s.recentWrites[doc]
 	s.rywMu.Unlock()
-	return ok && time.Since(t) <= s.cfg.MaxStaleness
+	return ok && time.Since(t) <= maxStaleness
 }
 
 // replicaStale decides whether this replica must refuse a snapshot read of
@@ -126,7 +132,7 @@ func (s *Site) recentlyWritten(doc string) bool {
 // will ever close the gap. A follower that is behind within the bound keeps
 // serving (bounded staleness); the primary never refuses.
 func (s *Site) replicaStale(docName string, ds *docState) (bool, string) {
-	if s.replLog == nil {
+	if !s.quorum {
 		return false, ""
 	}
 	primary := s.primaryOf(docName)
@@ -140,7 +146,7 @@ func (s *Site) replicaStale(docName string, ds *docState) (bool, string) {
 	if !behind {
 		return false, ""
 	}
-	if time.Since(since) > s.cfg.MaxStaleness || s.PeerState(primary) == PeerDown {
+	if time.Since(since) > maxStaleness || s.PeerState(primary) == PeerDown {
 		return true, fmt.Sprintf("site %d lags %q beyond the staleness bound; retry at primary %d",
 			s.id, docName, primary)
 	}
@@ -166,7 +172,7 @@ func (s *Site) shipQuorum(items []shipItem) error {
 		}
 		acked := make(chan bool, len(followers))
 		for _, f := range followers {
-			go func(f int) { acked <- s.shipTo(f, item.ds, doc, item.rec.Index) }(f)
+			go func(f int) { acked <- s.shipTo(f, item.ds, item.rec.Index) }(f)
 		}
 		// Block only until the quorum is met: a slow follower delays no
 		// commit past it — its ship completes in the background (the buffered
@@ -190,21 +196,21 @@ func (s *Site) shipQuorum(items []shipItem) error {
 // reports whether the follower's durable position reached upTo. A gap NACK
 // (the follower is further behind than our acked bookkeeping says) earns
 // one in-call rewind from the index the follower names.
-func (s *Site) shipTo(follower int, ds *docState, doc string, upTo int64) bool {
+func (s *Site) shipTo(follower int, ds *docState, upTo int64) bool {
 	sp := s.m.reg.Span()
 	ds.mu.Lock()
 	acked := ds.replAcked[follower]
 	ds.mu.Unlock()
-	ack, ok := s.shipSpan(follower, doc, acked)
+	ack, ok := s.shipSpan(follower, ds, acked)
 	switch {
 	case ok && !ack.OK && ack.NeedFrom > 0 && ack.NeedFrom <= acked:
 		// Gap NACK: the follower is behind where the span started.
-		ack, ok = s.shipSpan(follower, doc, ack.NeedFrom-1)
+		ack, ok = s.shipSpan(follower, ds, ack.NeedFrom-1)
 	case ok && ack.OK && ack.Applied < upTo && ack.Applied < acked:
 		// OK ack below our bookkeeping: the follower is further behind than
 		// replAcked claimed (it restarted, or the bookkeeping is from a
 		// previous incarnation). Re-ship from its actual position.
-		ack, ok = s.shipSpan(follower, doc, ack.Applied)
+		ack, ok = s.shipSpan(follower, ds, ack.Applied)
 	}
 	if sp.Active() {
 		s.m.replShip.With(strconv.Itoa(follower)).ObserveDuration(sp.Elapsed())
@@ -225,24 +231,53 @@ func (s *Site) shipTo(follower int, ds *docState, doc string, upTo int64) bool {
 	return ack.Applied >= upTo
 }
 
-// shipSpan sends the retained records after `after` to one follower. When
-// the span has fallen past the compaction horizon the ship degrades to a
-// head-only notification — the follower learns how far behind it is (and
-// starts its staleness clock) but converges through restart catch-up.
-func (s *Site) shipSpan(follower int, doc string, after int64) (transport.LogAck, bool) {
-	recs, retained := s.replLog.Since(doc, after)
-	if !retained {
-		recs = nil
-	}
+// shipSpan sends one follower the document's records after `after`, read
+// back from the undo log. When the log no longer reaches back to `after` the
+// ship degrades to a head-only notification — the follower learns how far
+// behind it is (and starts its staleness clock) but converges through
+// restart catch-up.
+func (s *Site) shipSpan(follower int, ds *docState, after int64) (transport.LogAck, bool) {
+	recs, head, _ := ds.recordsSince(after)
 	resp, err := s.send(context.Background(), follower, transport.LogShipReq{
-		Doc: doc, From: s.id, Primary: s.id,
-		Head: s.replLog.Head(doc), Records: recs,
+		Doc: ds.name, From: s.id, Primary: s.id,
+		Head: head, Records: recs,
 	})
 	if err != nil {
 		return transport.LogAck{}, false
 	}
 	ack, ok := resp.(transport.LogAck)
 	return ack, ok
+}
+
+// recordsSince reads the document's committed records after index `after`
+// back from the undo log, in index order, together with the head index (the
+// newest record applied). Entries sit in apply order and strict 2PL can
+// commit them out of it, so the committed entries past `after` are grouped
+// by index — each group, in apply order, is one record's operations. ok is
+// false, with no records, when the log was trimmed past `after`
+// (publishLocked) or the document was installed beyond it: the span must
+// then come by whole-document transfer.
+func (ds *docState) recordsSince(after int64) (recs []store.ReplRecord, head int64, ok bool) {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	if after < ds.trimIdx {
+		return nil, ds.replApplied, false
+	}
+	var span []*undoEntry
+	for i := range ds.undoLog {
+		if p := &ds.undoLog[i]; p.cts != 0 && p.idx > after {
+			span = append(span, p)
+		}
+	}
+	slices.SortStableFunc(span, func(a, b *undoEntry) int { return cmp.Compare(a.idx, b.idx) })
+	for _, p := range span {
+		if n := len(recs); n == 0 || recs[n-1].Index != p.idx {
+			recs = append(recs, store.ReplRecord{Index: p.idx, Txn: p.txn, TS: p.cts})
+		}
+		rec := &recs[len(recs)-1]
+		rec.Ops = append(rec.Ops, p.op)
+	}
+	return recs, ds.replApplied, true
 }
 
 // handleLogShip is the follower half of the shipping protocol: record how
@@ -253,7 +288,7 @@ func (s *Site) shipSpan(follower int, doc string, after int64) (transport.LogAck
 // primary rewinds.
 func (s *Site) handleLogShip(m transport.LogShipReq) transport.LogAck {
 	ack := transport.LogAck{Site: s.id}
-	if s.replLog == nil {
+	if !s.quorum {
 		ack.Error = fmt.Sprintf("site %d is not in quorum-replication mode", s.id)
 		return ack
 	}
@@ -321,19 +356,16 @@ func (s *Site) handleLogShip(m transport.LogShipReq) transport.LogAck {
 	return ack
 }
 
-// handleLogFetch serves a follower's catch-up request: the retained records
-// after the index it resumes from, or PastHorizon when compaction already
-// discarded part of that span.
+// handleLogFetch serves a follower's catch-up request: the records after the
+// index it resumes from, or PastHorizon when the undo log no longer reaches
+// back that far.
 func (s *Site) handleLogFetch(m transport.LogFetchReq) transport.LogFetchResp {
-	if s.replLog == nil || !s.Ready() || s.doc(m.Doc) == nil {
+	ds := s.doc(m.Doc)
+	if !s.quorum || !s.Ready() || ds == nil {
 		return transport.LogFetchResp{}
 	}
-	head := s.replLog.Head(m.Doc)
-	recs, ok := s.replLog.Since(m.Doc, m.After)
-	if !ok {
-		return transport.LogFetchResp{Found: true, PastHorizon: true, Head: head}
-	}
-	return transport.LogFetchResp{Found: true, Head: head, Records: recs}
+	recs, head, ok := ds.recordsSince(m.After)
+	return transport.LogFetchResp{Found: true, PastHorizon: !ok, Head: head, Records: recs}
 }
 
 // errRecordGap reports a record span that does not continue the document's
@@ -376,7 +408,7 @@ apply:
 				err = fmt.Errorf("apply record %d: %w", rec.Index, err)
 				break apply
 			}
-			ds.undoLog = append(ds.undoLog, undoEntry{txn: rec.Txn, rec: undo, cts: max(rec.TS, 1), idx: rec.Index})
+			ds.undoLog = append(ds.undoLog, undoEntry{txn: rec.Txn, op: op, rec: undo, cts: max(rec.TS, 1), idx: rec.Index})
 		}
 		ds.replApplied = rec.Index
 		maxTS = max(maxTS, rec.TS)
@@ -391,9 +423,6 @@ apply:
 	s.mu.Unlock()
 	ds.versions.Advance(maxTS)
 	for _, rec := range fresh {
-		if s.replLog != nil {
-			s.replLog.Append(ds.name, rec)
-		}
 		if j := s.cfg.Journal; j != nil && !replay {
 			if jerr := j.LogIntent(rec.Txn.String(), []string{ds.name}, rec); jerr != nil && err == nil {
 				err = jerr
@@ -411,10 +440,10 @@ apply:
 // replay reached, fetch the missing span from the primary and apply it. It
 // returns the number of records applied and whether the document is now
 // current; false means the caller must fall back to whole-document transfer
-// (eager mode, span past the shipping horizon, or an unreachable primary). A
+// (eager mode, span past the primary's undo log, or an unreachable primary). A
 // primary is current by its own replay.
 func (s *Site) ReplCatchUp(ctx context.Context, doc string) (int, bool) {
-	if s.replLog == nil || s.Ready() {
+	if !s.quorum || s.Ready() {
 		return 0, false
 	}
 	ds := s.doc(doc)

@@ -1,9 +1,13 @@
 package sched
 
 import (
+	"context"
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/store"
+	"repro/internal/transport"
 	"repro/internal/txn"
 	"repro/internal/xmltree"
 	"repro/internal/xupdate"
@@ -63,13 +67,12 @@ func TestReplicationLogShipToFollower(t *testing.T) {
 }
 
 // TestReplicationFollowerStaleRefusal: a follower that knows it lags beyond
-// MaxStaleness refuses the snapshot read and the coordinator retries at the
+// maxStaleness refuses the snapshot read and the coordinator retries at the
 // primary — the read succeeds and observes the committed write.
 func TestReplicationFollowerStaleRefusal(t *testing.T) {
-	const lag = 150 * time.Millisecond
+	const lag = maxStaleness + time.Second
 	sites := quorumCluster(t, 2, func(cfg *Config) {
 		cfg.WriteQuorum = 1 // commit must not wait out the lagging follower
-		cfg.MaxStaleness = 5 * time.Millisecond
 		if cfg.SiteID == 1 {
 			cfg.Hooks = &CrashHooks{BeforeReplApply: func(string, int) { time.Sleep(lag) }}
 		}
@@ -87,8 +90,9 @@ func TestReplicationFollowerStaleRefusal(t *testing.T) {
 	}
 
 	// Let the ship's head notification land at the follower (it records the
-	// lag BEFORE the delayed apply) and the staleness bound expire.
-	time.Sleep(30 * time.Millisecond)
+	// lag BEFORE the delayed apply) and the staleness bound expire while the
+	// apply is still held back.
+	time.Sleep(maxStaleness + 200*time.Millisecond)
 
 	ro, err := sites[1].SubmitReadOnly([]txn.Operation{
 		txn.NewQuery("d1", "//person[id='4']/name"),
@@ -114,8 +118,7 @@ func TestReplicationFollowerStaleRefusal(t *testing.T) {
 func TestReplicationReadYourWrites(t *testing.T) {
 	const lag = 150 * time.Millisecond
 	sites := quorumCluster(t, 2, func(cfg *Config) {
-		cfg.WriteQuorum = 1
-		cfg.MaxStaleness = 10 * time.Second // follower never refuses
+		cfg.WriteQuorum = 1 // the lag stays inside maxStaleness: no refusal
 		if cfg.SiteID == 1 {
 			cfg.Hooks = &CrashHooks{BeforeReplApply: func(string, int) { time.Sleep(lag) }}
 		}
@@ -184,15 +187,15 @@ func TestReplicationShipRewindOnGap(t *testing.T) {
 }
 
 // TestReplicationEagerModeUnchanged: without Replication set the legacy
-// write path is untouched — no shipping log exists and writes still execute
-// at every replica directly.
+// write path is untouched — nothing is shipped and writes still execute at
+// every replica directly.
 func TestReplicationEagerModeUnchanged(t *testing.T) {
 	sites, _ := newCluster(t, 2, nil)
 	for _, s := range sites {
 		addDoc(t, s, "d1", peopleXML)
 	}
-	if sites[0].replLog != nil {
-		t.Fatal("replication log allocated without quorum mode")
+	if sites[0].quorum {
+		t.Fatal("quorum mode on without Replication set")
 	}
 	res, err := sites[0].Submit([]txn.Operation{
 		txn.NewUpdate("d1", &xupdate.Update{Kind: xupdate.Change,
@@ -210,6 +213,172 @@ func TestReplicationEagerModeUnchanged(t *testing.T) {
 	}
 	if want := "Zoe"; !contains(d1, want) {
 		t.Fatalf("replica missing eager write: %s", d1)
+	}
+}
+
+// changeName is an update of one person's name in peopleXML.
+func changeName(id, name string) txn.Operation {
+	return txn.NewUpdate("d1", &xupdate.Update{Kind: xupdate.Change,
+		Target: "//person[id='" + id + "']/name", Value: name})
+}
+
+// commitCrossed runs two transactions on disjoint persons whose updates
+// interleave in the undo log (A, B, A) and commits them in the opposite
+// order: B takes the lower record index although A applied first. It
+// returns their IDs.
+func commitCrossed(t *testing.T, s *Site, a1, a2, b string) (idA, idB txn.ID) {
+	t.Helper()
+	begin := func() *Session {
+		sess, err := s.Begin(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	exec := func(sess *Session, op txn.Operation) {
+		if _, err := sess.Exec(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sa, sb := begin(), begin()
+	exec(sa, changeName("4", a1))
+	exec(sb, changeName("7", b))
+	exec(sa, changeName("4", a2))
+	for _, sess := range []*Session{sb, sa} {
+		if err := sess.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sa.ID(), sb.ID()
+}
+
+// values lists the Change values of a record's operations.
+func values(rec store.ReplRecord) []string {
+	var out []string
+	for _, op := range rec.Ops {
+		out = append(out, op.Update.Value)
+	}
+	return out
+}
+
+// TestReplicationSpanInIndexOrder: the primary reads a span back from the
+// undo log, where entries sit in apply order. Two transactions that commit
+// in the opposite order to their updates still come back as one record
+// each, in index order, each carrying only its own operations.
+func TestReplicationSpanInIndexOrder(t *testing.T) {
+	// Predicate-disjoint writers on one document need xdgl's guarded locks.
+	sites, _ := newClusterWithProtocol(t, 2, "xdgl", func(cfg *Config) { cfg.Replication = ReplicationQuorum })
+	for _, s := range sites {
+		addDoc(t, s, "d1", peopleXML)
+	}
+	idA, idB := commitCrossed(t, sites[0], "A1", "A2", "B")
+
+	resp := sites[0].handleLogFetch(transport.LogFetchReq{Doc: "d1", After: 0})
+	if !resp.Found || resp.PastHorizon || resp.Head != 2 || len(resp.Records) != 2 {
+		t.Fatalf("fetch after 0 = found %v, past horizon %v, head %d, %d records",
+			resp.Found, resp.PastHorizon, resp.Head, len(resp.Records))
+	}
+	want := []struct {
+		id   txn.ID
+		vals string
+	}{{idB, "[B]"}, {idA, "[A1 A2]"}}
+	for i, rec := range resp.Records {
+		if rec.Index != int64(i+1) || rec.Txn != want[i].id || fmt.Sprint(values(rec)) != want[i].vals {
+			t.Fatalf("record %d = index %d, txn %s, ops %v; want index %d, txn %s, ops %s",
+				i, rec.Index, rec.Txn, values(rec), i+1, want[i].id, want[i].vals)
+		}
+	}
+	// The follower applied the same span through shipping.
+	d0, _ := sites[0].Document("d1")
+	d1, _ := sites[1].Document("d1")
+	if d0.String() != d1.String() {
+		t.Fatalf("follower diverged:\nprimary  %s\nfollower %s", d0, d1)
+	}
+}
+
+// TestReplicationSpanMatchesJournal: before any checkpoint seals them, the
+// primary's journal holds every record it committed, decoded from its own
+// encoding. The span read back from the undo log must carry the same index,
+// transaction and operations for each. (TS differs by design: the journal
+// stores the clock reading taken before the commit tick.)
+func TestReplicationSpanMatchesJournal(t *testing.T) {
+	journal := withJournal(t)
+	sites, _ := newClusterWithProtocol(t, 2, "xdgl", func(cfg *Config) {
+		cfg.Replication = ReplicationQuorum
+		journal(cfg)
+	})
+	for _, s := range sites {
+		addDoc(t, s, "d1", peopleXML)
+	}
+	p := sites[0]
+	for i := 0; i < 3; i++ {
+		commitCrossed(t, p, fmt.Sprintf("a%d", i), fmt.Sprintf("A%d", i), fmt.Sprintf("B%d", i))
+		if res, err := p.Submit([]txn.Operation{txn.NewUpdate("d1", &xupdate.Update{
+			Kind: xupdate.Insert, Target: "/people", Pos: xmltree.Into, New: personSpec(fmt.Sprint(10+i), "N"),
+		})}); err != nil || res.State != txn.Committed {
+			t.Fatalf("insert %d: %v / %+v", i, err, res)
+		}
+	}
+
+	want, err := p.Journal().OpenRecords("d1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := p.handleLogFetch(transport.LogFetchReq{Doc: "d1", After: 0})
+	if resp.PastHorizon || len(resp.Records) != len(want) || len(want) != 9 {
+		t.Fatalf("fetch after 0: past horizon %v, %d records; journal holds %d, want 9",
+			resp.PastHorizon, len(resp.Records), len(want))
+	}
+	opsOf := func(rec store.ReplRecord) string {
+		enc, err := store.EncodeReplRecord(store.ReplRecord{Ops: rec.Ops})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
+	}
+	for i, rec := range resp.Records {
+		w := want[i]
+		if rec.Index != w.Index || rec.Txn != w.Txn || opsOf(rec) != opsOf(w) {
+			t.Fatalf("record %d = index %d, txn %s, ops %v; journal has index %d, txn %s, ops %v",
+				i, rec.Index, rec.Txn, rec.Ops, w.Index, w.Txn, w.Ops)
+		}
+	}
+}
+
+// TestReplicationSpanWindow: the incremental window is the undo log's. After
+// 3×checkpointEvery commits the checkpoints have trimmed the oldest records,
+// so a follower resuming from 0 must take the whole-document fallback,
+// while one checkpointEvery records behind still gets exactly the
+// contiguous span up to the head.
+func TestReplicationSpanWindow(t *testing.T) {
+	sites := quorumCluster(t, 2, nil)
+	for _, s := range sites {
+		addDoc(t, s, "d1", peopleXML)
+	}
+	p := sites[0]
+	const commits = 3 * checkpointEvery
+	for i := 1; i <= commits; i++ {
+		if res, err := p.Submit([]txn.Operation{changeName("4", fmt.Sprintf("v%d", i))}); err != nil || res.State != txn.Committed {
+			t.Fatalf("commit %d: %v / %+v", i, err, res)
+		}
+	}
+	p.Quiesce() // the checkpoints the commits made due have trimmed the log
+
+	if resp := p.handleLogFetch(transport.LogFetchReq{Doc: "d1", After: 0}); !resp.Found || !resp.PastHorizon || len(resp.Records) != 0 {
+		t.Fatalf("fetch after 0 = found %v, past horizon %v, %d records; want past horizon",
+			resp.Found, resp.PastHorizon, len(resp.Records))
+	}
+	after := int64(commits - checkpointEvery)
+	resp := p.handleLogFetch(transport.LogFetchReq{Doc: "d1", After: after})
+	if resp.PastHorizon || resp.Head != commits || len(resp.Records) != checkpointEvery {
+		t.Fatalf("fetch after %d = past horizon %v, head %d, %d records; want head %d, %d records",
+			after, resp.PastHorizon, resp.Head, len(resp.Records), commits, checkpointEvery)
+	}
+	for i, rec := range resp.Records {
+		idx := after + 1 + int64(i)
+		if rec.Index != idx || fmt.Sprint(values(rec)) != fmt.Sprintf("[v%d]", idx) {
+			t.Fatalf("record %d = index %d, ops %v; want index %d, ops [v%d]", i, rec.Index, values(rec), idx, idx)
+		}
 	}
 }
 

@@ -111,18 +111,14 @@ type Config struct {
 	// to the followers: a commit acknowledges once WriteQuorum replicas have
 	// durably acked its records, so a partially-down replica set keeps
 	// accepting writes, and lagging followers catch up incrementally from
-	// the log. Followers serve snapshot reads within MaxStaleness.
+	// the primary's undo log (replication.go). Followers serve snapshot
+	// reads within maxStaleness.
 	Replication string
 	// WriteQuorum is the number of replicas (the primary included) that must
 	// durably ack a commit's replication records before the commit
 	// acknowledges in quorum mode; zero selects a majority of each
 	// document's replica set.
 	WriteQuorum int
-	// MaxStaleness bounds how far behind its primary a follower may
-	// knowingly lag and still serve snapshot reads in quorum mode (zero
-	// selects 1s). A follower past the bound refuses with a retry-at-primary
-	// code instead of serving arbitrarily old data.
-	MaxStaleness time.Duration
 	// IndexedKeys lists the value-index keys maintained on every document at
 	// this site: "@name" indexes the values of attribute name, a bare name
 	// indexes the text of elements with that label (serving [name='v'] child
@@ -227,9 +223,6 @@ func (c Config) withDefaults() Config {
 	if len(c.Sites) == 0 {
 		c.Sites = []int{c.SiteID}
 	}
-	if c.Replication == ReplicationQuorum && c.MaxStaleness <= 0 {
-		c.MaxStaleness = time.Second
-	}
 	return c
 }
 
@@ -260,9 +253,13 @@ type docState struct {
 	// reaches is the live tree with the uncommitted entries and those
 	// committed above the timestamp peeled off (publishLocked). Committed
 	// entries are kept for the last checkpointEvery records; trimTS is the
-	// newest commit trimmed off, the floor below which no state can be cut.
+	// newest commit trimmed off, the floor below which no state can be cut,
+	// and trimIdx the newest record index trimmed off (or the index the
+	// document was installed at), the floor below which quorum shipping and
+	// catch-up cannot read records back (recordsSince).
 	undoLog []undoEntry
 	trimTS  txn.TS
+	trimIdx int64
 
 	// met caches this document's child metric handles (resolved once here,
 	// so the hot paths never do a labelled-vec map lookup).
@@ -591,12 +588,12 @@ type Site struct {
 	m          *siteMetrics
 	traceArmed bool
 
-	// replLog is the in-memory per-document shipping log, non-nil exactly in
-	// quorum-replication mode (replication.go). rywMu/recentWrites track the
-	// last committed write per document submitted through this site, so
-	// snapshot reads that follow a write here prefer the primary within the
-	// staleness window (read-your-writes).
-	replLog      *store.ReplLog
+	// quorum is fixed at construction: the site runs quorum replication
+	// (replication.go). rywMu/recentWrites track the last committed write
+	// per document submitted through this site, so snapshot reads that
+	// follow a write here prefer the primary within the staleness window
+	// (read-your-writes).
+	quorum       bool
 	rywMu        sync.Mutex
 	recentWrites map[string]time.Time
 
@@ -681,7 +678,7 @@ func New(cfg Config) *Site {
 	s.liveness = newLiveness(cfg.HeartbeatInterval > 0, s.abortOrphans)
 	s.persistCond = sync.NewCond(&s.persistMu)
 	if cfg.Replication == ReplicationQuorum {
-		s.replLog = store.NewReplLog(replHorizon)
+		s.quorum = true
 		s.recentWrites = make(map[string]time.Time)
 	}
 	if cfg.Journal != nil {
@@ -891,11 +888,6 @@ func (s *Site) newDocState(doc *xmltree.Document, idx int64) *docState {
 	}
 	ch := mvcc.NewChain(mvcc.Options{})
 	ch.Publish(doc.Snapshot(), 0)
-	if s.replLog != nil {
-		// No record history stands behind an image: the shipping window
-		// restarts empty just past it.
-		s.replLog.Reset(doc.Name, idx)
-	}
 	return &docState{
 		name:        doc.Name,
 		doc:         doc,
@@ -906,6 +898,7 @@ func (s *Site) newDocState(doc *xmltree.Document, idx int64) *docState {
 		met:         s.m.docMetrics(doc.Name),
 		replApplied: idx,
 		savedIdx:    idx,
+		trimIdx:     idx,
 	}
 }
 
@@ -1019,7 +1012,7 @@ func (s *Site) ReplaceDocument(doc *xmltree.Document, head int64) error {
 	// A long replay may have left the replaced copy's checkpointer running;
 	// its image must not land over the new one.
 	s.Quiesce()
-	if s.replLog != nil {
+	if s.quorum {
 		return s.installAt(doc, head)
 	}
 	return s.installOwn(doc, head)
@@ -1258,7 +1251,7 @@ func (s *Site) siteStatus() transport.SiteStatusResp {
 			continue
 		}
 		d := transport.DocStatus{Name: name, Role: "replica", Primary: s.primaryOf(name)}
-		if s.replLog == nil || d.Primary == s.id {
+		if !s.quorum || d.Primary == s.id {
 			// Eager mode has no primaries; every replica reports as one so the
 			// status view never suggests a lag that cannot exist.
 			d.Role = "primary"

@@ -224,6 +224,7 @@ func (s *Site) publishLocked(ds *docState, ts txn.TS) (*mvcc.Version, int64) {
 			return false
 		}
 		ds.trimTS = max(ds.trimTS, p.cts)
+		ds.trimIdx = max(ds.trimIdx, p.idx)
 		return true
 	})
 	return ds.versions.PublishPinned(committed, at), idx
@@ -308,7 +309,7 @@ func (s *Site) execSnapshotOp(ctx context.Context, ct *coordTxn, opIdx int) erro
 					break
 				}
 			}
-			if s.replLog != nil && s.recentlyWritten(op.Doc) {
+			if s.recentlyWritten(op.Doc) {
 				// Read-your-writes: a transaction submitted through this site
 				// committed an update to the document within the staleness
 				// window, and only the primary is guaranteed to reflect it.

@@ -5,7 +5,6 @@ import (
 	"encoding/base64"
 	"encoding/gob"
 	"fmt"
-	"sync"
 
 	"repro/internal/txn"
 )
@@ -21,93 +20,6 @@ type ReplRecord struct {
 	Txn   txn.ID
 	TS    txn.TS
 	Ops   []txn.Operation
-}
-
-// ReplLog is the in-memory shipping window of one quorum-mode site: a bounded
-// per-document span of recent records. Records older than the horizon are
-// discarded; a follower asking for records past the horizon must fall back
-// to whole-document transfer. A restart refills it with the records it
-// replays from the journal's open intents, so a primary crash narrows — but
-// does not poison — the incremental catch-up window.
-type ReplLog struct {
-	mu      sync.Mutex
-	horizon int
-	docs    map[string]*docLog
-}
-
-type docLog struct {
-	floor int64 // index of recs[0]; floor+len(recs)-1 is the head
-	recs  []ReplRecord
-}
-
-// NewReplLog creates a log retaining up to horizon records per document.
-func NewReplLog(horizon int) *ReplLog {
-	return &ReplLog{horizon: horizon, docs: make(map[string]*docLog)}
-}
-
-// Append adds a record that already carries its index. Records must arrive
-// in index order; a gap restarts the window at the newer record (the
-// retained span must stay contiguous or followers would apply holes).
-func (l *ReplLog) Append(doc string, rec ReplRecord) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	d := l.docs[doc]
-	if d == nil {
-		d = &docLog{}
-		l.docs[doc] = d
-	}
-	if rec.Index != d.floor+int64(len(d.recs)) {
-		d.floor = rec.Index
-		d.recs = d.recs[:0]
-	}
-	d.recs = append(d.recs, rec)
-	if len(d.recs) > l.horizon {
-		drop := len(d.recs) - l.horizon
-		d.recs = append([]ReplRecord(nil), d.recs[drop:]...)
-		d.floor += int64(drop)
-	}
-}
-
-// Reset discards every retained record for doc and restarts the window
-// empty, just past head: Head reports head, and only spans starting at or
-// after it are servable. Used after a whole-document transfer established a
-// replica at a known position with no record history behind it.
-func (l *ReplLog) Reset(doc string, head int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.docs[doc] = &docLog{floor: head + 1}
-}
-
-// Head returns the index of the newest record for doc (0 if none).
-func (l *ReplLog) Head(doc string) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	d := l.docs[doc]
-	if d == nil {
-		return 0
-	}
-	return d.floor + int64(len(d.recs)) - 1
-}
-
-// Since returns all retained records for doc with Index > after, in order.
-// ok is false when the span is not fully retained — `after` has fallen past
-// the compaction horizon — in which case the caller must fall back to a
-// whole-document transfer.
-func (l *ReplLog) Since(doc string, after int64) (recs []ReplRecord, ok bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	d := l.docs[doc]
-	if d == nil {
-		return nil, after == 0
-	}
-	if after+1 < d.floor {
-		return nil, false
-	}
-	start := int(after + 1 - d.floor)
-	if start >= len(d.recs) {
-		return nil, true
-	}
-	return append([]ReplRecord(nil), d.recs[start:]...), true
 }
 
 // EncodeReplRecord renders a record as a single whitespace-free token

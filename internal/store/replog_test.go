@@ -19,73 +19,6 @@ func mkRec(site int, seq int64) ReplRecord {
 	}
 }
 
-func TestReplLogAppendSince(t *testing.T) {
-	l := NewReplLog(4)
-	for i := int64(1); i <= 6; i++ {
-		rec := mkRec(0, i)
-		rec.Index = i
-		l.Append("d1", rec)
-	}
-	if h := l.Head("d1"); h != 6 {
-		t.Fatalf("Head = %d, want 6", h)
-	}
-	// Horizon 4: indices 3..6 retained; asking after=2 is the oldest servable.
-	recs, ok := l.Since("d1", 2)
-	if !ok || len(recs) != 4 || recs[0].Index != 3 || recs[3].Index != 6 {
-		t.Fatalf("Since(2) = %v records, ok=%v", len(recs), ok)
-	}
-	// after=1 needs index 2, which was compacted away.
-	if _, ok := l.Since("d1", 1); ok {
-		t.Fatal("Since(1) should report past-horizon")
-	}
-	// Fully caught up.
-	recs, ok = l.Since("d1", 6)
-	if !ok || len(recs) != 0 {
-		t.Fatalf("Since(6) = %d records, ok=%v", len(recs), ok)
-	}
-	// Unknown doc: only after=0 is servable (empty history).
-	if _, ok := l.Since("nope", 0); !ok {
-		t.Fatal("Since on unknown doc at 0 should be ok (nothing to send)")
-	}
-	if _, ok := l.Since("nope", 3); ok {
-		t.Fatal("Since on unknown doc past 0 should report past-horizon")
-	}
-}
-
-func TestReplLogAppendContiguity(t *testing.T) {
-	l := NewReplLog(8)
-	r5 := mkRec(0, 5)
-	r5.Index = 5
-	r6 := mkRec(0, 6)
-	r6.Index = 6
-	r9 := mkRec(0, 9)
-	r9.Index = 9
-	l.Append("d1", r5)
-	l.Append("d1", r6)
-	l.Append("d1", r9) // gap: window must reset to [9,9]
-	if h := l.Head("d1"); h != 9 {
-		t.Fatalf("Head = %d, want 9", h)
-	}
-	if _, ok := l.Since("d1", 5); ok {
-		t.Fatal("span across the gap must report past-horizon")
-	}
-	recs, ok := l.Since("d1", 8)
-	if !ok || len(recs) != 1 || recs[0].Index != 9 {
-		t.Fatalf("Since(8) = %v, ok=%v", recs, ok)
-	}
-	// A window restarted empty at a known head continues from it.
-	l.Reset("d1", 20)
-	if h := l.Head("d1"); h != 20 {
-		t.Fatalf("Head after Reset = %d, want 20", h)
-	}
-	r21 := mkRec(0, 21)
-	r21.Index = 21
-	l.Append("d1", r21)
-	if recs, ok := l.Since("d1", 20); !ok || len(recs) != 1 || recs[0].Index != 21 {
-		t.Fatalf("Since(20) after Reset+Append = %v, ok=%v", recs, ok)
-	}
-}
-
 func TestReplRecordRoundTrip(t *testing.T) {
 	rec := mkRec(2, 7)
 	rec.Index = 41

@@ -146,7 +146,9 @@ func TestQuorumPrimaryDownFailsWrites(t *testing.T) {
 }
 
 // TestQuorumCatchUpPastHorizon: a follower that missed more records than the
-// primary's log retains (512 per document) cannot catch up incrementally —
+// primary's undo log retains (at least the last 64 per document, trimmed at
+// each checkpoint; 520 missed records are well past it) cannot catch up
+// incrementally —
 // recovery falls back to whole-document transfer and re-anchors the
 // replication position at the transferred head, after which incremental
 // shipping resumes.
