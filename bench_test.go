@@ -863,9 +863,10 @@ func BenchmarkQueryDocSize(b *testing.B) {
 
 // BenchmarkTxnDocSize is one single-site write transaction — one change, on a
 // journaled site — against documents of growing size. The commit path is
-// meant to cost O(change): what still grows with the document is the target
-// path's evaluation and the one tree copy per checkpoint (1/64 of a copy per
-// commit).
+// meant to cost O(change): a checkpoint comes due once the journal since the
+// image is as large as the image, so each commit pays a share of the tree
+// copy in proportion to its record, not to the document. What still grows
+// with the document is the target path's evaluation.
 func BenchmarkTxnDocSize(b *testing.B) {
 	for _, size := range []struct {
 		name  string

@@ -118,10 +118,9 @@ type Config struct {
 	// are down. Read-only transactions are served from followers that have
 	// not known themselves behind the primary for longer than a second. A
 	// lagging follower catches up incrementally from the primary's undo
-	// log, which keeps at least the last 64 records per document (the
-	// checkpoint interval; after a primary restart, the records past its
-	// last checkpoint); one further behind catches up by whole-document
-	// transfer.
+	// log, which keeps the last 64 records per document whatever the
+	// checkpoint interval (after a primary restart, at most the last 64 it
+	// replayed); one further behind catches up by whole-document transfer.
 	Replication string
 	// WriteQuorum is the number of replicas (primary included) that must
 	// durably hold a write before its commit acknowledges, in quorum mode.

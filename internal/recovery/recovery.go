@@ -230,8 +230,8 @@ func resolveDecisions(s *sched.Site, opts Options, report *Report) error {
 // quorum-replication mode the incremental path runs first: resume from the
 // position the saved image plus this site's own journal replay reached and
 // fetch only the missing span from the primary's undo log. Only when that
-// cannot converge the document — span past the undo log's window (at least
-// the last 64 records), unreachable primary, or eager mode — does catch-up
+// cannot converge the document — span past the undo log's window (the last
+// 64 records), unreachable primary, or eager mode — does catch-up
 // fall back to fetching the committed document from a live replica. A
 // document with no path to convergence keeps its local image plus replay
 // (and the report omits it).

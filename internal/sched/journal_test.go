@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/store"
 	"repro/internal/txn"
+	"repro/internal/xmark"
 	"repro/internal/xmltree"
 	"repro/internal/xupdate"
 )
@@ -177,7 +179,8 @@ func TestBootstrap(t *testing.T) {
 	}
 }
 
-// TestCheckpointProgressUnderOverlappingWriters: a checkpoint lags by at most
+// TestCheckpointProgressUnderOverlappingWriters: on a document smaller than
+// checkpointEvery records of journal, a checkpoint lags by at most
 // checkpointEvery records whatever writers are in flight. Two writers on one
 // document hand over so that it always carries an uncommitted change; the
 // checkpoint lag must stay bounded all the same, and no saved image may hold
@@ -245,5 +248,97 @@ func TestCheckpointProgressUnderOverlappingWriters(t *testing.T) {
 	}
 	if err := open.Abort(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckpointBoundsReplay: what a restart would replay stays within one
+// image's worth of journal payload plus one record, or checkpointEvery
+// records, whichever is larger — while a large document carries far more than
+// checkpointEvery records between checkpoints — and replaying it after a
+// crash restores the tree byte for byte.
+func TestCheckpointBoundsReplay(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(dir, "commit.log")
+	journal, err := store.OpenJournal(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites, _ := newCluster(t, 1, func(c *Config) { c.Store = st; c.Journal = journal })
+	s := sites[0]
+	if err := s.AddDocument(xmark.Gen(xmark.Config{Name: "x", TargetBytes: 256 << 10, Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+
+	// A kilobyte per change makes the journal outgrow the image within the run.
+	pad := strings.Repeat("z", 1<<10)
+	var largest, mostOpen, checkpoints, prevOpen int
+	for i := 1; i <= 300; i++ {
+		res, err := s.Submit([]txn.Operation{txn.NewUpdate("x", &xupdate.Update{Kind: xupdate.Change,
+			Target: "/site/open_auctions/open_auction[1]/current", Value: fmt.Sprint(i, pad)})})
+		if err != nil || res.State != txn.Committed {
+			t.Fatalf("commit %d: %v / %+v", i, err, res)
+		}
+		s.Quiesce() // let a checkpoint this commit made due finish
+
+		recs, err := journal.OpenRecords("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		open := 0
+		for _, rec := range recs {
+			payload, err := store.EncodeReplRecord(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			open += len(payload)
+			largest = max(largest, len(payload))
+		}
+		image, err := os.Stat(filepath.Join(dir, "x.xml"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bound := max(int(image.Size())+largest, checkpointEvery*largest); open > bound {
+			t.Fatalf("after %d commits %d records (%d payload bytes) are open; the image is %d bytes, bound %d",
+				i, len(recs), open, image.Size(), bound)
+		}
+		if len(recs) < prevOpen {
+			checkpoints++
+		}
+		prevOpen, mostOpen = len(recs), max(mostOpen, len(recs))
+	}
+	if mostOpen <= checkpointEvery || checkpoints == 0 {
+		t.Fatalf("at most %d records open, %d checkpoints; want more than %d open between checkpoints",
+			mostOpen, checkpoints, checkpointEvery)
+	}
+	t.Logf("up to %d records open, %d checkpoints, largest record %d bytes", mostOpen, checkpoints, largest)
+
+	want, err := s.Document("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Kill()
+	s.Quiesce()
+	journal2, err := store.OpenJournal(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted, _ := newCluster(t, 1, func(c *Config) { c.Store = st; c.Journal = journal2 })
+	replayed, err := restarted[0].LoadDocument("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed != prevOpen {
+		t.Fatalf("replayed %d records, want the %d open", replayed, prevOpen)
+	}
+	got, err := restarted[0].Document("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatal("the restarted tree differs from the one the crash cut")
 	}
 }

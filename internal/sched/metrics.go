@@ -118,16 +118,21 @@ func newSiteMetrics(s *Site) *siteMetrics {
 		}
 		return 0
 	})
-	reg.LabeledGaugeFunc("dtx_checkpoint_lag_records", "Records applied to the document that its saved image does not reflect yet (what a restart would replay).", "doc", func() []obs.LabeledValue {
-		var out []obs.LabeledValue
-		for _, ds := range s.allDocs() {
-			ds.mu.Lock()
-			lag := ds.replApplied - ds.savedIdx
-			ds.mu.Unlock()
-			out = append(out, obs.LabeledValue{Label: ds.name, Value: float64(lag)})
-		}
-		return out
-	})
+	// docGauge exposes one value per document, read under the domain mutex.
+	docGauge := func(name, help string, value func(ds *docState) float64) {
+		reg.LabeledGaugeFunc(name, help, "doc", func() []obs.LabeledValue {
+			var out []obs.LabeledValue
+			for _, ds := range s.allDocs() {
+				ds.mu.Lock()
+				v := value(ds)
+				ds.mu.Unlock()
+				out = append(out, obs.LabeledValue{Label: ds.name, Value: v})
+			}
+			return out
+		})
+	}
+	docGauge("dtx_checkpoint_lag_records", "Records applied to the document that its saved image does not reflect yet (what a restart would replay).",
+		func(ds *docState) float64 { return float64(ds.replApplied - ds.savedIdx) })
 	reg.CounterFunc("dtx_mvcc_gc_reclaimed_total", "MVCC versions retired by chain GC.", func() float64 {
 		var n int64
 		for _, ds := range s.allDocs() {
@@ -135,46 +140,19 @@ func newSiteMetrics(s *Site) *siteMetrics {
 		}
 		return float64(n)
 	})
-	reg.LabeledGaugeFunc("dtx_mvcc_chain_length", "Retained MVCC versions per document.", "doc", func() []obs.LabeledValue {
-		var out []obs.LabeledValue
-		for _, ds := range s.allDocs() {
-			out = append(out, obs.LabeledValue{Label: ds.name, Value: float64(ds.versions.Len())})
-		}
-		return out
-	})
-	reg.LabeledGaugeFunc("dtx_mvcc_pinned_versions", "MVCC versions pinned by live readers per document.", "doc", func() []obs.LabeledValue {
-		var out []obs.LabeledValue
-		for _, ds := range s.allDocs() {
-			out = append(out, obs.LabeledValue{Label: ds.name, Value: float64(ds.versions.Pinned())})
-		}
-		return out
-	})
-	reg.LabeledGaugeFunc("dtx_repl_behind_records", "Replication lag: known primary head minus last applied record, per document.", "doc", func() []obs.LabeledValue {
-		var out []obs.LabeledValue
-		for _, ds := range s.allDocs() {
-			ds.mu.Lock()
-			behind := ds.knownHead - ds.replApplied
-			ds.mu.Unlock()
-			if behind < 0 {
-				behind = 0
+	docGauge("dtx_mvcc_chain_length", "Retained MVCC versions per document.",
+		func(ds *docState) float64 { return float64(ds.versions.Len()) })
+	docGauge("dtx_mvcc_pinned_versions", "MVCC versions pinned by live readers per document.",
+		func(ds *docState) float64 { return float64(ds.versions.Pinned()) })
+	docGauge("dtx_repl_behind_records", "Replication lag: known primary head minus last applied record, per document.",
+		func(ds *docState) float64 { return float64(max(ds.knownHead-ds.replApplied, 0)) })
+	docGauge("dtx_repl_staleness_seconds", "Replication lag age: how long this follower has known itself behind, per document.",
+		func(ds *docState) float64 {
+			if ds.staleSince.IsZero() || ds.knownHead <= ds.replApplied {
+				return 0
 			}
-			out = append(out, obs.LabeledValue{Label: ds.name, Value: float64(behind)})
-		}
-		return out
-	})
-	reg.LabeledGaugeFunc("dtx_repl_staleness_seconds", "Replication lag age: how long this follower has known itself behind, per document.", "doc", func() []obs.LabeledValue {
-		var out []obs.LabeledValue
-		for _, ds := range s.allDocs() {
-			ds.mu.Lock()
-			var age float64
-			if !ds.staleSince.IsZero() && ds.knownHead > ds.replApplied {
-				age = time.Since(ds.staleSince).Seconds()
-			}
-			ds.mu.Unlock()
-			out = append(out, obs.LabeledValue{Label: ds.name, Value: age})
-		}
-		return out
-	})
+			return time.Since(ds.staleSince).Seconds()
+		})
 	return m
 }
 

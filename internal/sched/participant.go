@@ -458,6 +458,7 @@ func (s *Site) consolidate(id txn.ID, changed []shipItem) (ships []shipItem, won
 		docs[i] = ds.name
 	}
 	journaled := s.cfg.Journal != nil && len(changed) > 0
+	sizes := make([]int, len(changed)) // journal payload bytes per document
 	if journaled {
 		// The journaled records carry the clock reading the consolidation
 		// will exceed; a replay only needs it positive.
@@ -472,7 +473,7 @@ func (s *Site) consolidate(id txn.ID, changed []shipItem) (ships []shipItem, won
 		if hooks := s.cfg.Hooks; hooks != nil && hooks.BeforeIntent != nil {
 			hooks.BeforeIntent(id, docs)
 		}
-		if err := s.cfg.Journal.LogIntent(id.String(), docs, recs...); err != nil {
+		if sizes, err = s.cfg.Journal.AppendIntent(id.String(), docs, recs...); err != nil {
 			return nil, false, fmt.Errorf("sched: journal intent: %w", err)
 		}
 		if hooks := s.cfg.Hooks; hooks != nil && hooks.AfterIntent != nil {
@@ -501,14 +502,14 @@ func (s *Site) consolidate(id txn.ID, changed []shipItem) (ships []shipItem, won
 	}
 	// Stamp the consolidation on each changed document: its updates become
 	// committed (their undo-log entries take the commit timestamp and the
-	// record's index), its log position moves to the record just journaled
-	// and its version chain's commit clock advances — O(1) commit
-	// publication; the committed tree is materialised only on demand
-	// (snapshot.go). One tick taken AFTER the append stamps the
-	// whole local consolidation: a snapshot reader that began while the
+	// record's index; trimLocked), its log position and journal bytes move
+	// to the record just journaled and its version chain's commit clock
+	// advances — O(1) commit publication; the committed tree is materialised
+	// only on demand (snapshot.go). One tick taken AFTER the append stamps
+	// the whole local consolidation: a snapshot reader that began while the
 	// intent was being written has a timestamp below it and sees the
-	// transaction on none of its documents, instead of on those it happens to
-	// read late.
+	// transaction on none of its documents, instead of on those it happens
+	// to read late.
 	s.mu.Lock()
 	cts := s.clock.Tick()
 	s.mu.Unlock()
@@ -522,6 +523,8 @@ func (s *Site) consolidate(id txn.ID, changed []shipItem) (ships []shipItem, won
 			}
 		}
 		ds.replApplied = rec.Index
+		ds.logBytes += int64(sizes[i])
+		ds.trimLocked()
 		ds.versions.Advance(cts)
 		s.checkpointIfDueLocked(ds)
 		ds.mu.Unlock()

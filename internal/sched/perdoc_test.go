@@ -128,10 +128,13 @@ func (o *orderStore) SaveAt(doc *xmltree.Document, index int64) error {
 // inserts than the previous one (a checkpoint covers every commit since the
 // last, so counts can skip, never regress), each is saved at the index of the
 // last commit it holds, and after Sync the saved state contains every commit.
+// The site is journaled: only journal bytes make a checkpoint due.
 func TestCheckpointOrdering(t *testing.T) {
 	os := &orderStore{Store: store.NewMemStore(), seen: make(map[string][]int), idx: make(map[string][]int64)}
+	journal := withJournal(t)
 	sites, _ := newCluster(t, 1, func(cfg *Config) {
 		cfg.Store = os
+		journal(cfg)
 	})
 	s := sites[0]
 	addDoc(t, s, "d", "<people></people>")
@@ -183,5 +186,40 @@ func TestCheckpointOrdering(t *testing.T) {
 	}
 	if final := counts[len(counts)-1]; final != workers*perWorker {
 		t.Fatalf("final saved state has %d inserts, want %d", final, workers*perWorker)
+	}
+}
+
+// TestMemoryOnlySiteSavesOnSyncOnly: a site without a journal appends no
+// journal bytes, so commits never make a checkpoint due; the Store is written
+// when the document is installed and on Sync, which saves every commit.
+func TestMemoryOnlySiteSavesOnSyncOnly(t *testing.T) {
+	os := &orderStore{Store: store.NewMemStore(), seen: make(map[string][]int), idx: make(map[string][]int64)}
+	sites, _ := newCluster(t, 1, func(cfg *Config) { cfg.Store = os })
+	s := sites[0]
+	addDoc(t, s, "d", "<people></people>")
+
+	const commits = 3 * checkpointEvery
+	for i := 0; i < commits; i++ {
+		id := strconv.Itoa(i)
+		if res, err := s.Submit([]txn.Operation{txn.NewUpdate("d", &xupdate.Update{
+			Kind: xupdate.Insert, Target: "/people", Pos: xmltree.Into, New: personSpec(id, "p"+id)}),
+		}); err != nil || res.State != txn.Committed {
+			t.Fatalf("commit %d: %v / %+v", i, err, res)
+		}
+		s.Quiesce()
+	}
+	os.mu.Lock()
+	saves := os.saves
+	os.mu.Unlock()
+	if saves != 1 {
+		t.Fatalf("%d Store writes after %d commits, want only the install's", saves, commits)
+	}
+
+	s.Sync()
+	os.mu.Lock()
+	defer os.mu.Unlock()
+	if os.saves != 2 || os.idx["d"][1] != commits || os.seen["d"][1] != commits {
+		t.Fatalf("after Sync: %d Store writes, last at index %v holding %v inserts; want 2, the last at %d",
+			os.saves, os.idx["d"], os.seen["d"], commits)
 	}
 }

@@ -18,21 +18,22 @@ import (
 // image or the new one, each at the index it names, and a restart loads it
 // and replays the open intents past that index (LoadDocument).
 //
-// A checkpoint runs once checkpointEvery records have accumulated on a
-// document, on Sync and on Stop, whatever writers are in flight: a checkpoint
-// lags by at most checkpointEvery records plus those committed while one
-// image is being written (TestCheckpointProgressUnderOverlappingWriters). A
-// site without a journal is memory-only between those points. At most one
-// checkpointer runs per document, which keeps Store writes in commit order,
-// and everything but cutting the head happens outside the domain mutex.
+// A checkpoint runs on Sync, on Stop, and once the journal payload appended
+// for a document since its image is as large as the image and checkpointEvery
+// records long, whatever writers are in flight: a commit pays for the image in
+// proportion to its record, and a restart replays at most an image's worth of
+// journal or checkpointEvery records, plus those committed while one image is
+// being written (TestCheckpointBoundsReplay). A site without a journal is
+// memory-only between Sync and Stop. At most one checkpointer runs per
+// document, which keeps Store writes in commit order, and everything but
+// cutting the head happens outside the domain mutex.
 //
 // A failed Save is latched on the document (persistErr) and counted in
 // dtx_persist_errors_total: later commits touching the document refuse
 // consolidation, so the failure surfaces instead of being silently dropped.
 
-// checkpointEvery is how many records may accumulate on a document before
-// its image is saved again: it bounds the replay work of a restart and the
-// intents the journal carries across compactions.
+// checkpointEvery is the record floor of the checkpoint rule and the number
+// of committed records the undo log keeps (trimLocked).
 const checkpointEvery = 64
 
 // Sync checkpoints every document that has records its saved image does not
@@ -50,10 +51,10 @@ func (s *Site) Sync() {
 	s.Quiesce()
 }
 
-// checkpointIfDueLocked starts a checkpoint when the document has gone
-// checkpointEvery records without one. Callers hold ds.mu.
+// checkpointIfDueLocked starts a checkpoint when the journal has grown by
+// the image's size and checkpointEvery records since it. Callers hold ds.mu.
 func (s *Site) checkpointIfDueLocked(ds *docState) {
-	if ds.replApplied-ds.savedIdx >= checkpointEvery {
+	if ds.logBytes >= ds.imageBytes && ds.replApplied-ds.savedIdx >= checkpointEvery {
 		s.scheduleCheckpointLocked(ds)
 	}
 }
@@ -110,7 +111,7 @@ func (s *Site) checkpointer(ds *docState) {
 		ds.ckptWanted = false
 		head, idx := s.publishLocked(ds, math.MaxInt64)
 		ds.versions.Unpin(head) // the chain keeps its head regardless
-		covered := idx - ds.savedIdx
+		covered, cutBytes := idx-ds.savedIdx, ds.logBytes
 		ds.mu.Unlock()
 		if covered <= 0 {
 			continue // the saved image is current
@@ -129,7 +130,8 @@ func (s *Site) checkpointer(ds *docState) {
 		ds.mu.Lock()
 		switch {
 		case err == nil:
-			ds.savedIdx = idx
+			ds.savedIdx, ds.imageBytes = idx, head.Doc.WrittenSize()
+			ds.logBytes -= cutBytes
 		case s.Killed():
 			// The crash cut the checkpoint short (its journal is closed): not
 			// a Store failure.

@@ -24,7 +24,8 @@ import (
 // follower. There is no separate shipping copy: a span is read back from the
 // document's undo log, whose committed entries carry each update's operation,
 // commit timestamp and record index (recordsSince), so the incremental
-// window is the undo log's own — at least the last checkpointEvery records.
+// window is the undo log's own: the last checkpointEvery records, trimmed at
+// commit whatever the checkpoint interval (trimLocked).
 // The commit acknowledges once Config.WriteQuorum replicas (primary
 // included) have durably acked, so a partially-down replica set keeps
 // accepting writes — the availability the eager mode's write-to-every-copy
@@ -206,10 +207,10 @@ func (s *Site) shipTo(follower int, ds *docState, upTo int64) bool {
 	case ok && !ack.OK && ack.NeedFrom > 0 && ack.NeedFrom <= acked:
 		// Gap NACK: the follower is behind where the span started.
 		ack, ok = s.shipSpan(follower, ds, ack.NeedFrom-1)
-	case ok && ack.OK && ack.Applied < upTo && ack.Applied < acked:
-		// OK ack below our bookkeeping: the follower is further behind than
-		// replAcked claimed (it restarted, or the bookkeeping is from a
-		// previous incarnation). Re-ship from its actual position.
+	case ok && ack.OK && ack.Applied < upTo && ack.Applied != acked:
+		// OK ack from where replAcked did not say: behind it (the follower
+		// restarted) or ahead (this primary restarted, and its span from 0
+		// was past the undo log). Re-ship from the follower's position.
 		ack, ok = s.shipSpan(follower, ds, ack.Applied)
 	}
 	if sp.Active() {
@@ -414,6 +415,7 @@ apply:
 		maxTS = max(maxTS, rec.TS)
 		fresh = append(fresh, rec)
 	}
+	ds.trimLocked()
 	ds.mu.Unlock()
 	if len(fresh) == 0 {
 		return 0, err
@@ -422,14 +424,20 @@ apply:
 	s.clock.Observe(maxTS)
 	s.mu.Unlock()
 	ds.versions.Advance(maxTS)
+	var appended int64 // journal payload bytes behind the fresh records
 	for _, rec := range fresh {
 		if j := s.cfg.Journal; j != nil && !replay {
-			if jerr := j.LogIntent(rec.Txn.String(), []string{ds.name}, rec); jerr != nil && err == nil {
-				err = jerr
+			sizes, jerr := j.AppendIntent(rec.Txn.String(), []string{ds.name}, rec)
+			if err = cmp.Or(err, jerr); jerr == nil {
+				appended += int64(sizes[0])
 			}
+		} else if j != nil {
+			payload, _ := store.EncodeReplRecord(rec) // replayed; an error only undercounts
+			appended += int64(len(payload))
 		}
 	}
 	ds.mu.Lock()
+	ds.logBytes += appended
 	s.checkpointIfDueLocked(ds)
 	ds.mu.Unlock()
 	return len(fresh), err

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -346,7 +347,7 @@ func TestReplicationSpanMatchesJournal(t *testing.T) {
 }
 
 // TestReplicationSpanWindow: the incremental window is the undo log's. After
-// 3×checkpointEvery commits the checkpoints have trimmed the oldest records,
+// 3×checkpointEvery commits the commits have trimmed the oldest records,
 // so a follower resuming from 0 must take the whole-document fallback,
 // while one checkpointEvery records behind still gets exactly the
 // contiguous span up to the head.
@@ -362,7 +363,6 @@ func TestReplicationSpanWindow(t *testing.T) {
 			t.Fatalf("commit %d: %v / %+v", i, err, res)
 		}
 	}
-	p.Quiesce() // the checkpoints the commits made due have trimmed the log
 
 	if resp := p.handleLogFetch(transport.LogFetchReq{Doc: "d1", After: 0}); !resp.Found || !resp.PastHorizon || len(resp.Records) != 0 {
 		t.Fatalf("fetch after 0 = found %v, past horizon %v, %d records; want past horizon",
@@ -379,6 +379,44 @@ func TestReplicationSpanWindow(t *testing.T) {
 		if rec.Index != idx || fmt.Sprint(values(rec)) != fmt.Sprintf("[v%d]", idx) {
 			t.Fatalf("record %d = index %d, ops %v; want index %d, ops [v%d]", i, rec.Index, values(rec), idx, idx)
 		}
+	}
+}
+
+// TestUndoLogTrimsWithoutCheckpoint: the undo log is trimmed by the commits
+// themselves, not by a checkpoint or a reader's publish. On a memory-only
+// site — where no commit makes a checkpoint due — 3×checkpointEvery commits
+// with no read in between still move the catch-up window past index 0 and
+// the reader horizon past a reader that began before them.
+func TestUndoLogTrimsWithoutCheckpoint(t *testing.T) {
+	sites := quorumCluster(t, 2, nil)
+	for _, s := range sites {
+		addDoc(t, s, "d1", peopleXML)
+	}
+	p := sites[0]
+	reader, err := p.BeginReadOnly(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const commits = 3 * checkpointEvery
+	for i := 1; i <= commits; i++ {
+		if res, err := p.Submit([]txn.Operation{changeName("4", fmt.Sprintf("v%d", i))}); err != nil || res.State != txn.Committed {
+			t.Fatalf("commit %d: %v / %+v", i, err, res)
+		}
+	}
+	p.Quiesce()
+	ds := p.doc("d1")
+	ds.mu.Lock()
+	saved := ds.savedIdx
+	ds.mu.Unlock()
+	if saved != 0 {
+		t.Fatalf("a memory-only site checkpointed at index %d", saved)
+	}
+
+	if resp := p.handleLogFetch(transport.LogFetchReq{Doc: "d1", After: 0}); !resp.Found || !resp.PastHorizon {
+		t.Fatalf("fetch after 0 = found %v, past horizon %v; want past horizon", resp.Found, resp.PastHorizon)
+	}
+	if _, err := reader.Exec(txn.NewQuery("d1", "//person/id")); !errors.Is(err, txn.ErrSnapshotUnavailable) {
+		t.Fatalf("reader begun before the commits = %v, want ErrSnapshotUnavailable", err)
 	}
 }
 

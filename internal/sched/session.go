@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -158,11 +159,8 @@ func (sess *Session) interrupted() error {
 func (sess *Session) Exec(op txn.Operation) ([]string, error) {
 	sess.mu.Lock()
 	if sess.done {
-		err := sess.err
+		err := cmp.Or(sess.err, txn.ErrTxnDone)
 		sess.mu.Unlock()
-		if err == nil {
-			err = txn.ErrTxnDone
-		}
 		return nil, err
 	}
 	if sess.inStep {
@@ -224,11 +222,8 @@ func (sess *Session) ExecBatch(ops []txn.Operation) ([][]string, error) {
 	}
 	sess.mu.Lock()
 	if sess.done {
-		err := sess.err
+		err := cmp.Or(sess.err, txn.ErrTxnDone)
 		sess.mu.Unlock()
-		if err == nil {
-			err = txn.ErrTxnDone
-		}
 		return nil, err
 	}
 	if sess.inStep {

@@ -252,11 +252,11 @@ type docState struct {
 	// newest-first, and the committed tree as of any timestamp the log still
 	// reaches is the live tree with the uncommitted entries and those
 	// committed above the timestamp peeled off (publishLocked). Committed
-	// entries are kept for the last checkpointEvery records; trimTS is the
-	// newest commit trimmed off, the floor below which no state can be cut,
-	// and trimIdx the newest record index trimmed off (or the index the
-	// document was installed at), the floor below which quorum shipping and
-	// catch-up cannot read records back (recordsSince).
+	// entries are kept for the last checkpointEvery records (trimLocked);
+	// trimTS is the newest commit trimmed off, the floor below which no state
+	// can be cut, and trimIdx the newest record index trimmed off (or the
+	// index the document was installed at), the floor below which quorum
+	// shipping and catch-up cannot read records back (recordsSince).
 	undoLog []undoEntry
 	trimTS  txn.TS
 	trimIdx int64
@@ -279,9 +279,12 @@ type docState struct {
 	// number their records with it in both replication modes (site-local in
 	// eager mode, the primary's numbering in quorum mode). savedIdx is the
 	// index the Store image reflects; replApplied-savedIdx is the checkpoint
-	// lag.
+	// lag. imageBytes is the image's size and logBytes the journal payload
+	// appended or replayed since it (checkpointIfDueLocked).
 	replApplied int64
 	savedIdx    int64
+	imageBytes  int64
+	logBytes    int64
 
 	// Checkpointer state (persist.go): ckptWanted asks for one more
 	// checkpoint, ckptActive marks the single checkpointer running.
@@ -682,12 +685,13 @@ func New(cfg Config) *Site {
 		s.recentWrites = make(map[string]time.Time)
 	}
 	if cfg.Journal != nil {
-		// Fence the identifier space on EVERY journaled construction, not
-		// just the recovery path: an incarnation that re-minted a prior ID
-		// would have its seal silently close the crashed incarnation's
-		// unrelated open intent.
+		// Fence the identifier space and the clock on EVERY journaled
+		// construction, not just the recovery path: an incarnation that
+		// re-minted a prior ID would have its seal silently close the
+		// crashed incarnation's unrelated open intent.
 		if m := cfg.Journal.MaxSeq(cfg.SiteID); m > 0 {
-			s.AdvancePast(m + SeqFenceGap)
+			s.seq = m + SeqFenceGap
+			s.clock.Observe(txn.TS(s.seq))
 		}
 	}
 	return s
@@ -898,6 +902,7 @@ func (s *Site) newDocState(doc *xmltree.Document, idx int64) *docState {
 		met:         s.m.docMetrics(doc.Name),
 		replApplied: idx,
 		savedIdx:    idx,
+		imageBytes:  doc.WrittenSize(), // the Store just wrote or read it
 		trimIdx:     idx,
 	}
 }
@@ -1016,21 +1021,6 @@ func (s *Site) ReplaceDocument(doc *xmltree.Document, head int64) error {
 		return s.installAt(doc, head)
 	}
 	return s.installOwn(doc, head)
-}
-
-// AdvancePast fences the site's transaction-identifier space and clock past
-// the given sequence number. A restarted site calls it with the journal's
-// maximum recorded sequence (plus a generous gap for unjournaled, read-only
-// transactions), so the new incarnation can never mint an ID that collides
-// with one from before the crash — peers may still hold tombstones or
-// journal records naming those.
-func (s *Site) AdvancePast(seq int64) {
-	s.mu.Lock()
-	if seq > s.seq {
-		s.seq = seq
-	}
-	s.clock.Observe(txn.TS(seq))
-	s.mu.Unlock()
 }
 
 // Call sends a message to a peer site and returns the response — the

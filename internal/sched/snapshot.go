@@ -31,8 +31,9 @@ import (
 // (TestSnapshotReadSeesCommitBesideDirtyWriter) and of commits landing before
 // its first read (TestSnapshotReadIgnoresCommitAfterBegin): publishLocked
 // cuts that state from the live tree when the reader pins. The undo log it
-// cuts with reaches back checkpointEvery records; a first read later than
-// that aborts with ErrSnapshotUnavailable instead of serving an older state.
+// cuts with reaches back checkpointEvery records (trimLocked); a first read
+// later than that aborts with ErrSnapshotUnavailable instead of serving an
+// older state.
 
 // roPinSet is the per-site pin state of one read-only transaction. The
 // registry map (Site.roPins, guarded by Site.roMu) holds one per transaction
@@ -217,7 +218,14 @@ func (s *Site) publishLocked(ds *docState, ts txn.TS) (*mvcc.Version, int64) {
 		}
 	}
 	s.m.snapshotPublishes.Inc()
-	// The walk is paid for: trim the log to the last checkpointEvery records.
+	return ds.versions.PublishPinned(committed, at), idx
+}
+
+// trimLocked drops the committed undo-log entries older than the last
+// checkpointEvery records as commits stamp theirs, so the reader horizon, a
+// reader's peel and the catch-up window do not depend on checkpoints.
+// Callers hold ds.mu.
+func (ds *docState) trimLocked() {
 	floor := ds.replApplied - checkpointEvery
 	ds.undoLog = slices.DeleteFunc(ds.undoLog, func(p undoEntry) bool {
 		if p.cts == 0 || p.idx > floor {
@@ -227,7 +235,6 @@ func (s *Site) publishLocked(ds *docState, ts txn.TS) (*mvcc.Version, int64) {
 		ds.trimIdx = max(ds.trimIdx, p.idx)
 		return true
 	})
-	return ds.versions.PublishPinned(committed, at), idx
 }
 
 // snapshotRelease releases every version a read-only transaction pinned at

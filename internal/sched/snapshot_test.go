@@ -268,7 +268,7 @@ func TestSnapshotUnavailableTooOld(t *testing.T) {
 			t.Fatalf("writer %d: %v %+v", i, err, res)
 		}
 	}
-	s.Sync() // the checkpoint's cut trims the log past the reader's timestamp
+	s.Sync() // the commits have trimmed the log past the reader's timestamp
 
 	_, err = reader.Exec(txn.NewQuery("d1", "//person/id"))
 	if !errors.Is(err, txn.ErrSnapshotUnavailable) {

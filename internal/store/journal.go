@@ -311,30 +311,40 @@ func (j *Journal) noteDecision(t string) {
 	}
 }
 
-// LogIntent appends the redo record of one local commit: the documents the
-// transaction changed here and, with recs given (one per document, in the
-// same order), what it applied to each. Without recs the intent only names
-// the documents. The whole commit is one line, flushed to stable storage
-// before returning, so a torn tail cannot split a multi-document commit.
+// LogIntent is AppendIntent without the payload sizes.
 func (j *Journal) LogIntent(t string, docs []string, recs ...ReplRecord) error {
+	_, err := j.AppendIntent(t, docs, recs...)
+	return err
+}
+
+// AppendIntent appends the redo record of one local commit: the documents
+// the transaction changed here and, with recs given (one per document, in
+// the same order), what it applied to each. Without recs the intent only
+// names the documents. The whole commit is one line, flushed to stable
+// storage before returning, so a torn tail cannot split a multi-document
+// commit. It returns the payload bytes appended per document (nil without
+// recs).
+func (j *Journal) AppendIntent(t string, docs []string, recs ...ReplRecord) ([]int, error) {
 	if !validToken(t) {
-		return fmt.Errorf("store: journal: invalid txn id %q", t)
+		return nil, fmt.Errorf("store: journal: invalid txn id %q", t)
 	}
 	if len(recs) > 0 && len(recs) != len(docs) {
-		return fmt.Errorf("store: journal: %d records for %d documents", len(recs), len(docs))
+		return nil, fmt.Errorf("store: journal: %d records for %d documents", len(recs), len(docs))
 	}
+	var sizes []int
 	var b strings.Builder
 	for i, d := range docs {
 		if !validToken(d) {
-			return fmt.Errorf("store: journal: invalid document name %q", d)
+			return nil, fmt.Errorf("store: journal: invalid document name %q", d)
 		}
 		index, payload := int64(0), noPayload
 		if len(recs) > 0 {
 			var err error
 			if payload, err = EncodeReplRecord(recs[i]); err != nil {
-				return err
+				return nil, err
 			}
 			index = recs[i].Index
+			sizes = append(sizes, len(payload))
 		}
 		if i > 0 {
 			b.WriteByte(' ')
@@ -345,7 +355,7 @@ func (j *Journal) LogIntent(t string, docs []string, recs ...ReplRecord) error {
 	if b.Len() > 0 {
 		line += " " + b.String()
 	}
-	return j.append(line)
+	return sizes, j.append(line)
 }
 
 // LogCommit seals the intents of the given transactions: whatever they

@@ -69,6 +69,7 @@ func Parse(name string, r io.Reader) (*Document, error) {
 	if len(stack) != 0 {
 		return nil, fmt.Errorf("xmltree: parse %s: unclosed elements", name)
 	}
+	doc.lastWriteSize.Store(dec.InputOffset())
 	return doc, nil
 }
 

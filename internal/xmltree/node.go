@@ -51,11 +51,11 @@ type Document struct {
 
 	nodes  map[NodeID]*Node
 	nextID NodeID
-	// lastWriteSize remembers the size of the previous serialization so the
-	// next WriteTo pre-sizes its buffer (Snapshot hands it down, so each
-	// checkpoint of a document starts from the size of the one before).
-	// Atomic so the otherwise read-only WriteTo stays safe to call on a
-	// document that another goroutine is serializing.
+	// lastWriteSize remembers the size of the previous serialization (or
+	// parsed source) so the next WriteTo pre-sizes its buffer (Snapshot
+	// hands it down, so each checkpoint of a document starts from the size
+	// of the one before). Atomic so the otherwise read-only WriteTo stays
+	// safe to call on a document that another goroutine is serializing.
 	lastWriteSize atomic.Int64
 	// Paths is the cell the document's DataGuide publishes its label-path
 	// summary (an *xpath.Summary) in. Snapshot shares it, as paths only grow
@@ -106,6 +106,9 @@ func (d *Document) Len() int {
 	d.Walk(func(*Node) bool { count++; return true })
 	return count
 }
+
+// WrittenSize is the byte length of the last serialization or parsed source.
+func (d *Document) WrittenSize() int64 { return d.lastWriteSize.Load() }
 
 // ByteSize returns an estimate of the serialized size of the document in
 // bytes. The estimate counts tags, attributes and text, and is what the

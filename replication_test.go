@@ -273,3 +273,41 @@ func TestQuorumCatchUpFromOlderReplica(t *testing.T) {
 		t.Fatalf("site 2 after a second restart: %s", mustXML(t, cluster, 2, "d1"))
 	}
 }
+
+// TestQuorumFirstCommitAfterPrimaryRestart: a restarted primary has no record
+// of its followers' positions, and its span from index 0 reaches past its
+// undo log, so its first ship carries only the head. The followers' acks say
+// where they are, and the primary must re-ship from there: the first commit
+// after the restart commits, with both followers live and current.
+func TestQuorumFirstCommitAfterPrimaryRestart(t *testing.T) {
+	cluster, err := dtx.New(quorumConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	if err := cluster.LoadXML("d1", `<ps/>`); err != nil {
+		t.Fatal(err)
+	}
+	insert := func(i int) {
+		t.Helper()
+		res, err := cluster.Submit(0, dtx.Insert("d1", "/ps", dtx.Into, dtx.Elem("p", fmt.Sprint(i))))
+		if err != nil || !res.Committed {
+			t.Fatalf("insert %d: %v / %+v", i, err, res)
+		}
+	}
+	for i := 1; i <= 70; i++ {
+		insert(i)
+	}
+	for s := 1; s < 3; s++ {
+		waitFor(t, 5*time.Second, fmt.Sprintf("site %d applies record 70", s), func() bool {
+			return mustXML(t, cluster, s, "d1") == mustXML(t, cluster, 0, "d1")
+		})
+	}
+	if err := cluster.KillSite(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.RestartSite(0); err != nil {
+		t.Fatal(err)
+	}
+	insert(71)
+}
