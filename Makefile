@@ -12,7 +12,7 @@ CHAOS_COUNT ?= 3
 # Hot-path benchmarks: the multi-iteration pass benchjson gates against
 # BENCH_baseline.json (-max-regress AND -require: a hot benchmark missing
 # from the baseline fails the job).
-HOT_BENCH = BenchmarkDistributedTxn$$|BenchmarkFig12Throughput|BenchmarkFigDocsScaling|BenchmarkSnapshotReadScaling|BenchmarkQueryCache|BenchmarkCheckpoint|BenchmarkJournalIntentOps|BenchmarkQuorumCommit|BenchmarkFollowerReadScaling|BenchmarkPredicateQuery|BenchmarkObsOverhead|BenchmarkQueryDocSize|BenchmarkSingleSiteTxn|BenchmarkTxnDocSize
+HOT_BENCH = BenchmarkDistributedTxn$$|BenchmarkDistributedQuery|BenchmarkFig12Throughput|BenchmarkFigDocsScaling|BenchmarkSnapshotReadScaling|BenchmarkQueryCache|BenchmarkCheckpoint|BenchmarkJournalIntentOps|BenchmarkQuorumCommit|BenchmarkFollowerReadScaling|BenchmarkPredicateQuery|BenchmarkObsOverhead|BenchmarkQueryDocSize|BenchmarkSingleSiteTxn|BenchmarkTxnDocSize
 
 FUZZTIME ?= 10s
 
@@ -51,7 +51,7 @@ loc:
 
 # The ratchet behind `make loc`: a PR that grows the program past the budget
 # fails the gate; one that shrinks it lowers LOC_BUDGET to its own result.
-LOC_BUDGET = 17323
+LOC_BUDGET = 17319
 
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "non-test Go lines outside bench/: $$n (budget $(LOC_BUDGET))"; [ $$n -le $(LOC_BUDGET) ]

@@ -1,7 +1,11 @@
 package dtx_test
 
 import (
+	"context"
 	"errors"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -105,6 +109,93 @@ func TestClusterFailover(t *testing.T) {
 		peers, err := cluster.PeerStatuses(0)
 		return err == nil && peers[2] == "up"
 	})
+}
+
+// evals reads how many queries on d1 a site has evaluated, from its
+// dtx_op_eval_seconds exposition.
+func evals(t *testing.T, c *dtx.Cluster, site int) int {
+	t.Helper()
+	reg, err := c.Metrics(site)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, line := range strings.Split(reg.Text(), "\n") {
+		if strings.HasPrefix(line, "dtx_op_eval_seconds_count{") && strings.Contains(line, `doc="d1"`) {
+			n, _ = strconv.Atoi(line[strings.LastIndexByte(line, ' ')+1:])
+		}
+	}
+	return n
+}
+
+// TestEvaluatorFailover: with no copy at the coordinator, the first live
+// replica in catalog order evaluates a locked query and the others only lock.
+// When that evaluator dies under a reading transaction, the read re-routes
+// and the next replica evaluates it, with the same answer.
+func TestEvaluatorFailover(t *testing.T) {
+	const people = `<people><person><id>4</id><name>Ana</name></person><person><id>7</id><name>Bo</name></person></people>`
+	oracle, err := dtx.New(dtx.Config{Sites: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oracle.Close()
+	if err := oracle.LoadXML("d1", people); err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracle.Submit(0, dtx.Query("d1", "//person/name"))
+	if err != nil || !want.Committed {
+		t.Fatalf("oracle: %v %+v", err, want)
+	}
+
+	cluster, err := dtx.New(dtx.Config{
+		Sites:             3,
+		HeartbeatInterval: 10 * time.Millisecond,
+		HeartbeatMisses:   2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	if err := cluster.LoadXML("d1", people, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	for site := range 3 {
+		reg, err := cluster.Metrics(site)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg.Arm()
+	}
+	read := func(tx *dtx.Txn) {
+		t.Helper()
+		got, err := tx.Query("d1", "//person/name")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want.Results[0]) {
+			t.Fatalf("answer %v, oracle %v", got, want.Results[0])
+		}
+	}
+	tx, err := cluster.Begin(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read(tx)
+	if e0, e1, e2 := evals(t, cluster, 0), evals(t, cluster, 1), evals(t, cluster, 2); e0 != 0 || e1 != 1 || e2 != 0 {
+		t.Fatalf("evaluations per site = %d, %d, %d; want 0, 1, 0", e0, e1, e2)
+	}
+
+	// The evaluator dies while the transaction holds read locks there.
+	if err := cluster.KillSite(1); err != nil {
+		t.Fatal(err)
+	}
+	read(tx)
+	if e2 := evals(t, cluster, 2); e2 != 1 {
+		t.Fatalf("site 2 evaluated %d time(s) after the failover, want 1", e2)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func mustXML(t *testing.T, c *dtx.Cluster, site int, doc string) string {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -157,7 +158,6 @@ func (s *Site) beginTxn() *coordTxn {
 // cause on cancellation.
 func (s *Site) execOp(ctx context.Context, ct *coordTxn, opIdx int) error {
 	op := ct.t.Ops[opIdx]
-	id, ts := ct.t.ID, ct.t.TS
 	sp := s.m.reg.Span() // whole execute phase of this operation (armed-gated)
 	var waitStart time.Time
 	for {
@@ -211,19 +211,7 @@ func (s *Site) execOp(ctx context.Context, ct *coordTxn, opIdx int) error {
 			}
 		}
 
-		var res localResult
-		if len(sites) == 1 && sites[0] == s.id {
-			// Algorithm 1, l. 5–10: the operation involves only the
-			// coordinator's site.
-			res = s.processOperation(id, ts, s.id, opIdx, op)
-			ct.addSite(s.id)
-		} else {
-			// Algorithm 1, l. 12–22: ship the operation to every
-			// participant holding the document (the coordinator included,
-			// if it holds a copy) and wait for all responses.
-			res = s.execRemote(ctx, ct, opIdx, op, sites)
-		}
-
+		res := s.execRemote(ctx, ct, opIdx, op, sites)
 		switch {
 		case res.retryRouting:
 			// A replica died mid-read; re-route immediately against the
@@ -329,8 +317,11 @@ func (s *Site) execOps(ctx context.Context, ct *coordTxn, base, n int, exec func
 	return first
 }
 
-// execRemote fans one operation out to all sites holding the document and
-// merges the participant statuses (Algorithm 1, l. 12–22).
+// execRemote runs one operation at every live replica of its document and
+// merges the participant statuses (Algorithm 1, l. 5–22). Every replica
+// takes the locks but only the evaluator answers a query (see the package
+// comment). The remote sends start first, then the coordinator's own
+// replica runs inline.
 func (s *Site) execRemote(ctx context.Context, ct *coordTxn, opIdx int, op txn.Operation, sites []int) localResult {
 	id, ts := ct.t.ID, ct.t.TS
 	type siteResult struct {
@@ -338,31 +329,36 @@ func (s *Site) execRemote(ctx context.Context, ct *coordTxn, opIdx int, op txn.O
 		res  localResult
 		err  error
 	}
+	evaluator, local := sites[0], slices.Index(sites, s.id)
+	if local >= 0 {
+		evaluator = s.id
+	}
 	results := make([]siteResult, len(sites))
 	var wg sync.WaitGroup
 	for i, site := range sites {
 		ct.addSite(site)
+		results[i].site = site
+		if i == local {
+			continue
+		}
 		wg.Add(1)
 		go func(i, site int) {
 			defer wg.Done()
-			if site == s.id {
-				results[i] = siteResult{site: site, res: s.processOperation(id, ts, s.id, opIdx, op)}
-				return
-			}
 			s.m.remoteOpsSent.Inc()
 			resp, err := s.send(ctx, site, transport.ExecOpReq{
 				Txn: id, TS: ts, Coordinator: s.id, OpIdx: opIdx, Op: op,
+				LockOnly: site != evaluator,
 			})
 			if err != nil {
-				results[i] = siteResult{site: site, err: err}
+				results[i].err = err
 				return
 			}
 			r, ok := resp.(transport.ExecOpResp)
 			if !ok {
-				results[i] = siteResult{site: site, err: fmt.Errorf("unexpected response %T", resp)}
+				results[i].err = fmt.Errorf("unexpected response %T", resp)
 				return
 			}
-			results[i] = siteResult{site: site, res: localResult{
+			results[i].res = localResult{
 				executed: r.Executed,
 				acquired: r.AcquireLocking,
 				deadlock: r.Deadlock,
@@ -370,8 +366,11 @@ func (s *Site) execRemote(ctx context.Context, ct *coordTxn, opIdx int, op txn.O
 				code:     r.Code,
 				err:      r.Error,
 				results:  r.Results,
-			}}
+			}
 		}(i, site)
+	}
+	if local >= 0 {
+		results[local].res = s.processOperation(id, ts, s.id, opIdx, op, false)
 	}
 	wg.Wait()
 
@@ -405,7 +404,7 @@ func (s *Site) execRemote(ctx context.Context, ct *coordTxn, opIdx int, op txn.O
 		}
 		if sr.res.executed {
 			anyExecuted = true
-			if op.Kind == txn.OpQuery && merged.results == nil {
+			if sr.site == evaluator {
 				merged.results = sr.res.results
 			}
 		}
@@ -448,18 +447,14 @@ func (s *Site) execRemote(ctx context.Context, ct *coordTxn, opIdx int, op txn.O
 	}
 
 	// Algorithm 1, l. 15–17: if the operation did not acquire locks at some
-	// participant, undo it wherever it did execute, then wait.
+	// participant, undo it wherever it did execute, then wait. A lock-only
+	// replica that granted reports executed too, so the undo frees its locks.
 	if !merged.failed && !merged.deadlock && !merged.acquired {
 		for _, sr := range results {
 			if sr.err == nil && sr.res.executed {
 				s.undoOpEverywhere(ct.t.ID, opIdx, sr.site)
 			}
 		}
-		// Locks acquired at sites that granted but did not need undo (e.g.
-		// a query that executed) are released by undoOpEverywhere too; for
-		// sites that merely granted locks without executing there is
-		// nothing to release because participant lock acquisition and
-		// execution are atomic under the site mutex.
 	}
 	return merged
 }

@@ -35,7 +35,7 @@ type siteMetrics struct {
 	// Latency histograms (armed-gated).
 	lockWait      *obs.HistogramVec // per doc: first conflict -> grant
 	opExec        *obs.HistogramVec // per doc: whole execute phase of one op
-	opEval        *obs.HistogramVec // per doc: one query's evaluation at a participant
+	opEval        *obs.HistogramVec // per doc: one query's evaluation at its evaluating replica
 	decisionWrite *obs.Histogram    // 2PC: coordinator decision record write
 	commitFanout  *obs.Histogram    // 2PC: CommitReq fan-out until every ack
 	quorumAck     *obs.Histogram    // 2PC: shipQuorum wait for WriteQuorum acks
@@ -99,7 +99,7 @@ func newSiteMetrics(s *Site) *siteMetrics {
 
 		lockWait:      reg.HistogramVec("dtx_lock_wait_seconds", "Lock-wait time per operation: first conflicting attempt to grant.", "doc", obs.LatencyBuckets),
 		opExec:        reg.HistogramVec("dtx_op_exec_seconds", "2PC execute phase: one operation routed, executed and acknowledged.", "doc", obs.LatencyBuckets),
-		opEval:        reg.HistogramVec("dtx_op_eval_seconds", "Query evaluation at a participant, locked or snapshot read, excluding lock wait.", "doc", obs.LatencyBuckets),
+		opEval:        reg.HistogramVec("dtx_op_eval_seconds", "Query evaluation at the one replica that answers it (a locked read counts once cluster-wide) or at a snapshot read, excluding lock wait.", "doc", obs.LatencyBuckets),
 		decisionWrite: reg.Histogram("dtx_2pc_decision_write_seconds", "2PC decision phase: journaling the coordinator commit decision.", obs.LatencyBuckets),
 		commitFanout:  reg.Histogram("dtx_2pc_commit_fanout_seconds", "2PC commit phase: consolidation fan-out until every participant acked.", obs.LatencyBuckets),
 		quorumAck:     reg.Histogram("dtx_2pc_quorum_ack_seconds", "Quorum replication: shipQuorum wait for WriteQuorum durable acks.", obs.LatencyBuckets),

@@ -19,14 +19,13 @@ import (
 // remote operations. code classifies failures with a txn error code so the
 // coordinator reconstructs typed errors across the wire.
 type localResult struct {
-	executed  bool
-	acquired  bool
-	deadlock  bool
-	failed    bool
-	code      string
-	err       string
-	results   []string
-	conflicts []lock.Conflict
+	executed bool
+	acquired bool
+	deadlock bool
+	failed   bool
+	code     string
+	err      string
+	results  []string
 	// retryRouting asks the coordinator loop to re-route the operation: a
 	// replica's connection tore down mid-exchange (now marked Suspect) and
 	// the read can run again against the survivors.
@@ -41,8 +40,8 @@ func (s *Site) handleExecOp(req transport.ExecOpReq) transport.ExecOpResp {
 	s.mu.Unlock()
 	s.m.remoteOpsProcessed.Inc()
 
-	res := s.processOperation(req.Txn, req.TS, req.Coordinator, req.OpIdx, req.Op)
-	resp := transport.ExecOpResp{
+	res := s.processOperation(req.Txn, req.TS, req.Coordinator, req.OpIdx, req.Op, req.LockOnly)
+	return transport.ExecOpResp{
 		Site:           s.id,
 		Executed:       res.executed,
 		AcquireLocking: res.acquired,
@@ -52,10 +51,6 @@ func (s *Site) handleExecOp(req transport.ExecOpReq) transport.ExecOpResp {
 		Error:          res.err,
 		Results:        res.results,
 	}
-	for _, c := range res.conflicts {
-		resp.Conflicts = append(resp.Conflicts, transport.Conflict{Txn: c.Txn, TS: c.TS})
-	}
-	return resp
 }
 
 // terminatedResult refuses a stale operation outrun by the transaction's
@@ -71,10 +66,11 @@ func (s *Site) terminatedResult(id txn.ID) localResult {
 // protocol demands for the operation; on success execute it against the
 // in-memory document; on conflict add wait-for edges and check for a local
 // deadlock; partial effects of a failed attempt are undone before returning.
-// Everything document-shaped happens under the document's own mutex — the
-// per-document scheduling domain — so operations on different documents at
-// this site run fully in parallel.
-func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op txn.Operation) localResult {
+// A lockOnly query takes its locks but is left for another replica to
+// evaluate; an update ignores the flag. Everything document-shaped happens
+// under the document's own mutex — the per-document scheduling domain — so
+// operations on different documents at this site run fully in parallel.
+func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op txn.Operation, lockOnly bool) localResult {
 	ds := s.doc(op.Doc)
 	if ds == nil {
 		return localResult{failed: true, code: txn.CodeUnknownDocument,
@@ -151,7 +147,7 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 		if deadlock {
 			s.m.localDeadlocks.Inc()
 		}
-		return localResult{acquired: false, deadlock: deadlock, conflicts: conflicts}
+		return localResult{acquired: false, deadlock: deadlock}
 	}
 
 	// Locks granted: the transaction is no longer waiting on anybody here.
@@ -174,6 +170,10 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 	out.acquired = true
 	switch op.Kind {
 	case txn.OpQuery:
+		out.executed = true
+		if lockOnly {
+			break
+		}
 		// Indexed path first: a predicate over an indexed key is answered
 		// from postings (plus residual filters) instead of scanning the
 		// matched extents. Falls back to the scan when no index covers the
@@ -187,7 +187,6 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 			out.results = xpath.EvalStrings(q, ds.doc)
 		}
 		sp.Done(ds.met.opEval)
-		out.executed = true
 	case txn.OpUpdate:
 		rec, _, aerr := xupdate.Apply(op.Update, ds.doc, ds.guide)
 		if aerr != nil {

@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -365,5 +366,90 @@ func TestSubmitCtxCancelled(t *testing.T) {
 	}
 	if len(res.Results) != 2 {
 		t.Fatalf("results not padded: %d", len(res.Results))
+	}
+}
+
+// TestQueryEvaluatedOnceLockedEverywhere: a locked query on a document held
+// at every site takes its locks at all three replicas, but only the
+// coordinator's copy evaluates it. The replicas that did not evaluate still
+// hold the read locks, so a conflicting write waits for the reader's commit
+// there, and the answer is a one-site evaluation's.
+func TestQueryEvaluatedOnceLockedEverywhere(t *testing.T) {
+	const query = "//product/price"
+	oracle, _ := newCluster(t, 1, nil)
+	addDoc(t, oracle[0], "d2", productsXML)
+	want, err := oracle[0].Submit([]txn.Operation{txn.NewQuery("d2", query)})
+	if err != nil || want.State != txn.Committed {
+		t.Fatalf("oracle: %v %+v", err, want)
+	}
+
+	sites, _ := newCluster(t, 3, nil)
+	for _, s := range sites {
+		addDoc(t, s, "d2", productsXML)
+		s.Metrics().Arm()
+	}
+	sess, err := sites[0].Begin(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sess.Exec(txn.NewQuery("d2", query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want.Results[0]) {
+		t.Fatalf("answer %v, oracle %v", got, want.Results[0])
+	}
+	for i, s := range sites {
+		wantEvals := int64(0)
+		if i == 0 {
+			wantEvals = 1
+		}
+		if n := histCount(s.m.opEval); n != wantEvals {
+			t.Errorf("site %d evaluated the query %d time(s), want %d", i, n, wantEvals)
+		}
+		s.mu.Lock()
+		grants := s.docs["d2"].table.GrantCount()
+		s.mu.Unlock()
+		if grants == 0 {
+			t.Errorf("site %d holds no read lock", i)
+		}
+	}
+
+	writer := make(chan *Result, 1)
+	go func() {
+		res, err := sites[2].Submit([]txn.Operation{txn.NewUpdate("d2", &xupdate.Update{
+			Kind: xupdate.Change, Target: "//product[id='4']/price", Value: "99.99",
+		})})
+		if err != nil {
+			t.Error(err)
+		}
+		writer <- res
+	}()
+	// The writer waits on the reader at both replicas that did not evaluate.
+	blockedAt := func(s *Site) bool {
+		for _, e := range s.localEdges() {
+			if e.Holder == sess.ID() {
+				return true
+			}
+		}
+		return false
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !blockedAt(sites[1]) || !blockedAt(sites[2]) {
+		if time.Now().After(deadline) {
+			t.Fatal("the write never waited on the reader at sites 1 and 2")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case res := <-writer:
+		t.Fatalf("conflicting write finished under the reader's locks: %+v", res)
+	default:
+	}
+	if err := sess.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if res := <-writer; res == nil || res.State != txn.Committed {
+		t.Fatalf("writer after the reader's commit: %+v", res)
 	}
 }

@@ -6,6 +6,11 @@
 // distributed deadlock detection (Alg. 4), distributed commit (Alg. 5) and
 // distributed abort (Alg. 6).
 //
+// Every replica locks, one evaluates: each operation takes its locks at every
+// live replica of its document (read-one is safe against write-all), but a
+// query is evaluated only at the coordinator's copy, or at the first live
+// replica in catalog order when it holds none (transport.ExecOpReq.LockOnly).
+//
 // Concurrency model: the paper's Algorithm 1 is a scheduler loop that
 // multiplexes transactions from a queue; here each client transaction runs
 // in its submitting goroutine and a per-DOCUMENT mutex serialises that

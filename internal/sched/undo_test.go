@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/transport"
 	"repro/internal/txn"
 	"repro/internal/xmltree"
 	"repro/internal/xupdate"
@@ -22,7 +24,7 @@ func TestPartialAcquireUndoneEverywhere(t *testing.T) {
 	// A foreign transaction holds conflicting locks at site 1 only, via the
 	// participant interface (as if coordinated elsewhere).
 	blocker := txn.ID{Site: 1, Seq: 999}
-	res := s1.processOperation(blocker, 50, 1, 0, txn.NewQuery("d1", "//person"))
+	res := s1.processOperation(blocker, 50, 1, 0, txn.NewQuery("d1", "//person"), false)
 	if !res.executed {
 		t.Fatalf("blocker setup failed: %+v", res)
 	}
@@ -190,7 +192,7 @@ func TestUndoneOperationLeavesDocumentClean(t *testing.T) {
 	id := txn.ID{Site: 0, Seq: 999}
 	res := s.processOperation(id, 50, 0, 0, txn.NewUpdate("d1", &xupdate.Update{
 		Kind: xupdate.Insert, Target: "/people", Pos: xmltree.Into, New: personSpec("22", "Patricia"),
-	}))
+	}), false)
 	if !res.executed {
 		t.Fatalf("insert: %+v", res)
 	}
@@ -208,5 +210,35 @@ func TestUndoneOperationLeavesDocumentClean(t *testing.T) {
 	}
 	if recs, err := s.cfg.Journal.OpenRecords("d1"); err != nil || len(recs) != 0 {
 		t.Fatalf("journal records for a transaction that changed nothing: %+v (err %v)", recs, err)
+	}
+}
+
+// TestLockOnlyNeverSkipsAWrite: LockOnly only spares a replica a query's
+// evaluation. An update shipped with the flag set is still applied — it
+// leaves an undo entry and a changed tree — and holds its X locks against a
+// conflicting reader.
+func TestLockOnlyNeverSkipsAWrite(t *testing.T) {
+	sites, _ := newCluster(t, 1, nil)
+	s := sites[0]
+	addDoc(t, s, "d1", peopleXML)
+
+	id := txn.ID{Site: 1, Seq: 7}
+	r := s.handleExecOp(transport.ExecOpReq{Txn: id, TS: 50, Coordinator: 1, LockOnly: true,
+		Op: txn.NewUpdate("d1", &xupdate.Update{Kind: xupdate.Insert, Target: "/people",
+			Pos: xmltree.Into, New: personSpec("22", "Patricia")})})
+	if !r.Executed || !r.AcquireLocking || r.Failed {
+		t.Fatalf("lock-only update: %+v", r)
+	}
+	ds := s.doc("d1")
+	ds.mu.Lock()
+	undo, held := len(ds.undoLog), ds.table.HeldBy(id)
+	changed := strings.Contains(ds.doc.String(), "Patricia")
+	ds.mu.Unlock()
+	if undo != 1 || !changed || held == 0 {
+		t.Fatalf("undo entries %d, tree changed %v, locks held %d", undo, changed, held)
+	}
+	reader := s.processOperation(txn.ID{Site: 2, Seq: 1}, 60, 2, 0, txn.NewQuery("d1", "//person/name"), false)
+	if reader.acquired || reader.executed {
+		t.Fatalf("a reader got past the write's X locks: %+v", reader)
 	}
 }

@@ -20,19 +20,17 @@ import (
 )
 
 // ExecOpReq asks a participant to execute one remote operation of a
-// distributed transaction (Algorithm 1, l. 13 / Algorithm 2).
+// distributed transaction (Algorithm 1, l. 13 / Algorithm 2). Every replica
+// locks, one evaluates: LockOnly marks a query that another replica answers,
+// so this one takes the query's locks and reports "granted" with no results.
+// An update ignores it — every copy applies every write.
 type ExecOpReq struct {
 	Txn         txn.ID
 	TS          txn.TS
 	Coordinator int
 	OpIdx       int
 	Op          txn.Operation
-}
-
-// Conflict mirrors lock.Conflict for the wire.
-type Conflict struct {
-	Txn txn.ID
-	TS  txn.TS
+	LockOnly    bool
 }
 
 // ExecOpResp reports the outcome of a remote operation, carrying the status
@@ -48,7 +46,6 @@ type ExecOpResp struct {
 	Code           string
 	Error          string
 	Results        []string
-	Conflicts      []Conflict
 }
 
 // UndoOpReq asks a participant to undo one executed operation because the

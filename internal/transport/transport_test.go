@@ -171,8 +171,9 @@ func TestTCPRoundTrip(t *testing.T) {
 
 func TestTCPGobCarriesUpdates(t *testing.T) {
 	var got txn.Operation
+	var lockOnly bool
 	h := HandlerFunc(func(from int, msg any) (any, error) {
-		got = msg.(ExecOpReq).Op
+		got, lockOnly = msg.(ExecOpReq).Op, msg.(ExecOpReq).LockOnly
 		return Ack{OK: true}, nil
 	})
 	n1, err := ListenTCP(1, "127.0.0.1:0", &echoHandler{site: 1})
@@ -196,9 +197,12 @@ func TestTCPGobCarriesUpdates(t *testing.T) {
 		}},
 	})
 	req := execReq()
-	req.Op = op
+	req.Op, req.LockOnly = op, true
 	if _, err := n1.Send(context.Background(), 2, req); err != nil {
 		t.Fatal(err)
+	}
+	if !lockOnly {
+		t.Fatal("LockOnly lost in transit")
 	}
 	if got.Update == nil || got.Update.New == nil || len(got.Update.New.Children) != 2 {
 		t.Fatalf("update lost in transit: %#v", got)
