@@ -973,8 +973,8 @@ func BenchmarkDistributedTxn(b *testing.B) {
 
 // BenchmarkDistributedQuery is one locked five-query read transaction over a
 // 256 KB XMark document held at all three sites: the fan-out layer's hot
-// path. Every replica takes the locks and one evaluates, so ns/op, B/op and
-// allocs/op show what the two lock-only replicas still cost.
+// path. Site 0 coordinates and is the document's read site, so every query
+// locks and evaluates there and the transaction sends no message.
 func BenchmarkDistributedQuery(b *testing.B) {
 	cluster, err := New(Config{Sites: 3})
 	if err != nil {

@@ -9,7 +9,9 @@
 //
 // Documents named with -doc are loaded from the store directory at startup;
 // -place entries teach the catalog where every document (local and remote)
-// lives. Clients submit transactions with dtxctl.
+// lives; the first site of an entry is the document's read site, where
+// every locked query on it locks and evaluates while that site is live.
+// Clients submit transactions with dtxctl.
 //
 // Crash recovery: dtxd logs every local commit's applied operations to
 // <store>/commit.log before acknowledging it (disable with -journal=false)

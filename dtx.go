@@ -111,8 +111,8 @@ type Config struct {
 	// Replication selects the write-replication mode. Empty or "eager" is
 	// the original semantics: every write executes at every replica, and a
 	// partially-down replica set refuses writes with ErrReplicaUnavailable.
-	// "quorum" routes every write to its document's primary (the
-	// lowest-numbered replica site), ships the committed effects to the
+	// "quorum" routes every write to its document's primary (the first
+	// site of its placement), ships the committed effects to the
 	// followers through a replication log, and acknowledges once WriteQuorum
 	// replicas hold them durably — so writes keep flowing while followers
 	// are down. Read-only transactions are served from followers that have
@@ -376,7 +376,9 @@ func (c *Cluster) Sites() int { return len(c.ids) }
 
 // LoadXML parses the XML text and installs the document. With no explicit
 // sites the document is totally replicated (a copy at every site);
-// otherwise it is placed at exactly the given sites.
+// otherwise it is placed at exactly the given sites, and the first one
+// listed is its read site: a locked query locks and evaluates there alone
+// while it is live.
 func (c *Cluster) LoadXML(name, xml string, sites ...int) error {
 	if len(sites) == 0 {
 		sites = make([]int, len(c.ids))

@@ -128,11 +128,12 @@ func evals(t *testing.T, c *dtx.Cluster, site int) int {
 	return n
 }
 
-// TestEvaluatorFailover: with no copy at the coordinator, the first live
-// replica in catalog order evaluates a locked query and the others only lock.
-// When that evaluator dies under a reading transaction, the read re-routes
-// and the next replica evaluates it, with the same answer.
-func TestEvaluatorFailover(t *testing.T) {
+// newReadSiteCluster builds a three-site cluster with heartbeats on, d1
+// at sites 1 and 2 only (so a transaction coordinated at site 0 reads d1 at
+// site 1, its read site) and every registry armed. It also returns the
+// answer a one-site cluster gives the test query.
+func newReadSiteCluster(t *testing.T) (*dtx.Cluster, []string) {
+	t.Helper()
 	const people = `<people><person><id>4</id><name>Ana</name></person><person><id>7</id><name>Bo</name></person></people>`
 	oracle, err := dtx.New(dtx.Config{Sites: 1})
 	if err != nil {
@@ -155,7 +156,7 @@ func TestEvaluatorFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cluster.Close()
+	t.Cleanup(func() { cluster.Close() })
 	if err := cluster.LoadXML("d1", people, 1, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -166,35 +167,68 @@ func TestEvaluatorFailover(t *testing.T) {
 		}
 		reg.Arm()
 	}
-	read := func(tx *dtx.Txn) {
-		t.Helper()
-		got, err := tx.Query("d1", "//person/name")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want.Results[0]) {
-			t.Fatalf("answer %v, oracle %v", got, want.Results[0])
-		}
-	}
+	return cluster, want.Results[0]
+}
+
+// TestEvaluatorFailover: a locked query coordinated at site 0, which holds no
+// copy, locks and evaluates at the read site, site 1. When site 1 dies under
+// the transaction, the read locks it held there are gone, so by the
+// available-copies rule the next read aborts with ErrReplicaUnavailable
+// instead of re-routing. The resubmitted transaction reads at site 2 and
+// commits with the same answer.
+func TestEvaluatorFailover(t *testing.T) {
+	cluster, want := newReadSiteCluster(t)
 	tx, err := cluster.Begin(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	read(tx)
+	if got, err := tx.Query("d1", "//person/name"); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("answer %v (err %v), oracle %v", got, err, want)
+	}
 	if e0, e1, e2 := evals(t, cluster, 0), evals(t, cluster, 1), evals(t, cluster, 2); e0 != 0 || e1 != 1 || e2 != 0 {
 		t.Fatalf("evaluations per site = %d, %d, %d; want 0, 1, 0", e0, e1, e2)
 	}
 
-	// The evaluator dies while the transaction holds read locks there.
 	if err := cluster.KillSite(1); err != nil {
 		t.Fatal(err)
 	}
-	read(tx)
-	if e2 := evals(t, cluster, 2); e2 != 1 {
-		t.Fatalf("site 2 evaluated %d time(s) after the failover, want 1", e2)
+	if _, err := tx.Query("d1", "//person/name"); !errors.Is(err, dtx.ErrReplicaUnavailable) {
+		t.Fatalf("read after losing the read site: %v, want ErrReplicaUnavailable", err)
 	}
-	if err := tx.Commit(); err != nil {
+
+	retry, err := cluster.Begin(context.Background(), 0)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got, err := retry.Query("d1", "//person/name"); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("resubmitted answer %v (err %v), oracle %v", got, err, want)
+	}
+	if e2 := evals(t, cluster, 2); e2 != 1 {
+		t.Fatalf("site 2 evaluated %d time(s) for the resubmitted read, want 1", e2)
+	}
+	if err := retry.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadOnlyCommitAbortsOnLostReadSite: a read-only locked transaction
+// whose read site dies between its read and its commit aborts with
+// ErrReplicaUnavailable. The read locks died with the site, so the commit
+// cannot vouch for what the transaction read.
+func TestReadOnlyCommitAbortsOnLostReadSite(t *testing.T) {
+	cluster, want := newReadSiteCluster(t)
+	tx, err := cluster.Begin(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := tx.Query("d1", "//person/name"); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("answer %v (err %v), oracle %v", got, err, want)
+	}
+	if err := cluster.KillSite(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); !errors.Is(err, dtx.ErrReplicaUnavailable) {
+		t.Fatalf("commit after losing the read site: %v, want ErrReplicaUnavailable", err)
 	}
 }
 

@@ -277,7 +277,10 @@ func TestCrashPoints(t *testing.T) {
 			// The doomed transaction. Its outcome depends on the crash
 			// point (committed, aborted or failed) — what the table asserts
 			// is convergence, not the label.
-			_, _ = c.sites[0].Submit([]txn.Operation{changeNameOp()})
+			doomed, err := c.sites[0].Submit([]txn.Operation{changeNameOp()})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if tc.after != nil {
 				tc.after(c)
 			}
@@ -296,6 +299,22 @@ func TestCrashPoints(t *testing.T) {
 					txn.NewQuery("d1", "//person/name"),
 				})
 				return err == nil && res.State == txn.Committed
+			})
+			// A read locks at one replica only, so it does not wait for
+			// every survivor to settle the doomed transaction. Wait for
+			// that explicitly: until then a survivor's head tree may still
+			// carry the doomed change.
+			eventually(t, 5*time.Second, "the doomed transaction resolved at every survivor", func() bool {
+				for i, s := range c.sites {
+					if i == tc.victim {
+						continue
+					}
+					resp, _ := s.HandleMessage(i, transport.TxnStatusReq{Txn: doomed.Txn})
+					if out := resp.(transport.TxnStatusResp).Outcome; out != transport.OutcomeCommitted && out != transport.OutcomeAborted {
+						return false
+					}
+				}
+				return true
 			})
 
 			// Restart the victim through the recovery subsystem.

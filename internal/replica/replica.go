@@ -9,6 +9,7 @@ package replica
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -30,23 +31,23 @@ func NewCatalog() *Catalog {
 }
 
 // Place records that a document is held by the given sites (replacing any
-// previous placement). Site lists are kept sorted and deduplicated.
+// previous placement), deduplicated, in the order given: the first site is
+// the document's read site while it is live (and its primary in quorum
+// mode).
 func (c *Catalog) Place(doc string, sites ...int) {
-	set := map[int]bool{}
+	list := make([]int, 0, len(sites))
 	for _, s := range sites {
-		set[s] = true
+		if !slices.Contains(list, s) {
+			list = append(list, s)
+		}
 	}
-	list := make([]int, 0, len(set))
-	for s := range set {
-		list = append(list, s)
-	}
-	sort.Ints(list)
 	c.mu.Lock()
 	c.sites[doc] = list
 	c.mu.Unlock()
 }
 
-// Sites returns the sites holding the document (empty if unknown).
+// Sites returns the sites holding the document in placement order (empty
+// if unknown).
 func (c *Catalog) Sites(doc string) []int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

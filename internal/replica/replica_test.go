@@ -30,9 +30,10 @@ func TestCatalogBasics(t *testing.T) {
 	if got := c.Documents(); len(got) != 2 || got[0] != "d1" {
 		t.Fatalf("documents = %v", got)
 	}
-	// Replace and dedupe.
+	// Replace and dedupe, keeping the given order: the first site listed is
+	// the read site.
 	c.Place("d1", 2, 2, 0)
-	if got := c.Sites("d1"); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+	if got := c.Sites("d1"); len(got) != 2 || got[0] != 2 || got[1] != 0 {
 		t.Fatalf("sites after replace = %v", got)
 	}
 	if s := c.String(); !strings.Contains(s, "site 0:") {

@@ -175,11 +175,12 @@ func (s *Site) execOp(ctx context.Context, ct *coordTxn, opIdx int) error {
 			return fmt.Errorf("%w: %w", txn.ErrAborted, context.Cause(ctx))
 		}
 
-		// Replica-aware routing: reads run on the replicas believed alive
-		// and route around dead ones; writes must reach every copy, so a
-		// partially-down replica set fails them fast with a typed error the
-		// client can branch on (retry later, degrade, alert) instead of a
-		// lock-timeout limbo.
+		// Replica-aware routing: a read runs at its document's read site,
+		// the first live replica in catalog order, so every reader of a
+		// document locks in one lock table; writes must reach every copy,
+		// so a partially-down replica set fails them fast with a typed error
+		// the client can branch on (retry later, degrade, alert) instead of
+		// a lock-timeout limbo.
 		sites, down := s.cfg.Catalog.LiveSites(op.Doc, s.liveness)
 		if len(sites) == 0 && len(down) == 0 {
 			return fmt.Errorf("%w: no site holds %q", txn.ErrUnknownDocument, op.Doc)
@@ -191,14 +192,7 @@ func (s *Site) execOp(ctx context.Context, ct *coordTxn, opIdx int) error {
 			// log shipping, so a down follower never blocks a write. Only a
 			// down primary makes the document unavailable for writing.
 			primary := s.primaryOf(op.Doc)
-			alive := false
-			for _, site := range sites {
-				if site == primary {
-					alive = true
-					break
-				}
-			}
-			if !alive {
+			if !slices.Contains(sites, primary) {
 				return fmt.Errorf("%w: primary site %d of %q is down", txn.ErrReplicaUnavailable, primary, op.Doc)
 			}
 			sites = []int{primary}
@@ -206,17 +200,24 @@ func (s *Site) execOp(ctx context.Context, ct *coordTxn, opIdx int) error {
 			if op.Kind != txn.OpQuery && len(down) > 0 {
 				return fmt.Errorf("%w: %q has down replica site(s) %v", txn.ErrReplicaUnavailable, op.Doc, down)
 			}
+			for _, site := range down {
+				// Available copies: locks this transaction read under may
+				// have died with the site; only a site it never used may be
+				// routed around.
+				if slices.Contains(ct.remoteSites(s.id), site) {
+					return fmt.Errorf("%w: site %d, used by this transaction, is down", txn.ErrReplicaUnavailable, site)
+				}
+			}
 			if len(sites) == 0 {
 				return fmt.Errorf("%w: no live replica of %q", txn.ErrReplicaUnavailable, op.Doc)
+			}
+			if op.Kind == txn.OpQuery {
+				sites = sites[:1]
 			}
 		}
 
 		res := s.execRemote(ctx, ct, opIdx, op, sites)
 		switch {
-		case res.retryRouting:
-			// A replica died mid-read; re-route immediately against the
-			// survivors (the loop re-filters the replica set by liveness).
-			continue
 		case res.failed:
 			if res.code == txn.CodeAborted && ctx.Err() != nil {
 				// A send abandoned by cancellation classified the failure as
@@ -259,16 +260,21 @@ func (s *Site) execOp(ctx context.Context, ct *coordTxn, opIdx int) error {
 		select {
 		case <-wakeCh:
 			timer.Stop()
+			s.m.waitEnds.With("wake").Inc()
 		case r := <-ct.abortCh:
 			timer.Stop()
+			s.m.waitEnds.With("victim").Inc()
 			return fmt.Errorf("%w: %s", txn.ErrDeadlock, r)
 		case <-ctx.Done():
 			timer.Stop()
+			s.m.waitEnds.With("cancel").Inc()
 			return fmt.Errorf("%w: %w", txn.ErrAborted, context.Cause(ctx))
 		case <-s.stopCh:
 			timer.Stop()
+			s.m.waitEnds.With("cancel").Inc()
 			return fmt.Errorf("%w: site stopping", txn.ErrAborted)
 		case <-timer.C:
+			s.m.waitEnds.With("timer").Inc()
 		}
 	}
 }
@@ -317,11 +323,10 @@ func (s *Site) execOps(ctx context.Context, ct *coordTxn, base, n int, exec func
 	return first
 }
 
-// execRemote runs one operation at every live replica of its document and
-// merges the participant statuses (Algorithm 1, l. 5–22). Every replica
-// takes the locks but only the evaluator answers a query (see the package
-// comment). The remote sends start first, then the coordinator's own
-// replica runs inline.
+// execRemote runs one operation at the given replicas — every live copy for
+// an update, the read site alone for a query — and merges the participant
+// statuses (Algorithm 1, l. 5–22). The remote sends start first, then the
+// coordinator's own replica runs inline.
 func (s *Site) execRemote(ctx context.Context, ct *coordTxn, opIdx int, op txn.Operation, sites []int) localResult {
 	id, ts := ct.t.ID, ct.t.TS
 	type siteResult struct {
@@ -329,10 +334,7 @@ func (s *Site) execRemote(ctx context.Context, ct *coordTxn, opIdx int, op txn.O
 		res  localResult
 		err  error
 	}
-	evaluator, local := sites[0], slices.Index(sites, s.id)
-	if local >= 0 {
-		evaluator = s.id
-	}
+	local := slices.Index(sites, s.id)
 	results := make([]siteResult, len(sites))
 	var wg sync.WaitGroup
 	for i, site := range sites {
@@ -347,7 +349,6 @@ func (s *Site) execRemote(ctx context.Context, ct *coordTxn, opIdx int, op txn.O
 			s.m.remoteOpsSent.Inc()
 			resp, err := s.send(ctx, site, transport.ExecOpReq{
 				Txn: id, TS: ts, Coordinator: s.id, OpIdx: opIdx, Op: op,
-				LockOnly: site != evaluator,
 			})
 			if err != nil {
 				results[i].err = err
@@ -370,7 +371,7 @@ func (s *Site) execRemote(ctx context.Context, ct *coordTxn, opIdx int, op txn.O
 		}(i, site)
 	}
 	if local >= 0 {
-		results[local].res = s.processOperation(id, ts, s.id, opIdx, op, false)
+		results[local].res = s.processOperation(id, ts, s.id, opIdx, op)
 	}
 	wg.Wait()
 
@@ -404,9 +405,7 @@ func (s *Site) execRemote(ctx context.Context, ct *coordTxn, opIdx int, op txn.O
 		}
 		if sr.res.executed {
 			anyExecuted = true
-			if sr.site == evaluator {
-				merged.results = sr.res.results
-			}
+			merged.results = sr.res.results // a query runs at one site
 		}
 	}
 	merged.executed = merged.acquired && !merged.failed && !merged.deadlock && anyExecuted
@@ -414,41 +413,25 @@ func (s *Site) execRemote(ctx context.Context, ct *coordTxn, opIdx int, op txn.O
 	// Failover: a replica whose connection tore down mid-exchange has
 	// already been demoted to Suspect by send; one that answered "replica
 	// unavailable" (it is recovering, or was killed under this very
-	// exchange) is demoted here — it responded, so send counted it Up. A
-	// read rolls its partial execution back and retries against the
-	// survivors (the routing loop re-filters by liveness); a write cannot
-	// proceed with a partial replica set and fails with the typed replica
-	// error.
-	var closed []int
+	// exchange) is demoted here — it responded, so send counted it Up. The
+	// operation fails with the typed replica error: the transaction may
+	// hold locks there, and a resubmission routes around the site.
 	for _, sr := range results {
 		switch {
 		case sr.err != nil && errors.Is(sr.err, transport.ErrPeerClosed):
-			closed = append(closed, sr.site)
 		case sr.err == nil && sr.res.failed && sr.res.code == txn.CodeReplicaUnavailable && sr.site != s.id:
 			s.liveness.observeClosed(sr.site)
-			closed = append(closed, sr.site)
+		default:
+			continue
 		}
-	}
-	if len(closed) > 0 && ctx.Err() == nil && !merged.deadlock {
-		// Re-routing is only productive when failure detection will actually
-		// remove the dead replica from the next routing pass; with the
-		// liveness view inert (no heartbeats) the retry would re-select the
-		// same dead site forever, so the typed error surfaces instead.
-		if op.Kind == txn.OpQuery && s.liveness.enabled {
-			for _, sr := range results {
-				if sr.err == nil && sr.res.executed {
-					s.undoOpEverywhere(id, opIdx, sr.site)
-				}
-			}
-			return localResult{retryRouting: true}
+		if ctx.Err() == nil && !merged.deadlock {
+			merged.failed = true
+			merged.code = txn.CodeReplicaUnavailable
 		}
-		merged.failed = true
-		merged.code = txn.CodeReplicaUnavailable
 	}
 
 	// Algorithm 1, l. 15–17: if the operation did not acquire locks at some
-	// participant, undo it wherever it did execute, then wait. A lock-only
-	// replica that granted reports executed too, so the undo frees its locks.
+	// participant, undo it wherever it did execute, then wait.
 	if !merged.failed && !merged.deadlock && !merged.acquired {
 		for _, sr := range results {
 			if sr.err == nil && sr.res.executed {
@@ -496,7 +479,7 @@ func fanOut(sites []int, fn func(site int) bool) ([]bool, bool) {
 }
 
 // commitTransaction is Algorithm 5: ask every involved site to consolidate;
-// if any refuses, abort. Returns true if the commit completed. The remote
+// if any refuses, abort. Returns nil if the commit completed. The remote
 // consolidations are issued concurrently and joined — the commit phase
 // costs the slowest participant instead of the sum — but the coordinator's
 // own consolidation deliberately stays LAST, exactly as in the serial protocol:
@@ -509,19 +492,20 @@ func fanOut(sites []int, fn func(site int) bool) ([]bool, bool) {
 // clean cancellation exists — a consolidated participant has already
 // persisted and released its locks — so the transaction fails everywhere
 // (Algorithm 6, l. 5–10), rather than pretending the divergence away.
-func (s *Site) commitTransaction(ct *coordTxn) bool {
+func (s *Site) commitTransaction(ct *coordTxn) error {
 	id := ct.t.ID
 	remote := ct.remoteSites(s.id)
 	// A read-only transaction has no persistent effects anywhere: its
-	// consolidation is pure lock release, so it needs no decision record,
-	// and a participant that died holding its read locks released them with
-	// its life — a failed remote ack is vacuous, not a failure. The same
-	// tolerance applies per participant in a mixed transaction: a site that
-	// only served reads (no update targets a document it replicates) has
-	// nothing to consolidate, so its death must not fail a commit whose
-	// writes all reached live replicas. writeSites is computed lazily — it
-	// is only consulted when a peer connection tore down mid-commit, and
-	// the healthy hot path must not pay its catalog lookups per commit.
+	// consolidation is pure lock release, so it needs no decision record.
+	// But a read site that died took its read locks with it, so by the
+	// available-copies rule the transaction aborts with
+	// ErrReplicaUnavailable. A mixed transaction still treats a site that
+	// only served reads (no update targets a document it replicates) as a
+	// vacuous ack: it has nothing to consolidate, so its death does not fail
+	// a commit whose writes all reached live replicas. writeSites is
+	// computed lazily — it is only consulted when a peer connection tore
+	// down mid-commit, and the healthy hot path must not pay its catalog
+	// lookups per commit.
 	readOnly := true
 	for i := range ct.t.Ops {
 		if ct.t.Ops[i].Kind != txn.OpQuery {
@@ -558,7 +542,7 @@ func (s *Site) commitTransaction(ct *coordTxn) bool {
 			// The decision cannot be made durable (journal failure, or the
 			// site is dying): do not commit anybody.
 			s.abortTransaction(ct)
-			return false
+			return fmt.Errorf("%w: commit decision not durable: %v", txn.ErrFailed, err)
 		}
 		dsp.Done(s.m.decisionWrite)
 		ct.trace.add("2pc-decision-write", "", 0, dsp.Elapsed())
@@ -571,6 +555,7 @@ func (s *Site) commitTransaction(ct *coordTxn) bool {
 	var ackMu sync.Mutex
 	vacuous := make(map[int]bool) // dead read-only participants: ok but consolidated nothing
 	maybeConsolidated := false    // a write participant's ack was lost with its connection
+	lostRead := -1                // a read site of a read-only transaction, lost before the commit
 	if len(remote) > 0 {
 		fsp := s.m.reg.Span()
 		oks, allOK = fanOut(remote, func(site int) bool {
@@ -578,6 +563,10 @@ func (s *Site) commitTransaction(ct *coordTxn) bool {
 			if err != nil && errors.Is(err, transport.ErrPeerClosed) {
 				ackMu.Lock()
 				defer ackMu.Unlock()
+				if readOnly {
+					lostRead = site
+					return false
+				}
 				if !writeSites()[site] {
 					// The participant held only read locks for this
 					// transaction and is gone — the locks died with it;
@@ -610,6 +599,11 @@ func (s *Site) commitTransaction(ct *coordTxn) bool {
 		fsp.Done(s.m.commitFanout)
 		ct.trace.add("2pc-commit-fanout", "", 0, fsp.Elapsed())
 	}
+	if lostRead >= 0 {
+		// Nothing was written anywhere: release what the survivors hold.
+		s.failTransaction(ct)
+		return fmt.Errorf("%w: read site %d was lost before the commit", txn.ErrReplicaUnavailable, lostRead)
+	}
 	// Algorithm 5, l. 10–11: consolidate locally and release the locks.
 	if allOK {
 		localErr := s.commitLocal(id)
@@ -621,7 +615,7 @@ func (s *Site) commitTransaction(ct *coordTxn) bool {
 				_ = s.cfg.Journal.SealDecision(id.String())
 			}
 			s.noteWrites(ct)
-			return true
+			return nil
 		}
 		if errors.Is(localErr, errQuorumShort) {
 			// The local consolidation itself is done — journaled, locks
@@ -651,7 +645,7 @@ func (s *Site) commitTransaction(ct *coordTxn) bool {
 			_ = s.cfg.Journal.VoidDecision(id.String())
 		}
 	}
-	return false
+	return fmt.Errorf("%w: commit rejected at a participant site", txn.ErrFailed)
 }
 
 // abortTransaction is Algorithm 6: ask every involved site to cancel; if a

@@ -31,6 +31,7 @@ type siteMetrics struct {
 	staleRefusals, catchupRecords                  *obs.Counter
 	indexedQueries                                 *obs.Counter
 	conflicts                                      *obs.CounterVec // per doc; Count reads the total
+	waitEnds                                       *obs.CounterVec // how execOp's lock waits ended
 
 	// Latency histograms (armed-gated).
 	lockWait      *obs.HistogramVec // per doc: first conflict -> grant
@@ -96,10 +97,11 @@ func newSiteMetrics(s *Site) *siteMetrics {
 		catchupRecords:     reg.Counter("dtx_repl_catchup_records_total", "Replication records applied during recovery catch-up."),
 		indexedQueries:     reg.Counter("dtx_indexed_queries_total", "Queries answered from a value index instead of an extent scan."),
 		conflicts:          reg.CounterVec("dtx_op_conflicts_total", "Lock acquisition failures.", "doc"),
+		waitEnds:           reg.CounterVec("dtx_lock_wait_ends_total", "Lock waits at this coordinator by how they ended: wake, victim, timer or cancel.", "how"),
 
 		lockWait:      reg.HistogramVec("dtx_lock_wait_seconds", "Lock-wait time per operation: first conflicting attempt to grant.", "doc", obs.LatencyBuckets),
 		opExec:        reg.HistogramVec("dtx_op_exec_seconds", "2PC execute phase: one operation routed, executed and acknowledged.", "doc", obs.LatencyBuckets),
-		opEval:        reg.HistogramVec("dtx_op_eval_seconds", "Query evaluation at the one replica that answers it (a locked read counts once cluster-wide) or at a snapshot read, excluding lock wait.", "doc", obs.LatencyBuckets),
+		opEval:        reg.HistogramVec("dtx_op_eval_seconds", "Query evaluation at a locked query's read site or at a snapshot read, excluding lock wait.", "doc", obs.LatencyBuckets),
 		decisionWrite: reg.Histogram("dtx_2pc_decision_write_seconds", "2PC decision phase: journaling the coordinator commit decision.", obs.LatencyBuckets),
 		commitFanout:  reg.Histogram("dtx_2pc_commit_fanout_seconds", "2PC commit phase: consolidation fan-out until every participant acked.", obs.LatencyBuckets),
 		quorumAck:     reg.Histogram("dtx_2pc_quorum_ack_seconds", "Quorum replication: shipQuorum wait for WriteQuorum durable acks.", obs.LatencyBuckets),

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
@@ -261,5 +262,70 @@ func TestOpEvalHistogram(t *testing.T) {
 	}
 	if text := s.MetricsText(); !strings.Contains(text, fmt.Sprintf(`dtx_op_eval_seconds_count{site="0",doc="d1"} %d`, locked+snapshot)) {
 		t.Fatalf("exposition lacks the d1 eval count:\n%s", text)
+	}
+}
+
+// TestLockWaitEnds: dtx_lock_wait_ends_total counts how each lock wait in
+// execOp ended. A wait the holder's commit ends is a wake; a holder that
+// keeps its lock past the retry interval makes the waiter's timer fire.
+func TestLockWaitEnds(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		retry time.Duration
+	}{
+		{"wake", time.Minute},
+		{"timer", time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sites, _ := newCluster(t, 1, func(cfg *Config) { cfg.RetryInterval = tc.retry })
+			s := sites[0]
+			addDoc(t, s, "d2", productsXML)
+			holder, err := s.Begin(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := holder.Exec(txn.NewUpdate("d2", &xupdate.Update{
+				Kind: xupdate.Change, Target: "//product[id='4']/price", Value: "60.00",
+			})); err != nil {
+				t.Fatal(err)
+			}
+			reader := make(chan *Result, 1)
+			go func() {
+				res, _ := s.Submit([]txn.Operation{txn.NewQuery("d2", "//product/price")})
+				reader <- res
+			}()
+			// The wake case commits once the reader has conflicted; the
+			// timer case holds the lock until the reader's timer fired.
+			blocked := func() bool { return count(t, s, "dtx_op_conflicts_total") > 0 }
+			if tc.name == "timer" {
+				blocked = func() bool { return s.m.waitEnds.With("timer").Value() > 0 }
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for !blocked() {
+				if time.Now().After(deadline) {
+					t.Fatal("the reader never waited")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if err := holder.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if res := <-reader; res == nil || res.State != txn.Committed {
+				t.Fatalf("reader: %+v", res)
+			}
+			wake, timer := s.m.waitEnds.With("wake").Value(), s.m.waitEnds.With("timer").Value()
+			if victim, cancel := s.m.waitEnds.With("victim").Value(), s.m.waitEnds.With("cancel").Value(); victim != 0 || cancel != 0 {
+				t.Fatalf("victim %d, cancel %d; want 0, 0", victim, cancel)
+			}
+			switch {
+			case tc.name == "wake" && (wake != 1 || timer != 0):
+				t.Fatalf("wake %d, timer %d; want 1, 0", wake, timer)
+			case tc.name == "timer" && timer < 1:
+				t.Fatalf("timer %d, want >= 1", timer)
+			}
+			if n := count(t, s, "dtx_lock_wait_ends_total"); n != wake+timer {
+				t.Fatalf("dtx_lock_wait_ends_total = %d, want %d", n, wake+timer)
+			}
+		})
 	}
 }

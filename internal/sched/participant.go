@@ -26,10 +26,6 @@ type localResult struct {
 	code     string
 	err      string
 	results  []string
-	// retryRouting asks the coordinator loop to re-route the operation: a
-	// replica's connection tore down mid-exchange (now marked Suspect) and
-	// the read can run again against the survivors.
-	retryRouting bool
 }
 
 // handleExecOp processes one remote operation shipped by a coordinator —
@@ -40,7 +36,7 @@ func (s *Site) handleExecOp(req transport.ExecOpReq) transport.ExecOpResp {
 	s.mu.Unlock()
 	s.m.remoteOpsProcessed.Inc()
 
-	res := s.processOperation(req.Txn, req.TS, req.Coordinator, req.OpIdx, req.Op, req.LockOnly)
+	res := s.processOperation(req.Txn, req.TS, req.Coordinator, req.OpIdx, req.Op)
 	return transport.ExecOpResp{
 		Site:           s.id,
 		Executed:       res.executed,
@@ -66,11 +62,10 @@ func (s *Site) terminatedResult(id txn.ID) localResult {
 // protocol demands for the operation; on success execute it against the
 // in-memory document; on conflict add wait-for edges and check for a local
 // deadlock; partial effects of a failed attempt are undone before returning.
-// A lockOnly query takes its locks but is left for another replica to
-// evaluate; an update ignores the flag. Everything document-shaped happens
-// under the document's own mutex — the per-document scheduling domain — so
-// operations on different documents at this site run fully in parallel.
-func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op txn.Operation, lockOnly bool) localResult {
+// Everything document-shaped happens under the document's own mutex — the
+// per-document scheduling domain — so operations on different documents at
+// this site run fully in parallel.
+func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op txn.Operation) localResult {
 	ds := s.doc(op.Doc)
 	if ds == nil {
 		return localResult{failed: true, code: txn.CodeUnknownDocument,
@@ -145,7 +140,11 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 		}
 		deadlock := ds.graph.CycleThrough(id) != nil
 		if deadlock {
+			// The requester is the victim: drop its wait edges now, or the
+			// survivor's next attempt closes a cycle through the dying
+			// victim and is chosen too.
 			s.m.localDeadlocks.Inc()
+			ds.graph.ClearWaiter(id)
 		}
 		return localResult{acquired: false, deadlock: deadlock}
 	}
@@ -171,9 +170,6 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 	switch op.Kind {
 	case txn.OpQuery:
 		out.executed = true
-		if lockOnly {
-			break
-		}
 		// Indexed path first: a predicate over an indexed key is answered
 		// from postings (plus residual filters) instead of scanning the
 		// matched extents. Falls back to the scan when no index covers the

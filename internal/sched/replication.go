@@ -18,7 +18,7 @@ import (
 // This file is the quorum-replication subsystem: the journal's redo records
 // turned into a continuously shipped replication log. In ReplicationQuorum
 // mode every operation of a read-write transaction runs at its document's
-// primary (the lowest-numbered catalog site); at commit the primary journals
+// primary (the first site of its catalog entry); at commit the primary journals
 // one record per changed document — the transaction's applied updates, in
 // order — inside its intent, and streams the unacked suffix to each
 // follower. There is no separate shipping copy: a span is read back from the

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -395,6 +397,62 @@ func TestScenario24(t *testing.T) {
 	}
 	if res3.State != txn.Committed {
 		t.Fatalf("t3 = %v (%s)", res3.State, res3.Reason)
+	}
+}
+
+// TestScanThenChangeOneVictim: two transactions, coordinated at sites 0 and
+// 1, scan the same prices of a document held at all three sites, then both
+// change one price. Both scans locked at the document's read site, so the
+// cycle closes in that one lock table: with no distributed detector
+// running, the request that closes it is the only victim and the other
+// transaction commits.
+func TestScanThenChangeOneVictim(t *testing.T) {
+	sites, _ := newCluster(t, 3, nil)
+	for _, s := range sites {
+		addDoc(t, s, "d2", productsXML)
+	}
+	sessions := make([]*Session, 2)
+	for i := range sessions {
+		sess, err := sites[i].Begin(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Exec(txn.NewQuery("d2", "//product/price")); err != nil {
+			t.Fatal(err)
+		}
+		sessions[i] = sess
+	}
+	errs := make(chan error, len(sessions))
+	for i, sess := range sessions {
+		go func() {
+			_, err := sess.Exec(txn.NewUpdate("d2", &xupdate.Update{
+				Kind: xupdate.Change, Target: "//product[id='4']/price", Value: fmt.Sprintf("6%d.00", i),
+			}))
+			if err == nil {
+				err = sess.Commit()
+			}
+			errs <- err
+		}()
+	}
+	timeout := time.After(3 * time.Second)
+	victims, committed := 0, 0
+	for range sessions {
+		select {
+		case err := <-errs:
+			switch {
+			case err == nil:
+				committed++
+			case errors.Is(err, txn.ErrDeadlock):
+				victims++
+			default:
+				t.Fatalf("unexpected outcome: %v", err)
+			}
+		case <-timeout:
+			t.Fatalf("the pair did not resolve in 3 s (%d victim(s), %d commit(s) so far)", victims, committed)
+		}
+	}
+	if victims != 1 || committed != 1 {
+		t.Fatalf("%d victim(s), %d commit(s); want 1, 1", victims, committed)
 	}
 }
 

@@ -151,11 +151,12 @@ func (sess *Session) interrupted() error {
 	return nil
 }
 
-// Exec runs one operation of the transaction at every site holding its
-// document and returns the operation's query results (nil for updates). On
-// error the transaction has already been resolved — aborted or failed
-// cluster-wide, locks released — and the same terminal error is returned by
-// any further call.
+// Exec runs one operation of the transaction — a query at its document's
+// read site, an update at every site holding the document — and returns
+// the operation's query results (nil for updates). On error the
+// transaction has already been resolved — aborted or failed cluster-wide,
+// locks released — and the same terminal error is returned by any further
+// call.
 func (sess *Session) Exec(op txn.Operation) ([]string, error) {
 	sess.mu.Lock()
 	if sess.done {
@@ -300,11 +301,14 @@ func (sess *Session) Commit() error {
 		sess.finishLocked(txn.Committed, nil)
 		return nil
 	}
-	if sess.site.commitTransaction(sess.ct) {
+	switch err := sess.site.commitTransaction(sess.ct); {
+	case err == nil:
 		sess.finishLocked(txn.Committed, nil)
-		return nil
+	case errors.Is(err, txn.ErrReplicaUnavailable):
+		sess.finishLocked(txn.Aborted, err) // a lost read site: nothing was written
+	default:
+		sess.finishLocked(txn.Failed, err)
 	}
-	sess.finishLocked(txn.Failed, fmt.Errorf("%w: commit rejected at a participant site", txn.ErrFailed))
 	return sess.err
 }
 

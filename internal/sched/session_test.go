@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/txn"
+	"repro/internal/wfg"
 	"repro/internal/xmltree"
 	"repro/internal/xupdate"
 )
@@ -369,12 +370,13 @@ func TestSubmitCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestQueryEvaluatedOnceLockedEverywhere: a locked query on a document held
-// at every site takes its locks at all three replicas, but only the
-// coordinator's copy evaluates it. The replicas that did not evaluate still
-// hold the read locks, so a conflicting write waits for the reader's commit
-// there, and the answer is a one-site evaluation's.
-func TestQueryEvaluatedOnceLockedEverywhere(t *testing.T) {
+// TestQueryLockedAtReadSiteOnly: a locked query on a document held at every
+// site locks and evaluates at its read site (site 0, first in catalog order)
+// and nowhere else. Coordinated at site 0 it sends no message at all;
+// coordinated at site 1 it runs at site 0 only. A conflicting write from
+// site 2 waits on the reader at site 0 until the reader commits, and both
+// answers are a one-site evaluation's.
+func TestQueryLockedAtReadSiteOnly(t *testing.T) {
 	const query = "//product/price"
 	oracle, _ := newCluster(t, 1, nil)
 	addDoc(t, oracle[0], "d2", productsXML)
@@ -388,7 +390,17 @@ func TestQueryEvaluatedOnceLockedEverywhere(t *testing.T) {
 		addDoc(t, s, "d2", productsXML)
 		s.Metrics().Arm()
 	}
-	sess, err := sites[0].Begin(context.Background())
+	res, err := sites[0].Submit([]txn.Operation{txn.NewQuery("d2", query)})
+	if err != nil || res.State != txn.Committed || !slices.Equal(res.Results[0], want.Results[0]) {
+		t.Fatalf("read at the read site: %v %+v, oracle %v", err, res, want.Results[0])
+	}
+	for _, s := range sites[1:] {
+		if n := count(t, s, "dtx_remote_ops_processed_total"); n != 0 {
+			t.Fatalf("site %d processed %d remote operation(s) for a read coordinated at the read site", s.id, n)
+		}
+	}
+
+	sess, err := sites[1].Begin(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,18 +412,21 @@ func TestQueryEvaluatedOnceLockedEverywhere(t *testing.T) {
 		t.Fatalf("answer %v, oracle %v", got, want.Results[0])
 	}
 	for i, s := range sites {
-		wantEvals := int64(0)
+		wantEvals, wantRemote := int64(0), int64(0)
 		if i == 0 {
-			wantEvals = 1
+			wantEvals, wantRemote = 2, 1
 		}
 		if n := histCount(s.m.opEval); n != wantEvals {
 			t.Errorf("site %d evaluated the query %d time(s), want %d", i, n, wantEvals)
 		}
+		if n := count(t, s, "dtx_remote_ops_processed_total"); n != wantRemote {
+			t.Errorf("site %d processed %d remote operation(s), want %d", i, n, wantRemote)
+		}
 		s.mu.Lock()
 		grants := s.docs["d2"].table.GrantCount()
 		s.mu.Unlock()
-		if grants == 0 {
-			t.Errorf("site %d holds no read lock", i)
+		if (grants > 0) != (i == 0) {
+			t.Errorf("site %d holds %d lock(s)", i, grants)
 		}
 	}
 
@@ -425,19 +440,10 @@ func TestQueryEvaluatedOnceLockedEverywhere(t *testing.T) {
 		}
 		writer <- res
 	}()
-	// The writer waits on the reader at both replicas that did not evaluate.
-	blockedAt := func(s *Site) bool {
-		for _, e := range s.localEdges() {
-			if e.Holder == sess.ID() {
-				return true
-			}
-		}
-		return false
-	}
 	deadline := time.Now().Add(5 * time.Second)
-	for !blockedAt(sites[1]) || !blockedAt(sites[2]) {
+	for !slices.ContainsFunc(sites[0].localEdges(), func(e wfg.Edge) bool { return e.Holder == sess.ID() }) {
 		if time.Now().After(deadline) {
-			t.Fatal("the write never waited on the reader at sites 1 and 2")
+			t.Fatal("the write never waited on the reader at site 0")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -6,10 +6,11 @@
 // distributed deadlock detection (Alg. 4), distributed commit (Alg. 5) and
 // distributed abort (Alg. 6).
 //
-// Every replica locks, one evaluates: each operation takes its locks at every
-// live replica of its document (read-one is safe against write-all), but a
-// query is evaluated only at the coordinator's copy, or at the first live
-// replica in catalog order when it holds none (transport.ExecOpReq.LockOnly).
+// Read-one/write-all over available copies: a query locks and evaluates at
+// its document's read site alone — the first live replica in catalog order,
+// the same for every coordinator — while an update locks and applies at
+// every replica, the read site included. A transaction that loses a site it
+// may hold locks at aborts with ErrReplicaUnavailable.
 //
 // Concurrency model: the paper's Algorithm 1 is a scheduler loop that
 // multiplexes transactions from a queue; here each client transaction runs
@@ -111,8 +112,8 @@ type Config struct {
 	// ReplicationEager explicitly) keeps the original semantics: every write
 	// executes at every replica and a partially-down replica set refuses
 	// writes. ReplicationQuorum routes every operation of a read-write
-	// transaction to each document's primary (the lowest-numbered catalog
-	// site) and replicates committed effects by shipping the replication log
+	// transaction to each document's primary (the first site of its catalog
+	// entry) and replicates committed effects by shipping the replication log
 	// to the followers: a commit acknowledges once WriteQuorum replicas have
 	// durably acked its records, so a partially-down replica set keeps
 	// accepting writes, and lagging followers catch up incrementally from

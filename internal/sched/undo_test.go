@@ -1,11 +1,9 @@
 package sched
 
 import (
-	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/transport"
 	"repro/internal/txn"
 	"repro/internal/xmltree"
 	"repro/internal/xupdate"
@@ -24,7 +22,7 @@ func TestPartialAcquireUndoneEverywhere(t *testing.T) {
 	// A foreign transaction holds conflicting locks at site 1 only, via the
 	// participant interface (as if coordinated elsewhere).
 	blocker := txn.ID{Site: 1, Seq: 999}
-	res := s1.processOperation(blocker, 50, 1, 0, txn.NewQuery("d1", "//person"), false)
+	res := s1.processOperation(blocker, 50, 1, 0, txn.NewQuery("d1", "//person"))
 	if !res.executed {
 		t.Fatalf("blocker setup failed: %+v", res)
 	}
@@ -192,7 +190,7 @@ func TestUndoneOperationLeavesDocumentClean(t *testing.T) {
 	id := txn.ID{Site: 0, Seq: 999}
 	res := s.processOperation(id, 50, 0, 0, txn.NewUpdate("d1", &xupdate.Update{
 		Kind: xupdate.Insert, Target: "/people", Pos: xmltree.Into, New: personSpec("22", "Patricia"),
-	}), false)
+	}))
 	if !res.executed {
 		t.Fatalf("insert: %+v", res)
 	}
@@ -213,32 +211,40 @@ func TestUndoneOperationLeavesDocumentClean(t *testing.T) {
 	}
 }
 
-// TestLockOnlyNeverSkipsAWrite: LockOnly only spares a replica a query's
-// evaluation. An update shipped with the flag set is still applied — it
-// leaves an undo entry and a changed tree — and holds its X locks against a
-// conflicting reader.
-func TestLockOnlyNeverSkipsAWrite(t *testing.T) {
+// TestLocalDeadlockVictimLeavesNoEdges: when a request closes a cycle in
+// one lock table, its transaction is the victim and keeps no wait edge. The
+// survivor's next attempt then finds no cycle, so a scan-then-change pair on
+// one document loses one transaction, not both.
+func TestLocalDeadlockVictimLeavesNoEdges(t *testing.T) {
 	sites, _ := newCluster(t, 1, nil)
 	s := sites[0]
-	addDoc(t, s, "d1", peopleXML)
-
-	id := txn.ID{Site: 1, Seq: 7}
-	r := s.handleExecOp(transport.ExecOpReq{Txn: id, TS: 50, Coordinator: 1, LockOnly: true,
-		Op: txn.NewUpdate("d1", &xupdate.Update{Kind: xupdate.Insert, Target: "/people",
-			Pos: xmltree.Into, New: personSpec("22", "Patricia")})})
-	if !r.Executed || !r.AcquireLocking || r.Failed {
-		t.Fatalf("lock-only update: %+v", r)
+	addDoc(t, s, "d2", productsXML)
+	older, younger := txn.ID{Site: 1, Seq: 1}, txn.ID{Site: 2, Seq: 1}
+	change := txn.NewUpdate("d2", &xupdate.Update{
+		Kind: xupdate.Change, Target: "//product[id='4']/price", Value: "60.00",
+	})
+	for _, id := range []txn.ID{older, younger} {
+		if r := s.processOperation(id, txn.TS(id.Site), id.Site, 0, txn.NewQuery("d2", "//product/price")); !r.executed {
+			t.Fatalf("%s scan: %+v", id, r)
+		}
 	}
-	ds := s.doc("d1")
+	if r := s.processOperation(older, 1, 1, 1, change); r.acquired || r.deadlock {
+		t.Fatalf("older change should wait on the younger scan: %+v", r)
+	}
+	r := s.processOperation(younger, 2, 2, 1, change)
+	if r.acquired || !r.deadlock {
+		t.Fatalf("younger change should close the cycle: %+v", r)
+	}
+	ds := s.doc("d2")
 	ds.mu.Lock()
-	undo, held := len(ds.undoLog), ds.table.HeldBy(id)
-	changed := strings.Contains(ds.doc.String(), "Patricia")
+	edges := ds.graph.Edges()
 	ds.mu.Unlock()
-	if undo != 1 || !changed || held == 0 {
-		t.Fatalf("undo entries %d, tree changed %v, locks held %d", undo, changed, held)
+	for _, e := range edges {
+		if e.Waiter == younger {
+			t.Fatalf("the victim kept a wait edge: %+v (all: %+v)", e, edges)
+		}
 	}
-	reader := s.processOperation(txn.ID{Site: 2, Seq: 1}, 60, 2, 0, txn.NewQuery("d1", "//person/name"), false)
-	if reader.acquired || reader.executed {
-		t.Fatalf("a reader got past the write's X locks: %+v", reader)
+	if r := s.processOperation(older, 1, 1, 1, change); r.deadlock {
+		t.Fatalf("the survivor's retry was chosen as a second victim: %+v", r)
 	}
 }

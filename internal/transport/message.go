@@ -20,17 +20,15 @@ import (
 )
 
 // ExecOpReq asks a participant to execute one remote operation of a
-// distributed transaction (Algorithm 1, l. 13 / Algorithm 2). Every replica
-// locks, one evaluates: LockOnly marks a query that another replica answers,
-// so this one takes the query's locks and reports "granted" with no results.
-// An update ignores it — every copy applies every write.
+// distributed transaction (Algorithm 1, l. 13 / Algorithm 2). A query is
+// sent to one replica, its document's read site, which locks and evaluates
+// it; an update is sent to every replica, and each locks and applies it.
 type ExecOpReq struct {
 	Txn         txn.ID
 	TS          txn.TS
 	Coordinator int
 	OpIdx       int
 	Op          txn.Operation
-	LockOnly    bool
 }
 
 // ExecOpResp reports the outcome of a remote operation, carrying the status

@@ -171,9 +171,8 @@ func TestTCPRoundTrip(t *testing.T) {
 
 func TestTCPGobCarriesUpdates(t *testing.T) {
 	var got txn.Operation
-	var lockOnly bool
 	h := HandlerFunc(func(from int, msg any) (any, error) {
-		got, lockOnly = msg.(ExecOpReq).Op, msg.(ExecOpReq).LockOnly
+		got = msg.(ExecOpReq).Op
 		return Ack{OK: true}, nil
 	})
 	n1, err := ListenTCP(1, "127.0.0.1:0", &echoHandler{site: 1})
@@ -197,12 +196,9 @@ func TestTCPGobCarriesUpdates(t *testing.T) {
 		}},
 	})
 	req := execReq()
-	req.Op, req.LockOnly = op, true
+	req.Op = op
 	if _, err := n1.Send(context.Background(), 2, req); err != nil {
 		t.Fatal(err)
-	}
-	if !lockOnly {
-		t.Fatal("LockOnly lost in transit")
 	}
 	if got.Update == nil || got.Update.New == nil || len(got.Update.New.Children) != 2 {
 		t.Fatalf("update lost in transit: %#v", got)
