@@ -12,7 +12,7 @@ CHAOS_COUNT ?= 3
 # Hot-path benchmarks: the multi-iteration pass benchjson gates against
 # BENCH_baseline.json (-max-regress AND -require: a hot benchmark missing
 # from the baseline fails the job).
-HOT_BENCH = BenchmarkDistributedTxn$$|BenchmarkDistributedQuery|BenchmarkFig12Throughput|BenchmarkFigDocsScaling|BenchmarkSnapshotReadScaling|BenchmarkQueryCache|BenchmarkCheckpoint|BenchmarkJournalIntentOps|BenchmarkQuorumCommit|BenchmarkFollowerReadScaling|BenchmarkPredicateQuery|BenchmarkObsOverhead|BenchmarkQueryDocSize|BenchmarkSingleSiteTxn|BenchmarkTxnDocSize
+HOT_BENCH = BenchmarkDistributedTxn$$|BenchmarkDistributedQuery|BenchmarkFig12Throughput|BenchmarkFigDocsScaling|BenchmarkSnapshotReadScaling|BenchmarkQueryCache|BenchmarkCheckpoint|BenchmarkJournalIntentOps|BenchmarkQuorumCommit|BenchmarkFollowerReadScaling|BenchmarkPredicateQuery|BenchmarkObsOverhead|BenchmarkQueryDocSize|BenchmarkSingleSiteTxn|BenchmarkTxnDocSize|BenchmarkTCPExchange
 
 FUZZTIME ?= 10s
 
@@ -40,6 +40,8 @@ fuzz:
 	go test -fuzz=FuzzTableOps -fuzztime $(FUZZTIME) -run '^$$' ./internal/lock
 	go test -fuzz=FuzzJournalReplay -fuzztime $(FUZZTIME) -run '^$$' ./internal/store
 	go test -fuzz=FuzzImageHeader -fuzztime $(FUZZTIME) -run '^$$' ./internal/store
+	go test -fuzz=FuzzReplRecordDecode -fuzztime $(FUZZTIME) -run '^$$' ./internal/store
+	go test -fuzz=FuzzWireDecode -fuzztime $(FUZZTIME) -run '^$$' ./internal/transport
 	go test -fuzz=FuzzApplyPeelRestoreUndo -fuzztime $(FUZZTIME) -run '^$$' ./internal/xupdate
 	go test -fuzz=FuzzEvalDocOrder -fuzztime $(FUZZTIME) -run '^$$' ./internal/xpath
 	go test -fuzz=FuzzGuidedEval -fuzztime $(FUZZTIME) -run '^$$' ./internal/dataguide

@@ -12,6 +12,7 @@
 package dtx
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/mvcc"
 	"repro/internal/replica"
 	"repro/internal/store"
+	"repro/internal/transport"
 	"repro/internal/txn"
 	"repro/internal/vindex"
 	"repro/internal/xmark"
@@ -725,6 +727,35 @@ func BenchmarkJournalIntentOps(b *testing.B) {
 		id := txn.ID{Site: 0, Seq: int64(i + 1)}
 		rec := store.ReplRecord{Index: int64(i + 1), Txn: id, TS: txn.TS(i + 1), Ops: []txn.Operation{op}}
 		if err := journal.LogIntent(id.String(), []string{"d"}, rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTCPExchange is one scheduler round trip over loopback TCP: an
+// ExecOpReq carrying a Change update, answered by an ExecOpResp with three
+// results. It measures the codec, the framing and the socket, with no
+// scheduler behind them.
+func BenchmarkTCPExchange(b *testing.B) {
+	resp := transport.ExecOpResp{Site: 2, Executed: true, AcquireLocking: true,
+		Results: []string{"<current>42.00</current>", "<current>17.50</current>", "<current>9.00</current>"}}
+	server, err := transport.ListenTCP(2, "127.0.0.1:0", transport.HandlerFunc(func(int, any) (any, error) { return resp, nil }))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer server.Close()
+	client, err := transport.ListenTCP(1, "127.0.0.1:0", transport.HandlerFunc(func(int, any) (any, error) { return nil, nil }))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer client.Close()
+	client.SetPeer(2, server.Addr())
+	req := transport.ExecOpReq{Txn: txn.ID{Site: 1, Seq: 1}, TS: 1, Coordinator: 1,
+		Op: txn.NewUpdate("x", &xupdate.Update{Kind: xupdate.Change, Target: "/site/open_auctions/open_auction[1]/current", Value: "42.00"})}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := client.Send(context.Background(), 2, req); err != nil {
 			b.Fatal(err)
 		}
 	}

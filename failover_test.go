@@ -174,7 +174,7 @@ func newReadSiteCluster(t *testing.T) (*dtx.Cluster, []string) {
 // copy, locks and evaluates at the read site, site 1. When site 1 dies under
 // the transaction, the read locks it held there are gone, so by the
 // available-copies rule the next read aborts with ErrReplicaUnavailable
-// instead of re-routing. The resubmitted transaction reads at site 2 and
+// instead of re-routing. SubmitWithRetry's transaction reads at site 2 and
 // commits with the same answer.
 func TestEvaluatorFailover(t *testing.T) {
 	cluster, want := newReadSiteCluster(t)
@@ -196,18 +196,38 @@ func TestEvaluatorFailover(t *testing.T) {
 		t.Fatalf("read after losing the read site: %v, want ErrReplicaUnavailable", err)
 	}
 
-	retry, err := cluster.Begin(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := retry.Query("d1", "//person/name"); err != nil || !slices.Equal(got, want) {
-		t.Fatalf("resubmitted answer %v (err %v), oracle %v", got, err, want)
+	res, err := cluster.SubmitWithRetry(context.Background(), 0, dtx.RetryPolicy{}, dtx.Query("d1", "//person/name"))
+	if err != nil || !res.Committed || !slices.Equal(res.Results[0], want) {
+		t.Fatalf("resubmitted answer %+v (err %v), oracle %v", res, err, want)
 	}
 	if e2 := evals(t, cluster, 2); e2 != 1 {
 		t.Fatalf("site 2 evaluated %d time(s) for the resubmitted read, want 1", e2)
 	}
-	if err := retry.Commit(); err != nil {
+}
+
+// TestSubmitWithRetryReadsAroundDeadSite: SubmitWithRetry's first attempt at
+// a read finds its read site dead (no heartbeat has noticed yet), which
+// leaves the site suspect; the retry reads at the other replica and
+// commits. A write to the same document gets ErrReplicaUnavailable back at
+// once — its only retry would fail the same way, after a minute's backoff.
+func TestSubmitWithRetryReadsAroundDeadSite(t *testing.T) {
+	cluster, want := newReadSiteCluster(t)
+	if err := cluster.KillSite(1); err != nil {
 		t.Fatal(err)
+	}
+	res, err := cluster.SubmitWithRetry(context.Background(), 0, dtx.RetryPolicy{}, dtx.Query("d1", "//person/name"))
+	if err != nil || !res.Committed || !slices.Equal(res.Results[0], want) {
+		t.Fatalf("read with retry: %+v (err %v), oracle %v", res, err, want)
+	}
+	if e1, e2 := evals(t, cluster, 1), evals(t, cluster, 2); e1 != 0 || e2 != 1 {
+		t.Fatalf("evaluations at sites 1, 2 = %d, %d; want 0, 1", e1, e2)
+	}
+	slow := dtx.RetryPolicy{Backoff: time.Minute, MaxBackoff: time.Minute}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, err = cluster.SubmitWithRetry(ctx, 0, slow, dtx.Change("d1", "//person[id=4]/name", "Al"))
+	if !errors.Is(err, dtx.ErrReplicaUnavailable) || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("write with a dead replica: %v, want ErrReplicaUnavailable at once", err)
 	}
 }
 

@@ -256,15 +256,17 @@ func TestBuildClusterInvariants(t *testing.T) {
 
 // TestCrashInjectionWorkload: a chaos run — a replica dies mid-checkpoint
 // under the auction workload (enough update transactions for its document to
-// come due for one); the run completes, the survivors keep committing, and
-// the victim is verifiably dead.
+// come due for one: a checkpoint is due once the journal's records since the
+// image are as large as the image, so the base is small enough for 144
+// binary records to outgrow it); the run completes, the survivors keep
+// committing, and the victim is verifiably dead.
 func TestCrashInjectionWorkload(t *testing.T) {
 	p := Params{
 		Sites:       3,
 		Clients:     6,
 		TxPerClient: 24,
 		UpdateTxPct: 100,
-		BaseBytes:   32 << 10,
+		BaseBytes:   4 << 10,
 		Heartbeat:   5 * time.Millisecond,
 		Crash:       &CrashSpec{Site: 1, Stage: CrashMidCheckpoint},
 		Seed:        11,

@@ -1,11 +1,19 @@
 package store
 
 import (
+	"bytes"
+	"encoding/base64"
+	"encoding/gob"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/txn"
+	"repro/internal/xmltree"
 	"repro/internal/xupdate"
 )
 
@@ -98,6 +106,75 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		if _, err := replayOpen(path); err != nil {
 			t.Fatalf("Recover after append: %v", err)
+		}
+	})
+}
+
+// TestJournalRefusesGobEraRecord: an intent whose payload is a gob stream,
+// the record format journals used before the binary one, is refused on
+// replay with an error naming that format, not read as some other record.
+func TestJournalRefusesGobEraRecord(t *testing.T) {
+	rec := mkRec(0, 1)
+	rec.Index = 1
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+		t.Fatal(err)
+	}
+	payload := base64.StdEncoding.EncodeToString(buf.Bytes())
+	entries := "d1 1 " + payload
+	path := filepath.Join(t.TempDir(), "commit.log")
+	if err := os.WriteFile(path, []byte("I t0.1 "+intentSum("t0.1", entries)+" "+entries+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if _, err := j.OpenRecords("d1"); !errors.Is(err, errGobEra) || !strings.Contains(err.Error(), "gob-era") {
+		t.Fatalf("replaying a gob record: err = %v", err)
+	}
+}
+
+// FuzzReplRecordDecode decodes arbitrary bytes as a journal payload. It must
+// not panic, nor allocate more than a small multiple of the input; a record
+// that decodes must survive encode → decode unchanged.
+func FuzzReplRecordDecode(f *testing.F) {
+	ins := mkRec(3, 9)
+	ins.Ops = append(ins.Ops, txn.NewQuery("d1", "//a"), txn.NewUpdate("d1", &xupdate.Update{
+		Kind: xupdate.Insert, Target: "/a", Pos: xmltree.Before,
+		New: &xupdate.NodeSpec{Name: "b", Attrs: []xmltree.Attr{{Name: "k", Value: "v"}},
+			Children: []*xupdate.NodeSpec{{Name: "c", Text: "t"}}},
+	}))
+	for _, rec := range []ReplRecord{mkRec(0, 1), ins, {}} {
+		payload, err := EncodeReplRecord(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		raw, _ := base64.StdEncoding.DecodeString(payload)
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payload := base64.StdEncoding.EncodeToString(data)
+		var rec ReplRecord
+		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec, err = DecodeReplRecord(payload)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 32*uint64(len(data))+64<<10 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
+		if err != nil {
+			return
+		}
+		payload, err = EncodeReplRecord(rec)
+		if err != nil {
+			t.Fatalf("decoded record does not encode: %v", err)
+		}
+		again, err := DecodeReplRecord(payload)
+		if err != nil || !reflect.DeepEqual(again, rec) {
+			t.Fatalf("encode → decode changed\n%#v\ninto\n%#v (err %v)", rec, again, err)
 		}
 	})
 }

@@ -7,13 +7,12 @@
 //
 // Two interchangeable transports are provided: an in-process network with
 // configurable synthetic latency (the default for experiments, standing in
-// for the paper's 100 Mbit/s LAN), and a TCP transport using encoding/gob
-// for multi-process deployments (cmd/dtxd).
+// for the paper's 100 Mbit/s LAN), and a TCP transport for multi-process
+// deployments (cmd/dtxd) that carries every message below in the binary
+// frames of codec.go.
 package transport
 
 import (
-	"encoding/gob"
-
 	"repro/internal/store"
 	"repro/internal/txn"
 	"repro/internal/wfg"
@@ -287,37 +286,4 @@ type LogFetchResp struct {
 	PastHorizon bool
 	Head        int64
 	Records     []store.ReplRecord
-}
-
-func init() {
-	gob.Register(ExecOpReq{})
-	gob.Register(ExecOpResp{})
-	gob.Register(UndoOpReq{})
-	gob.Register(CommitReq{})
-	gob.Register(AbortReq{})
-	gob.Register(Ack{})
-	gob.Register(WFGReq{})
-	gob.Register(WFGResp{})
-	gob.Register(VictimReq{})
-	gob.Register(WakeReq{})
-	gob.Register(SubmitReq{})
-	gob.Register(SubmitResp{})
-	gob.Register(PingReq{})
-	gob.Register(TxnStatusReq{})
-	gob.Register(TxnStatusResp{})
-	gob.Register(FetchDocReq{})
-	gob.Register(FetchDocResp{})
-	gob.Register(SiteStatusReq{})
-	gob.Register(SiteStatusResp{})
-	gob.Register(MetricsReq{})
-	gob.Register(MetricsResp{})
-	gob.Register(RecoverReq{})
-	gob.Register(RecoverResp{})
-	gob.Register(SnapshotReadReq{})
-	gob.Register(SnapshotReadResp{})
-	gob.Register(SnapshotReleaseReq{})
-	gob.Register(LogShipReq{})
-	gob.Register(LogAck{})
-	gob.Register(LogFetchReq{})
-	gob.Register(LogFetchResp{})
 }

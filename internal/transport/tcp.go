@@ -1,29 +1,13 @@
 package transport
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 )
-
-// envelope frames one request on the wire. ID multiplexes many concurrent
-// exchanges over one connection: the peer echoes it on the matching
-// replyEnvelope, so responses may arrive in any order.
-type envelope struct {
-	ID   uint64
-	From int
-	Msg  any
-}
-
-// replyEnvelope frames one response, tagged with the request ID it answers.
-type replyEnvelope struct {
-	ID  uint64
-	Msg any
-	Err string
-}
 
 // ErrPeerClosed reports that the connection to a peer was torn down — the
 // peer crashed, closed, or this node shut down — while a request was in
@@ -31,10 +15,10 @@ type replyEnvelope struct {
 // ErrPeerClosed; the next Send to the peer dials a fresh connection.
 var ErrPeerClosed = errors.New("transport: peer connection closed")
 
-// TCPNode is a site endpoint communicating over TCP with gob encoding. Each
-// peer gets one persistent connection carrying a multiplexed framed
+// TCPNode is a site endpoint communicating over TCP in the binary frames of
+// codec.go. Each peer gets one persistent connection carrying a multiplexed
 // protocol: every request is tagged with an ID, a writer goroutine pipelines
-// outbound envelopes, and a reader goroutine dispatches responses to the
+// outbound frames, and a reader goroutine dispatches responses to the
 // callers waiting on their IDs — so any number of transactions share the
 // connection without serialising on each other's round trips.
 type TCPNode struct {
@@ -58,7 +42,7 @@ type clientConn struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan replyEnvelope
+	pending map[uint64]chan envelope
 	err     error // terminal cause, set once before done is closed
 
 	done chan struct{} // closed when the connection is dead
@@ -121,7 +105,8 @@ func (n *TCPNode) acceptLoop() {
 // serveConn is the server half of the multiplexed protocol: requests are
 // decoded in order but handled each in its own goroutine, and responses are
 // written back as they complete — out of order when a later request finishes
-// first. A mutex serialises encoder access; gob frames stay intact.
+// first. A mutex serialises the writes, each reply encoded into one buffer
+// the connection reuses.
 func (n *TCPNode) serveConn(conn net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -137,28 +122,36 @@ func (n *TCPNode) serveConn(conn net.Conn) {
 	}
 	n.serving[conn] = true
 	n.mu.Unlock()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	var encMu sync.Mutex
+	r := bufio.NewReader(conn)
+	var in, out []byte
+	var outMu sync.Mutex
 	for {
 		var env envelope
-		if err := dec.Decode(&env); err != nil {
+		var err error
+		if env, in, err = readFrame(r, in, false); err != nil {
 			return
 		}
 		n.wg.Add(1)
 		go func(env envelope) {
 			defer n.wg.Done()
 			resp, err := n.handler.HandleMessage(env.From, env.Msg)
-			rep := replyEnvelope{ID: env.ID, Msg: resp}
+			rep := envelope{ID: env.ID, Msg: resp}
 			if err != nil {
 				rep.Err = err.Error()
 			}
-			encMu.Lock()
-			// An encode failure means the connection died; the decode loop
-			// is failing with it, and the client side rejects its in-flight
+			outMu.Lock()
+			defer outMu.Unlock()
+			if out, err = appendFrame(out[:0], &rep, true); err != nil {
+				rep = envelope{ID: env.ID, Err: err.Error()}
+				out, _ = appendFrame(out[:0], &rep, true) // an error text always encodes
+			}
+			// A write failure means the connection died; the read loop is
+			// failing with it, and the client side rejects its in-flight
 			// calls through its own reader.
-			_ = enc.Encode(&rep)
-			encMu.Unlock()
+			_, _ = conn.Write(out)
+			if cap(out) > keepBuf {
+				out = nil
+			}
 		}(env)
 	}
 }
@@ -194,7 +187,7 @@ func (n *TCPNode) client(ctx context.Context, to int) (*clientConn, error) {
 	c := &clientConn{
 		conn:    conn,
 		sendCh:  make(chan envelope, 64),
-		pending: make(map[uint64]chan replyEnvelope),
+		pending: make(map[uint64]chan envelope),
 		done:    make(chan struct{}),
 	}
 
@@ -233,14 +226,23 @@ func (n *TCPNode) client(ctx context.Context, to int) (*clientConn, error) {
 }
 
 // writeLoop drains the send queue onto the wire, pipelining outbound
-// envelopes from any number of callers.
+// frames from any number of callers. Frames queue in a buffered writer that
+// is flushed once the queue is empty, so a burst costs one write.
 func (n *TCPNode) writeLoop(c *clientConn) {
 	defer n.wg.Done()
-	enc := gob.NewEncoder(c.conn)
+	w := bufio.NewWriter(c.conn)
 	for {
 		select {
 		case env := <-c.sendCh:
-			if err := enc.Encode(&env); err != nil {
+			b, err := appendFrame(w.AvailableBuffer(), &env, false)
+			if err != nil {
+				c.deliver(envelope{ID: env.ID, Err: err.Error()})
+				continue
+			}
+			if _, err = w.Write(b); err == nil && len(c.sendCh) == 0 {
+				err = w.Flush()
+			}
+			if err != nil {
 				c.fail(fmt.Errorf("transport: write: %w (%w)", err, ErrPeerClosed))
 				return
 			}
@@ -254,23 +256,30 @@ func (n *TCPNode) writeLoop(c *clientConn) {
 // its request ID. When the connection dies it rejects every in-flight call.
 func (n *TCPNode) readLoop(to int, c *clientConn) {
 	defer n.wg.Done()
-	dec := gob.NewDecoder(c.conn)
+	r := bufio.NewReader(c.conn)
+	var in []byte
 	for {
-		var rep replyEnvelope
-		if err := dec.Decode(&rep); err != nil {
+		var rep envelope
+		var err error
+		if rep, in, err = readFrame(r, in, true); err != nil {
 			c.fail(fmt.Errorf("transport: read: %w (%w)", err, ErrPeerClosed))
 			n.dropClient(to, c)
 			return
 		}
-		c.mu.Lock()
-		ch := c.pending[rep.ID]
-		delete(c.pending, rep.ID)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- rep // buffered; never blocks
-		}
-		// No waiter: the caller gave up (cancelled context) and the response
-		// is discarded — the connection stays healthy for everyone else.
+		c.deliver(rep)
+	}
+}
+
+// deliver hands a reply to the caller waiting on its request ID. With no
+// waiter (the caller gave up on a cancelled context) the reply is discarded
+// — the connection stays healthy for everyone else.
+func (c *clientConn) deliver(rep envelope) {
+	c.mu.Lock()
+	ch := c.pending[rep.ID]
+	delete(c.pending, rep.ID)
+	c.mu.Unlock()
+	if ch != nil {
+		ch <- rep // buffered; never blocks
 	}
 }
 
@@ -327,7 +336,7 @@ func (n *TCPNode) Send(ctx context.Context, to int, msg any) (any, error) {
 		return nil, err
 	}
 
-	ch := make(chan replyEnvelope, 1)
+	ch := make(chan envelope, 1)
 	c.mu.Lock()
 	select {
 	case <-c.done:

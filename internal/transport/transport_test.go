@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/txn"
-	"repro/internal/xupdate"
 )
 
 // echoHandler answers ExecOpReq with a canned response and errors on demand.
@@ -166,45 +165,6 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	if _, ok := resp.(WFGResp); !ok {
 		t.Fatalf("resp = %#v", resp)
-	}
-}
-
-func TestTCPGobCarriesUpdates(t *testing.T) {
-	var got txn.Operation
-	h := HandlerFunc(func(from int, msg any) (any, error) {
-		got = msg.(ExecOpReq).Op
-		return Ack{OK: true}, nil
-	})
-	n1, err := ListenTCP(1, "127.0.0.1:0", &echoHandler{site: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n1.Close()
-	n2, err := ListenTCP(2, "127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n2.Close()
-	n1.SetPeer(2, n2.Addr())
-
-	op := txn.NewUpdate("d2", &xupdate.Update{
-		Kind:   xupdate.Insert,
-		Target: "/products",
-		New: &xupdate.NodeSpec{Name: "product", Children: []*xupdate.NodeSpec{
-			{Name: "id", Text: "13"},
-			{Name: "price", Text: "10.30"},
-		}},
-	})
-	req := execReq()
-	req.Op = op
-	if _, err := n1.Send(context.Background(), 2, req); err != nil {
-		t.Fatal(err)
-	}
-	if got.Update == nil || got.Update.New == nil || len(got.Update.New.Children) != 2 {
-		t.Fatalf("update lost in transit: %#v", got)
-	}
-	if got.Update.New.Children[1].Text != "10.30" {
-		t.Fatal("nested spec corrupted")
 	}
 }
 

@@ -46,7 +46,7 @@ func (k Kind) String() string {
 }
 
 // NodeSpec describes a subtree to insert. It is pure data so it can travel
-// through encoding/gob to participant sites.
+// through the wire codec to participant sites and into the journal.
 type NodeSpec struct {
 	Name     string
 	Text     string
@@ -77,8 +77,9 @@ func (s *NodeSpec) Build(doc *xmltree.Document) (*xmltree.Node, error) {
 }
 
 // Update is one update operation against a document. Target paths are kept
-// as raw XPath text so the struct serialises cleanly through encoding/gob
-// (the parsed forms are unexported and rebuilt on the receiving side).
+// as raw XPath text so the struct serialises as plain fields through the
+// wire codec (the parsed forms are unexported and rebuilt on the receiving
+// side).
 type Update struct {
 	Kind    Kind
 	Target  string      // XPath selecting the node(s) the operation applies to
@@ -90,7 +91,7 @@ type Update struct {
 	Target2 string      // Transpose: second path
 
 	// tq / t2q hold the immutable pre-parsed forms of Target / Target2,
-	// populated by Validate (or lazily on first use — a gob-decoded Update
+	// populated by Validate (or lazily on first use — a decoded Update
 	// arrives without them). One Update fans out to several sites'
 	// schedulers concurrently, so the slots are atomic; xpath.Query is
 	// read-only after Parse, making the parsed value itself shareable.

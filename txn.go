@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -196,9 +197,10 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // application", and this is that decision packaged as a bounded
 // exponential-backoff policy. ErrDeadlock and ErrSnapshotUnavailable
 // outcomes are retried (both mean "resubmission is safe and should
-// succeed"); any other error (including a cancellation-triggered ErrAborted)
-// returns immediately. After MaxAttempts the last retryable error is
-// returned.
+// succeed"), and so is a read-only ErrReplicaUnavailable: the dead site is
+// suspect now, so the resubmission reads elsewhere. Any other error (a
+// write's lost replica, a cancellation-triggered ErrAborted) returns
+// immediately. After MaxAttempts the last retryable error is returned.
 func (c *Cluster) SubmitWithRetry(ctx context.Context, site int, policy RetryPolicy, ops ...Op) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -207,7 +209,8 @@ func (c *Cluster) SubmitWithRetry(ctx context.Context, site int, policy RetryPol
 	backoff := policy.Backoff
 	for attempt := 1; ; attempt++ {
 		res, err := c.SubmitCtx(ctx, site, ops...)
-		retryable := errors.Is(err, ErrDeadlock) || errors.Is(err, ErrSnapshotUnavailable)
+		retryable := errors.Is(err, ErrDeadlock) || errors.Is(err, ErrSnapshotUnavailable) ||
+			errors.Is(err, ErrReplicaUnavailable) && !slices.ContainsFunc(ops, func(op Op) bool { return op.inner.Kind != txn.OpQuery })
 		if err == nil || !retryable || attempt >= policy.MaxAttempts {
 			return res, err
 		}
