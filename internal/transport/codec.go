@@ -32,21 +32,20 @@ const frameHeader = 4
 // one (a fetched document) is dropped after its frame.
 const keepBuf = 64 << 10
 
-// appendFrame appends env as one frame to b.
+// appendFrame appends env as one frame to b. On error it returns b as given.
 func appendFrame(b []byte, env *envelope, reply bool) ([]byte, error) {
-	start := len(b)
 	c := wire.NewEncoder(append(b, make([]byte, frameHeader)...))
 	env.code(&c, reply)
-	b = c.Bytes()
 	if err := c.Err(); err != nil {
-		return b[:start], fmt.Errorf("transport: encode %T: %w", env.Msg, err)
+		return b, fmt.Errorf("transport: encode %T: %w", env.Msg, err)
 	}
-	n := len(b) - start - frameHeader
+	out := c.Bytes()
+	n := len(out) - len(b) - frameHeader
 	if n > math.MaxUint32 {
-		return b[:start], fmt.Errorf("transport: encode %T: %d-byte frame", env.Msg, n)
+		return b, fmt.Errorf("transport: encode %T: %d-byte frame", env.Msg, n)
 	}
-	binary.BigEndian.PutUint32(b[start:], uint32(n))
-	return b, nil
+	binary.BigEndian.PutUint32(out[len(b):], uint32(n))
+	return out, nil
 }
 
 // readFrame reads one frame and decodes its envelope, reading into buf and

@@ -18,9 +18,9 @@ import (
 	"repro/internal/xupdate"
 )
 
-// MaxDepth bounds the nesting of an inserted subtree (a NodeSpec) in either
+// maxDepth bounds the nesting of an inserted subtree (a NodeSpec) in either
 // direction, so a hostile input cannot recurse the decoder off its stack.
-const MaxDepth = 10_000
+const maxDepth = 10_000
 
 // Coder encodes or decodes one value. The zero value is not usable; start
 // one with NewEncoder or NewDecoder.
@@ -44,7 +44,7 @@ func (c *Coder) Decoding() bool { return c.dec }
 // Bytes returns the encoded output.
 func (c *Coder) Bytes() []byte { return c.b }
 
-// Err returns the first error met: a spec nested past MaxDepth, or when
+// Err returns the first error met: a spec nested past maxDepth, or when
 // decoding a malformed field or input left over after the value.
 func (c *Coder) Err() error {
 	if c.dec && c.err == nil && len(c.b) > 0 {
@@ -229,8 +229,8 @@ func (c *Coder) update(u *xupdate.Update) {
 }
 
 func (c *Coder) nodeSpec(s *xupdate.NodeSpec) {
-	if c.depth++; c.depth > MaxDepth {
-		c.Fail(fmt.Errorf("wire: node spec nested deeper than %d", MaxDepth))
+	if c.depth++; c.depth > maxDepth {
+		c.Fail(fmt.Errorf("wire: node spec nested deeper than %d", maxDepth))
 		return
 	}
 	c.String(&s.Name, &s.Text)
