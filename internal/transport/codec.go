@@ -282,15 +282,11 @@ func (m *SnapshotReadResp) code(c *wire.Coder) {
 
 func (m *SnapshotReleaseReq) code(c *wire.Coder) { c.ID(&m.Txn) }
 
-// codeRecord codes a replication record, which takes at least 5 bytes:
-// index, ID, TS and op count.
-func codeRecord(c *wire.Coder, r *store.ReplRecord) { r.Code(c) }
-
 func (m *LogShipReq) code(c *wire.Coder) {
 	c.String(&m.Doc)
 	c.Int(&m.From, &m.Primary)
 	c.Int64(&m.Head)
-	wire.Slice(c, &m.Records, 5, codeRecord)
+	wire.Slice(c, &m.Records, 5, func(c *wire.Coder, r *store.ReplRecord) { r.Code(c) }) // index, ID, TS, op count
 }
 
 func (m *LogAck) code(c *wire.Coder) {
@@ -308,5 +304,5 @@ func (m *LogFetchReq) code(c *wire.Coder) {
 func (m *LogFetchResp) code(c *wire.Coder) {
 	c.Bool(&m.Found, &m.PastHorizon)
 	c.Int64(&m.Head)
-	wire.Slice(c, &m.Records, 5, codeRecord)
+	wire.Slice(c, &m.Records, 5, func(c *wire.Coder, r *store.ReplRecord) { r.Code(c) }) // index, ID, TS, op count
 }

@@ -102,11 +102,13 @@ func (c *Coder) Int64(vs ...*int64) {
 // goroutines.
 func (c *Coder) Int(vs ...*int) {
 	for _, v := range vs {
-		x := int64(*v)
-		c.Int64(&x)
-		if c.dec {
-			*v = int(x)
+		if !c.dec {
+			c.b = binary.AppendVarint(c.b, int64(*v))
+			continue
 		}
+		x, n := binary.Varint(c.b)
+		c.skip(n)
+		*v = int(x)
 	}
 }
 
