@@ -737,7 +737,7 @@ func BenchmarkJournalIntentOps(b *testing.B) {
 // results. It measures the codec, the framing and the socket, with no
 // scheduler behind them.
 func BenchmarkTCPExchange(b *testing.B) {
-	resp := transport.ExecOpResp{Site: 2, Executed: true, AcquireLocking: true,
+	resp := transport.ExecOpResp{Executed: true, AcquireLocking: true,
 		Results: []string{"<current>42.00</current>", "<current>17.50</current>", "<current>9.00</current>"}}
 	server, err := transport.ListenTCP(2, "127.0.0.1:0", transport.HandlerFunc(func(int, any) (any, error) { return resp, nil }))
 	if err != nil {
@@ -750,7 +750,7 @@ func BenchmarkTCPExchange(b *testing.B) {
 	}
 	defer client.Close()
 	client.SetPeer(2, server.Addr())
-	req := transport.ExecOpReq{Txn: txn.ID{Site: 1, Seq: 1}, TS: 1, Coordinator: 1,
+	req := transport.ExecOpReq{Txn: txn.ID{Site: 1, Seq: 1}, TS: 1,
 		Op: txn.NewUpdate("x", &xupdate.Update{Kind: xupdate.Change, Target: "/site/open_auctions/open_auction[1]/current", Value: "42.00"})}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -148,7 +148,7 @@ func TestStaleOpAfterTerminationDoesNotResurrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp, err := part.HandleMessage(0, transport.ExecOpReq{
-		Txn: id, TS: 5, Coordinator: 0, OpIdx: 0,
+		Txn: id, TS: 5, OpIdx: 0,
 		Op: txn.NewUpdate("d1", &xupdate.Update{Kind: xupdate.Insert, Target: "/people",
 			Pos: xmltree.Into, New: personSpec("z", "Zombie")}),
 	})

@@ -28,6 +28,16 @@ func validateOp(i int, op txn.Operation) error {
 	return nil
 }
 
+// abortCause is the abort a done context inflicts on a transaction — the
+// client's cancellation, or the stop of the site whose lifecycle context it
+// is — or nil while ctx is live.
+func abortCause(ctx context.Context) error {
+	if ctx.Err() == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", txn.ErrAborted, context.Cause(ctx))
+}
+
 // Submit runs a batch transaction with this site as coordinator and blocks
 // until it commits, aborts or fails (Algorithm 1). An error is returned only
 // for malformed submissions; the transaction's own outcome — including its
@@ -82,14 +92,14 @@ func (s *Site) submitWith(ctx context.Context, ops []txn.Operation, begin func(c
 	for i := 0; i < len(ops); {
 		if i > 0 && s.cfg.OpDelay > 0 {
 			// Client think time between operations; a cancellation during
-			// the pause is observed by the next Exec (or by the session
-			// watcher, whichever gets there first).
+			// the pause is observed by the next Exec (or by the session's
+			// cancellation callback, whichever gets there first).
 			timer := time.NewTimer(s.cfg.OpDelay)
 			select {
 			case <-timer.C:
 			case <-ctx.Done():
 				timer.Stop()
-			case <-s.stopCh:
+			case <-s.ctx.Done():
 				timer.Stop()
 			}
 		}
@@ -135,18 +145,16 @@ func (s *Site) beginTxn() *coordTxn {
 	id := txn.ID{Site: s.id, Seq: s.seq}
 	ts := s.clock.Tick()
 	ct := &coordTxn{
-		t:        txn.New(id, ts, nil),
-		wake:     make(chan struct{}),
-		abortCh:  make(chan string, 1),
-		sites:    make(map[int]bool),
-		finished: make(chan struct{}),
+		t:       txn.New(id, ts, nil),
+		wake:    make(chan struct{}),
+		abortCh: make(chan string, 1),
+		sites:   make(map[int]bool),
 	}
 	if s.traceArmed {
 		ct.trace = newTxnTrace()
 		ct.trace.add("begin", "", 0, 0)
 	}
 	s.coord[id] = ct
-	s.coordOf[id] = s.id
 	return ct
 }
 
@@ -171,8 +179,8 @@ func (s *Site) execOp(ctx context.Context, ct *coordTxn, opIdx int) error {
 			return fmt.Errorf("%w: %s", txn.ErrDeadlock, r)
 		default:
 		}
-		if ctx.Err() != nil {
-			return fmt.Errorf("%w: %w", txn.ErrAborted, context.Cause(ctx))
+		if err := abortCause(ctx); err != nil {
+			return err
 		}
 
 		// Replica-aware routing: a read runs at its document's read site,
@@ -223,7 +231,7 @@ func (s *Site) execOp(ctx context.Context, ct *coordTxn, opIdx int) error {
 				// A send abandoned by cancellation classified the failure as
 				// an abort; keep the actual cause in the chain instead of the
 				// stringified transport error.
-				return fmt.Errorf("%w: %w", txn.ErrAborted, context.Cause(ctx))
+				return abortCause(ctx)
 			}
 			msg := res.err
 			if msg == "" {
@@ -268,11 +276,11 @@ func (s *Site) execOp(ctx context.Context, ct *coordTxn, opIdx int) error {
 		case <-ctx.Done():
 			timer.Stop()
 			s.m.waitEnds.With("cancel").Inc()
-			return fmt.Errorf("%w: %w", txn.ErrAborted, context.Cause(ctx))
-		case <-s.stopCh:
+			return abortCause(ctx)
+		case <-s.ctx.Done():
 			timer.Stop()
 			s.m.waitEnds.With("cancel").Inc()
-			return fmt.Errorf("%w: site stopping", txn.ErrAborted)
+			return abortCause(s.ctx)
 		case <-timer.C:
 			s.m.waitEnds.With("timer").Inc()
 		}
@@ -347,9 +355,7 @@ func (s *Site) execRemote(ctx context.Context, ct *coordTxn, opIdx int, op txn.O
 		go func(i, site int) {
 			defer wg.Done()
 			s.m.remoteOpsSent.Inc()
-			resp, err := s.send(ctx, site, transport.ExecOpReq{
-				Txn: id, TS: ts, Coordinator: s.id, OpIdx: opIdx, Op: op,
-			})
+			resp, err := s.send(ctx, site, transport.ExecOpReq{Txn: id, TS: ts, OpIdx: opIdx, Op: op})
 			if err != nil {
 				results[i].err = err
 				return
@@ -371,7 +377,7 @@ func (s *Site) execRemote(ctx context.Context, ct *coordTxn, opIdx int, op txn.O
 		}(i, site)
 	}
 	if local >= 0 {
-		results[local].res = s.processOperation(id, ts, s.id, opIdx, op)
+		results[local].res = s.processOperation(id, ts, opIdx, op)
 	}
 	wg.Wait()
 

@@ -18,7 +18,7 @@ func (s *Site) detectorLoop() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-s.stopCh:
+		case <-s.ctx.Done():
 			return
 		case <-ticker.C:
 			s.CheckDeadlocks()

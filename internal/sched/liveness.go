@@ -174,7 +174,7 @@ func (s *Site) heartbeatLoop() {
 	rounds := 0
 	for {
 		select {
-		case <-s.stopCh:
+		case <-s.ctx.Done():
 			return
 		case <-ticker.C:
 		}
@@ -236,8 +236,8 @@ func (s *Site) abortOrphans(coordSite int) {
 		defer s.wg.Done()
 		s.mu.Lock()
 		var orphans []txn.ID
-		for id, pt := range s.part {
-			if pt.coordinator == coordSite {
+		for id := range s.part {
+			if id.Site == coordSite {
 				orphans = append(orphans, id)
 			}
 		}
@@ -251,8 +251,8 @@ func (s *Site) abortOrphans(coordSite int) {
 		// the coordinator. Releasing frees the pinned versions for GC.
 		s.roMu.Lock()
 		var roOrphans []txn.ID
-		for id, set := range s.roPins {
-			if set.coordinator == coordSite {
+		for id := range s.roPins {
+			if id.Site == coordSite {
 				roOrphans = append(roOrphans, id)
 			}
 		}
@@ -345,7 +345,7 @@ func (s *Site) resolveOrphan(id txn.ID) {
 			timer := time.NewTimer(25 * time.Millisecond)
 			select {
 			case <-timer.C:
-			case <-s.stopCh:
+			case <-s.ctx.Done():
 				timer.Stop()
 				return
 			}

@@ -80,7 +80,7 @@ func TestCommitRefusedAfterLocalAbort(t *testing.T) {
 	addDoc(t, s, "d2", productsXML)
 	id := txn.ID{Site: 7, Seq: 1}
 	resp, err := s.HandleMessage(7, transport.ExecOpReq{
-		Txn: id, TS: 1, Coordinator: 7, OpIdx: 0,
+		Txn: id, TS: 1, OpIdx: 0,
 		Op: txn.NewUpdate("d2", &xupdate.Update{
 			Kind: xupdate.Change, Target: "//product[id='4']/price", Value: "1.00",
 		}),
@@ -98,7 +98,7 @@ func TestCommitRefusedAfterLocalAbort(t *testing.T) {
 	}
 	// The other direction is idempotent: committing twice stays OK.
 	resp, _ = s.HandleMessage(7, transport.ExecOpReq{
-		Txn: txn.ID{Site: 7, Seq: 2}, TS: 2, Coordinator: 7, OpIdx: 0,
+		Txn: txn.ID{Site: 7, Seq: 2}, TS: 2, OpIdx: 0,
 		Op: txn.NewQuery("d2", "//product"),
 	})
 	if !resp.(transport.ExecOpResp).Executed {

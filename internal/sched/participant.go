@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -36,9 +37,8 @@ func (s *Site) handleExecOp(req transport.ExecOpReq) transport.ExecOpResp {
 	s.mu.Unlock()
 	s.m.remoteOpsProcessed.Inc()
 
-	res := s.processOperation(req.Txn, req.TS, req.Coordinator, req.OpIdx, req.Op)
+	res := s.processOperation(req.Txn, req.TS, req.OpIdx, req.Op)
 	return transport.ExecOpResp{
-		Site:           s.id,
 		Executed:       res.executed,
 		AcquireLocking: res.acquired,
 		Deadlock:       res.deadlock,
@@ -65,7 +65,7 @@ func (s *Site) terminatedResult(id txn.ID) localResult {
 // Everything document-shaped happens under the document's own mutex — the
 // per-document scheduling domain — so operations on different documents at
 // this site run fully in parallel.
-func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op txn.Operation) localResult {
+func (s *Site) processOperation(id txn.ID, ts txn.TS, opIdx int, op txn.Operation) localResult {
 	ds := s.doc(op.Doc)
 	if ds == nil {
 		return localResult{failed: true, code: txn.CodeUnknownDocument,
@@ -82,14 +82,12 @@ func (s *Site) processOperation(id txn.ID, ts txn.TS, coordinator, opIdx int, op
 	pt := s.part[id]
 	if pt == nil {
 		pt = &partTxn{
-			id:          id,
-			ts:          ts,
-			coordinator: coordinator,
-			created:     time.Now(),
-			docs:        make(map[string]bool),
+			id:      id,
+			ts:      ts,
+			created: time.Now(),
+			docs:    make(map[string]bool),
 		}
 		s.part[id] = pt
-		s.coordOf[id] = coordinator
 	}
 	s.mu.Unlock()
 	pt.touch(op.Doc)
@@ -226,12 +224,11 @@ func (s *Site) undoOpLocal(id txn.ID, opIdx int) {
 		waiters = collectWaitersLocked(ds, id, waiters)
 		ds.mu.Unlock()
 	}
-	wake := s.waiterCoordinators(waiters)
 	if s.cfg.History != nil {
 		s.cfg.History.OnUndone(s.id, id, opIdx)
 	}
 	if released > 0 {
-		s.notifyWaiters(wake)
+		s.notifyWaiters(waiters)
 	}
 }
 
@@ -246,33 +243,13 @@ func collectWaitersLocked(ds *docState, id txn.ID, waiters []txn.ID) []txn.ID {
 	return waiters
 }
 
-// waiterCoordinators maps waiting transactions to their coordinator sites.
-// The returned map is consumed by notifyWaiters outside any mutex
-// (transport sends must never happen under a scheduler mutex).
-func (s *Site) waiterCoordinators(waiters []txn.ID) map[txn.ID]int {
-	if len(waiters) == 0 {
-		return nil
-	}
-	out := make(map[txn.ID]int, len(waiters))
-	s.mu.Lock()
-	for _, w := range waiters {
-		coordSite, ok := s.coordOf[w]
-		if !ok {
-			coordSite = w.Site // transaction IDs embed their coordinator
-		}
-		out[w] = coordSite
-	}
-	s.mu.Unlock()
-	return out
-}
-
 // releaseLocks releases every lock of the transaction in the named
-// documents (strict-2PL release) and returns the waiters to wake, mapped
-// to their coordinator sites. It also drops the transaction from those
-// documents' wait-for graphs. Locks and wait edges can only exist in
+// documents (strict-2PL release) and returns the waiters to wake, for
+// notifyWaiters to signal outside every mutex. It also drops the
+// transaction from those documents' wait-for graphs. Locks and wait edges can only exist in
 // documents the transaction touched (partTxn.docs), so passing
 // pt.docNames() keeps release O(touched documents), not O(site documents).
-func (s *Site) releaseLocks(id txn.ID, names []string) map[txn.ID]int {
+func (s *Site) releaseLocks(id txn.ID, names []string) []txn.ID {
 	var waiters []txn.ID
 	for _, name := range names {
 		ds := s.doc(name)
@@ -287,7 +264,7 @@ func (s *Site) releaseLocks(id txn.ID, names []string) map[txn.ID]int {
 		ds.graph.RemoveTxn(id)
 		ds.mu.Unlock()
 	}
-	return s.waiterCoordinators(waiters)
+	return waiters
 }
 
 // localEdges snapshots the union of this site's per-document wait-for
@@ -304,26 +281,23 @@ func (s *Site) localEdges() []wfg.Edge {
 
 // notifyWaiters delivers wake-ups: "when a transaction commits, those that
 // entered wait mode waiting for the locks of the one that committed, start
-// executing again".
-func (s *Site) notifyWaiters(targets map[txn.ID]int) {
-	// Deterministic order keeps tests stable.
-	ids := make([]txn.ID, 0, len(targets))
-	for id := range targets {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-	for _, id := range ids {
-		coordSite := targets[id]
-		if coordSite == s.id {
+// executing again". Each wake goes to the waiter's coordinator, the site
+// its ID names.
+func (s *Site) notifyWaiters(waiters []txn.ID) {
+	// Deterministic order keeps tests stable; a waiter blocked in several
+	// documents is woken once.
+	sort.Slice(waiters, func(i, j int) bool { return waiters[i].Less(waiters[j]) })
+	for _, id := range slices.Compact(waiters) {
+		if id.Site == s.id {
 			s.signalWake(id)
 			continue
 		}
 		// Best effort: a lost wake-up is recovered by the retry interval.
 		// Bound to the lifecycle context so a wake to an unresponsive peer
 		// cannot outlive the site.
-		go func(site int, id txn.ID) {
-			_, _ = s.send(s.ctx, site, transport.WakeReq{Txn: id})
-		}(coordSite, id)
+		go func() {
+			_, _ = s.send(s.ctx, id.Site, transport.WakeReq{Txn: id})
+		}()
 	}
 }
 
@@ -345,7 +319,6 @@ func (s *Site) tombstone(id txn.ID, committed bool) (pt *partTxn, won bool, prev
 	won = !terminated
 	s.markFinishedLocked(id, committed)
 	delete(s.part, id)
-	delete(s.coordOf, id)
 	s.mu.Unlock()
 	return pt, won, prevCommitted
 }
@@ -414,8 +387,7 @@ func (s *Site) commitLocal(id txn.ID) error {
 	if err != nil || !won {
 		return err // nil: a duplicate consolidation already did the work
 	}
-	wake := s.releaseLocks(id, names)
-	s.notifyWaiters(wake)
+	s.notifyWaiters(s.releaseLocks(id, names))
 	if len(ships) > 0 {
 		// Ship after the local point of no return: locks are released and
 		// the intent is durable, so a quorum shortfall is a
@@ -552,6 +524,5 @@ func (s *Site) abortLocal(id txn.ID) {
 			}
 		}
 	}
-	wake := s.releaseLocks(id, names)
-	s.notifyWaiters(wake)
+	s.notifyWaiters(s.releaseLocks(id, names))
 }

@@ -189,8 +189,7 @@ func TestStrict2PLBlocksConflictingReader(t *testing.T) {
 	// Writer: change price, then (after OpDelay) a second op keeps the
 	// transaction alive while the reader tries to look at the price.
 	writerDone := make(chan *Result, 1)
-	readerDone := make(chan *Result, 1)
-	var writerCommitted time.Time
+	writerStart := time.Now()
 	go func() {
 		res, err := s.Submit([]txn.Operation{
 			txn.NewUpdate("d2", &xupdate.Update{Kind: xupdate.Change, Target: "//product[id='4']/price", Value: "99.99"}),
@@ -199,21 +198,18 @@ func TestStrict2PLBlocksConflictingReader(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
-		writerCommitted = time.Now()
 		writerDone <- res
 	}()
 	time.Sleep(10 * time.Millisecond) // let the writer take its X lock
-	res, err := s.Submit([]txn.Operation{
+	r, err := s.Submit([]txn.Operation{
 		txn.NewQuery("d2", "//product[id='4']/price"),
 	})
 	readerAt := time.Now()
 	if err != nil {
 		t.Fatal(err)
 	}
-	readerDone <- res
 
 	w := <-writerDone
-	r := <-readerDone
 	if w.State != txn.Committed || r.State != txn.Committed {
 		t.Fatalf("writer=%v reader=%v", w.State, r.State)
 	}
@@ -222,8 +218,14 @@ func TestStrict2PLBlocksConflictingReader(t *testing.T) {
 	if len(r.Results[0]) != 1 || r.Results[0][0] != "99.99" {
 		t.Fatalf("reader saw %v, want the committed 99.99", r.Results[0])
 	}
-	if readerAt.Before(writerCommitted) {
-		t.Fatal("reader finished before writer committed — 2PL violated")
+	// The writer's second operation starts no earlier than OpDelay after
+	// the writer did, and its X lock is held to the commit after it, so a
+	// reader that finished sooner did not wait for the lock.
+	if earliest := writerStart.Add(s.cfg.OpDelay); readerAt.Before(earliest) {
+		t.Fatalf("reader finished %v before the writer could release — 2PL violated", earliest.Sub(readerAt))
+	}
+	if n := count(t, s, "dtx_op_conflicts_total"); n < 1 {
+		t.Fatalf("dtx_op_conflicts_total = %d: the reader never conflicted with the writer", n)
 	}
 }
 

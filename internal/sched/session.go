@@ -28,11 +28,12 @@ type Session struct {
 	ct       *coordTxn
 	readOnly bool // immutable after begin: steps go through the MVCC snapshot path
 
-	mu     sync.Mutex
-	inStep bool
-	done   bool
-	state  txn.State
-	err    error // terminal cause; nil after a successful commit
+	mu      sync.Mutex
+	inStep  bool
+	done    bool
+	state   txn.State
+	err     error  // terminal cause; nil after a successful commit
+	unwatch func() // deregisters the cancellation callbacks Begin set up
 }
 
 // Begin opens an interactive transaction with this site as coordinator.
@@ -59,21 +60,27 @@ func (s *Site) begin(ctx context.Context, readOnly bool) (*Session, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	select {
-	case <-s.stopCh:
+	if s.ctx.Err() != nil {
 		return nil, fmt.Errorf("sched: site %d is stopped", s.id)
-	default:
 	}
 	if !s.Ready() {
 		// A recovering site must not coordinate either: an acknowledged
 		// write would race the catch-up that replaces its documents.
 		return nil, fmt.Errorf("%w: site %d is recovering", txn.ErrReplicaUnavailable, s.id)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %w", txn.ErrAborted, context.Cause(ctx))
+	if err := abortCause(ctx); err != nil {
+		return nil, err
 	}
 	sess := &Session{site: s, ctx: ctx, ct: s.beginTxn(), readOnly: readOnly}
-	go sess.watch()
+	// Cancelling the client's context or stopping the site aborts an idle
+	// session; an in-flight step observes both in its own wait loop.
+	// Registered under sess.mu, so a callback that fires at once waits
+	// until unwatch is set.
+	sess.mu.Lock()
+	stopClient := context.AfterFunc(ctx, func() { sess.cancel(abortCause(ctx)) })
+	stopSite := context.AfterFunc(s.ctx, func() { sess.cancel(abortCause(s.ctx)) })
+	sess.unwatch = func() { stopClient(); stopSite() }
+	sess.mu.Unlock()
 	return sess, nil
 }
 
@@ -108,19 +115,6 @@ func (sess *Session) Err() error {
 	return sess.err
 }
 
-// watch aborts the transaction when its context is cancelled (or the site
-// stops) while no step is in flight; an in-flight step observes the same
-// conditions in its own wait loop. Exactly one of the three arms fires.
-func (sess *Session) watch() {
-	select {
-	case <-sess.ct.finished:
-	case <-sess.ctx.Done():
-		sess.cancel(fmt.Errorf("%w: %w", txn.ErrAborted, context.Cause(sess.ctx)))
-	case <-sess.site.stopCh:
-		sess.cancel(fmt.Errorf("%w: site stopping", txn.ErrAborted))
-	}
-}
-
 // cancel terminates an idle session. If a step is in flight it does nothing:
 // the step's own context/stop checks terminate the session, including the
 // post-step re-check that closes the race with a cancellation arriving just
@@ -135,20 +129,12 @@ func (sess *Session) cancel(cause error) {
 }
 
 // interrupted reports why the session must stop accepting work — the site
-// shutting down or the context being cancelled — or nil. The watcher fires
-// only once and defers to an in-flight step, so every Exec/Commit boundary
-// re-checks both conditions here; without this a stop racing a step would be
-// lost for the session's remaining lifetime.
+// shutting down or the context being cancelled — or nil. A cancellation
+// callback fires only once and defers to an in-flight step, so every
+// Exec/Commit boundary re-checks both conditions here; without this a stop
+// racing a step would be lost for the session's remaining lifetime.
 func (sess *Session) interrupted() error {
-	select {
-	case <-sess.site.stopCh:
-		return fmt.Errorf("%w: site stopping", txn.ErrAborted)
-	default:
-	}
-	if sess.ctx.Err() != nil {
-		return fmt.Errorf("%w: %w", txn.ErrAborted, context.Cause(sess.ctx))
-	}
-	return nil
+	return cmp.Or(abortCause(sess.site.ctx), abortCause(sess.ctx))
 }
 
 // Exec runs one operation of the transaction — a query at its document's
@@ -197,7 +183,7 @@ func (sess *Session) Exec(op txn.Operation) ([]string, error) {
 	sess.inStep = false
 	if stepErr == nil {
 		// Cancelled or stopped in the instant the step succeeded: the
-		// watcher saw a step in flight and deferred to us.
+		// cancellation callback saw a step in flight and deferred to us.
 		stepErr = sess.interrupted()
 	}
 	if stepErr != nil {
@@ -412,7 +398,7 @@ func (sess *Session) finishLocked(state txn.State, cause error) {
 	s.mu.Lock()
 	delete(s.coord, id)
 	s.mu.Unlock()
-	close(sess.ct.finished)
+	sess.unwatch()
 	if tr := sess.ct.trace; tr != nil {
 		reason := ""
 		if cause != nil {

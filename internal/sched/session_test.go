@@ -3,10 +3,13 @@ package sched
 import (
 	"context"
 	"errors"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/transport"
 	"repro/internal/txn"
 	"repro/internal/wfg"
 	"repro/internal/xmltree"
@@ -182,8 +185,9 @@ func TestSessionCancelWhileWaiting(t *testing.T) {
 	}
 }
 
-// TestSessionCancelIdle cancels a transaction between steps: the watcher
-// aborts it, releases its locks, and later steps report the abort.
+// TestSessionCancelIdle cancels a transaction between steps: its
+// cancellation callback aborts it, releases its locks, and later steps
+// report the abort.
 func TestSessionCancelIdle(t *testing.T) {
 	sites, _ := newCluster(t, 1, nil)
 	s := sites[0]
@@ -200,7 +204,7 @@ func TestSessionCancelIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancel()
-	// The watcher aborts asynchronously; wait for the terminal state.
+	// The callback aborts asynchronously; wait for the terminal state.
 	deadline := time.Now().Add(5 * time.Second)
 	for !sess.Done() {
 		if time.Now().After(deadline) {
@@ -290,8 +294,9 @@ func TestSessionUnknownDocumentRemote(t *testing.T) {
 }
 
 // TestSessionStopTerminates: Site.Stop ends live sessions — the idle one
-// via the watcher, and any session observes the stop at its next step even
-// if the single-shot watcher already fired while a step was in flight.
+// via its cancellation callback, and any session observes the stop at its
+// next step even if the single-shot callback already fired while a step was
+// in flight.
 func TestSessionStopTerminates(t *testing.T) {
 	sites, _ := newCluster(t, 1, nil)
 	s := sites[0]
@@ -304,7 +309,7 @@ func TestSessionStopTerminates(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Stop()
-	// Whether the watcher got there first (idle abort) or the next step
+	// Whether the callback got there first (idle abort) or the next step
 	// trips the boundary check, the session must end with ErrAborted and
 	// never execute on the stopped site.
 	if _, err := sess.Exec(txn.NewQuery("d2", "//product")); !errors.Is(err, txn.ErrAborted) {
@@ -322,6 +327,126 @@ func TestSessionStopTerminates(t *testing.T) {
 	s.mu.Unlock()
 	if grants != 0 {
 		t.Fatalf("%d grants leaked past Stop", grants)
+	}
+}
+
+// TestLockWaitEndsOnSiteStop: a step blocked on a lock when its site stops
+// aborts naming the stop, its wait ends as a cancel, and it keeps no grant.
+func TestLockWaitEndsOnSiteStop(t *testing.T) {
+	sites, _ := newCluster(t, 1, func(cfg *Config) { cfg.RetryInterval = time.Minute })
+	s := sites[0]
+	addDoc(t, s, "d2", productsXML)
+	// The blocker is coordinated elsewhere, so the stop does not abort it
+	// and release the lock under the waiter.
+	blocker := txn.ID{Site: 7, Seq: 1}
+	resp, err := s.HandleMessage(7, transport.ExecOpReq{Txn: blocker, TS: 1,
+		Op: txn.NewUpdate("d2", &xupdate.Update{Kind: xupdate.Change, Target: "//product[id='4']/price", Value: "60.00"})})
+	if err != nil || !resp.(transport.ExecOpResp).Executed {
+		t.Fatalf("blocker: %v %+v", err, resp)
+	}
+	sess, err := s.Begin(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepErr := make(chan error, 1)
+	go func() {
+		_, err := sess.Exec(txn.NewQuery("d2", "//product/price"))
+		stepErr <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for count(t, s, "dtx_op_conflicts_total") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the step never waited")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.Stop()
+	if err := <-stepErr; !errors.Is(err, txn.ErrAborted) || !strings.Contains(err.Error(), "site stopping") {
+		t.Fatalf("blocked step after Stop = %v, want an abort naming the stop", err)
+	}
+	if n := s.m.waitEnds.With("cancel").Value(); n != 1 {
+		t.Fatalf("cancel-ended waits = %d, want 1", n)
+	}
+	if n := count(t, s, "dtx_lock_wait_ends_total"); n != 1 {
+		t.Fatalf("dtx_lock_wait_ends_total = %d, want 1", n)
+	}
+	ds := s.doc("d2")
+	ds.mu.Lock()
+	held := ds.table.HeldBy(sess.ID())
+	ds.mu.Unlock()
+	if held != 0 {
+		t.Fatalf("the aborted step kept %d grants", held)
+	}
+}
+
+// TestIdleSessionsHoldNoGoroutines: an open session costs no goroutine while
+// it waits for its client, yet cancelling the client's context still aborts
+// it.
+func TestIdleSessionsHoldNoGoroutines(t *testing.T) {
+	sites, _ := newCluster(t, 1, nil)
+	s := sites[0]
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const n = 200
+	before := runtime.NumGoroutine()
+	sessions := make([]*Session, n)
+	for i := range sessions {
+		sess, err := s.Begin(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions[i] = sess
+	}
+	if added := runtime.NumGoroutine() - before; added > n/20 {
+		t.Fatalf("%d idle sessions added %d goroutines", n, added)
+	}
+	cancel()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, sess := range sessions {
+		for !sess.Done() {
+			if time.Now().After(deadline) {
+				t.Fatal("an idle session survived its context's cancellation")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if !errors.Is(sess.Err(), context.Canceled) {
+			t.Fatalf("idle session ended with %v, want the cancellation", sess.Err())
+		}
+	}
+}
+
+// TestReadOnlyTransactionsLeaveNoState: a coordinator that serves many
+// read-only transactions, snapshot and locked, keeps no per-transaction
+// state for them at either site once they finish.
+func TestReadOnlyTransactionsLeaveNoState(t *testing.T) {
+	sites, _ := newCluster(t, 2, nil)
+	// d1's read site is site 0, so site 1 coordinates reads it ships there.
+	addDoc(t, sites[0], "d1", peopleXML)
+	addDoc(t, sites[1], "d1", peopleXML)
+	addDoc(t, sites[1], "d2", productsXML)
+	coord := sites[1]
+	ops := []txn.Operation{txn.NewQuery("d1", "//person/id"), txn.NewQuery("d2", "//product/id")}
+	for i := 0; i < 1000; i++ {
+		for _, submit := range []func([]txn.Operation) (*Result, error){coord.SubmitReadOnly, coord.Submit} {
+			res, err := submit(ops)
+			if err != nil || res.State != txn.Committed {
+				t.Fatalf("transaction %d: %v %+v", i, err, res)
+			}
+		}
+	}
+	if n := count(t, coord, "dtx_remote_ops_sent_total"); n < 1000 {
+		t.Fatalf("%d operations shipped to site 0, want at least one per locked transaction", n)
+	}
+	for _, s := range sites {
+		s.mu.Lock()
+		coordTxns, partTxns := len(s.coord), len(s.part)
+		s.mu.Unlock()
+		s.roMu.Lock()
+		pinSets := len(s.roPins)
+		s.roMu.Unlock()
+		if coordTxns+partTxns+pinSets != 0 {
+			t.Errorf("site %d keeps %d coordinator, %d participant and %d pin-set records", s.id, coordTxns, partTxns, pinSets)
+		}
 	}
 }
 

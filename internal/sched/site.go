@@ -371,10 +371,9 @@ func (ds *docState) revertLocked(id txn.ID, opIdx int) {
 // operation racing the transaction's cleanup, can touch it from different
 // document domains.
 type partTxn struct {
-	id          txn.ID
-	ts          txn.TS
-	coordinator int
-	created     time.Time // for the orphan sweep's age threshold
+	id      txn.ID
+	ts      txn.TS
+	created time.Time // for the orphan sweep's age threshold
 
 	mu   sync.Mutex
 	docs map[string]bool // documents touched here
@@ -403,13 +402,12 @@ func (pt *partTxn) docNames() []string {
 // batched read-only steps (Session.ExecBatch) run their operations
 // concurrently, so the sites map and the wake channel carry a mutex.
 type coordTxn struct {
-	t        *txn.Transaction
-	abortCh  chan string
-	mu       sync.Mutex    // guards sites, wake and roDocSites
-	sites    map[int]bool  // sites that received at least one operation
-	wake     chan struct{} // closed to broadcast a wake-up, then replaced
-	results  [][]string
-	finished chan struct{} // closed once the transaction reaches a terminal state
+	t       *txn.Transaction
+	abortCh chan string
+	mu      sync.Mutex    // guards sites, wake and roDocSites
+	sites   map[int]bool  // sites that received at least one operation
+	wake    chan struct{} // closed to broadcast a wake-up, then replaced
+	results [][]string
 
 	// trace is the slow-transaction event timeline, non-nil exactly when the
 	// site's tracer is armed (metrics.go); fast transactions drop it at
@@ -563,12 +561,11 @@ type Site struct {
 	// Document state lives behind each docState's own mutex, so the hot
 	// path holds mu for map lookups and counter ticks, never for lock-table
 	// work, query evaluation or persistence.
-	mu      sync.Mutex
-	clock   txn.Clock
-	seq     int64
-	coord   map[txn.ID]*coordTxn
-	part    map[txn.ID]*partTxn
-	coordOf map[txn.ID]int // any transaction seen here -> its coordinator site
+	mu    sync.Mutex
+	clock txn.Clock
+	seq   int64
+	coord map[txn.ID]*coordTxn
+	part  map[txn.ID]*partTxn
 	// finished tombstones recently-terminated transactions, mapped to their
 	// outcome (true = committed). The pipelined transport does not order an
 	// abandoned operation exchange against the cleanup messages sent after
@@ -623,15 +620,14 @@ type Site struct {
 	// sweeping serialises the background orphan sweep (liveness.go).
 	sweeping int32
 
-	node     transport.Node
-	stopCh   chan struct{}
-	stopOnce sync.Once // Stop and Kill race on closing stopCh
-	// ctx is the site's lifecycle context: background processes (the
-	// deadlock detector, wake-up notifications) bind their transport
-	// exchanges to it so Stop can cut a blocked poll short instead of
-	// leaking it past Close.
+	node transport.Node
+	// ctx is the site's lifecycle context and its one stop signal: Stop and
+	// Kill cancel it with errSiteStopping. Background loops exit on it,
+	// sessions abort on it, and background exchanges (the deadlock
+	// detector, wake-up notifications) bind to it so Stop can cut a blocked
+	// poll short instead of leaking it past Close.
 	ctx    context.Context
-	cancel context.CancelFunc
+	cancel context.CancelCauseFunc
 	wg     sync.WaitGroup
 	// commitMu serialises the journal-ordered step of every local commit and
 	// of every applied record span: number the records, append the intent,
@@ -658,19 +654,17 @@ type Site struct {
 // or AddDocument before transactions touch them.
 func New(cfg Config) *Site {
 	cfg = cfg.withDefaults()
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancelCause(context.Background())
 	s := &Site{
 		cfg:          cfg,
 		id:           cfg.SiteID,
 		docs:         make(map[string]*docState),
 		coord:        make(map[txn.ID]*coordTxn),
 		part:         make(map[txn.ID]*partTxn),
-		coordOf:      make(map[txn.ID]int),
 		roPins:       make(map[txn.ID]*roPinSet),
 		finished:     make(map[txn.ID]bool),
 		finishedRing: make([]txn.ID, 4096),
 		queries:      xpath.NewCache(4096),
-		stopCh:       make(chan struct{}),
 		ctx:          ctx,
 		cancel:       cancel,
 	}
@@ -804,6 +798,10 @@ func (s *Site) AttachNetwork(net *transport.Network) error {
 	})
 }
 
+// errSiteStopping is the cause Stop and Kill cancel the lifecycle context
+// with: a transaction the stop cuts short aborts naming it.
+var errSiteStopping = errors.New("site stopping")
+
 // Stop terminates background processes, drains in-flight work and detaches
 // from the network. Cancelling the lifecycle context unblocks a detector
 // poll that is waiting on an unresponsive peer, so Stop never hangs behind
@@ -817,8 +815,7 @@ func (s *Site) Stop() {
 	s.persistMu.Lock()
 	s.stopping = true
 	s.persistMu.Unlock()
-	s.stopOnce.Do(func() { close(s.stopCh) })
-	s.cancel()
+	s.cancel(errSiteStopping)
 	s.wg.Wait()
 	// Wait for in-flight local consolidations, then checkpoint them.
 	s.persistMu.Lock()
@@ -850,8 +847,7 @@ func (s *Site) Kill() {
 	s.persistMu.Lock()
 	s.stopping = true
 	s.persistMu.Unlock()
-	s.stopOnce.Do(func() { close(s.stopCh) })
-	s.cancel()
+	s.cancel(errSiteStopping)
 	if s.node != nil {
 		s.node.Close()
 	}
@@ -1065,14 +1061,14 @@ func (s *Site) HandleMessage(from int, msg any) (any, error) {
 	switch m := msg.(type) {
 	case transport.ExecOpReq:
 		if !s.Ready() {
-			return transport.ExecOpResp{Site: s.id, Failed: true,
+			return transport.ExecOpResp{Failed: true,
 				Code:  txn.CodeReplicaUnavailable,
 				Error: fmt.Sprintf("site %d is recovering", s.id)}, nil
 		}
 		return s.handleExecOp(m), nil
 	case transport.SnapshotReadReq:
 		if !s.Ready() {
-			return transport.SnapshotReadResp{Site: s.id, Failed: true,
+			return transport.SnapshotReadResp{Failed: true,
 				Code:  txn.CodeReplicaUnavailable,
 				Error: fmt.Sprintf("site %d is recovering", s.id)}, nil
 		}

@@ -42,9 +42,8 @@ import (
 // pinning or materialisation. closed marks a released set: a stale read
 // arriving after release must refuse, not leak a fresh pin.
 type roPinSet struct {
-	ts          txn.TS
-	coordinator int
-	created     time.Time // for the orphan sweep's age threshold
+	ts      txn.TS
+	created time.Time // for the orphan sweep's age threshold
 
 	mu     sync.Mutex
 	closed bool
@@ -65,46 +64,43 @@ func (s *Site) handleSnapshotRead(req transport.SnapshotReadReq) transport.Snaps
 	s.mu.Lock()
 	s.clock.Observe(req.TS)
 	s.mu.Unlock()
-	res, verTS := s.snapshotRead(req.Txn, req.TS, req.Coordinator, req.Doc, req.Query)
+	res := s.snapshotRead(req.Txn, req.TS, req.Doc, req.Query)
 	return transport.SnapshotReadResp{
-		Site:      s.id,
-		Failed:    res.failed,
-		Code:      res.code,
-		Error:     res.err,
-		Results:   res.results,
-		VersionTS: verTS,
+		Failed:  res.failed,
+		Code:    res.code,
+		Error:   res.err,
+		Results: res.results,
 	}
 }
 
 // snapshotRead evaluates one query of a read-only transaction against the
 // version of the document pinned for it here, pinning one first if this is
 // the transaction's first read of the document at this site.
-func (s *Site) snapshotRead(id txn.ID, ts txn.TS, coordinator int, docName, query string) (localResult, txn.TS) {
+func (s *Site) snapshotRead(id txn.ID, ts txn.TS, docName, query string) localResult {
 	ds := s.doc(docName)
 	if ds == nil {
 		return localResult{failed: true, code: txn.CodeUnknownDocument,
-			err: fmt.Sprintf("site %d does not hold document %q", s.id, docName)}, 0
+			err: fmt.Sprintf("site %d does not hold document %q", s.id, docName)}
 	}
 	if stale, msg := s.replicaStale(docName, ds); stale {
 		// Quorum mode: this follower knows it lags the primary beyond the
 		// staleness bound; refuse so the coordinator retries at the primary.
 		s.m.staleRefusals.Inc()
-		return localResult{failed: true, code: txn.CodeReplicaStale, err: msg}, 0
+		return localResult{failed: true, code: txn.CodeReplicaStale, err: msg}
 	}
 	q, err := s.queries.Get(query)
 	if err != nil {
-		return localResult{failed: true, err: err.Error()}, 0
+		return localResult{failed: true, err: err.Error()}
 	}
 
 	s.roMu.Lock()
 	if s.isFinished(id) {
 		s.roMu.Unlock()
-		return s.terminatedResult(id), 0
+		return s.terminatedResult(id)
 	}
 	set := s.roPins[id]
 	if set == nil {
-		set = &roPinSet{ts: ts, coordinator: coordinator, created: time.Now(),
-			pins: make(map[string]roPin)}
+		set = &roPinSet{ts: ts, created: time.Now(), pins: make(map[string]roPin)}
 		s.roPins[id] = set
 	}
 	s.roMu.Unlock()
@@ -114,7 +110,7 @@ func (s *Site) snapshotRead(id txn.ID, ts txn.TS, coordinator int, docName, quer
 	// our registry lookup and here has closed it (and unpinned everything).
 	if set.closed {
 		set.mu.Unlock()
-		return s.terminatedResult(id), 0
+		return s.terminatedResult(id)
 	}
 	pin, ok := set.pins[docName]
 	if !ok {
@@ -122,7 +118,7 @@ func (s *Site) snapshotRead(id txn.ID, ts txn.TS, coordinator int, docName, quer
 		if ver == nil {
 			set.mu.Unlock()
 			return localResult{failed: true, code: txn.CodeSnapshotUnavailable,
-				err: fmt.Sprintf("site %d can no longer cut %q back to ts %d", s.id, docName, ts)}, 0
+				err: fmt.Sprintf("site %d can no longer cut %q back to ts %d", s.id, docName, ts)}
 		}
 		pin = roPin{ver: ver, chain: ds.versions}
 		set.pins[docName] = pin
@@ -139,7 +135,7 @@ func (s *Site) snapshotRead(id txn.ID, ts txn.TS, coordinator int, docName, quer
 		s.m.indexedQueries.Inc()
 	}
 	s.m.snapshotReads.Inc()
-	return localResult{executed: true, acquired: true, results: results}, pin.ver.TS
+	return localResult{executed: true, acquired: true, results: results}
 }
 
 // snapshotEval evaluates a snapshot read's query against its pinned
@@ -292,8 +288,8 @@ func (s *Site) execSnapshotOp(ctx context.Context, ct *coordTxn, opIdx int) erro
 	op := ct.t.Ops[opIdx]
 	id, ts := ct.t.ID, ct.t.TS
 	for {
-		if ctx.Err() != nil {
-			return fmt.Errorf("%w: %w", txn.ErrAborted, context.Cause(ctx))
+		if err := abortCause(ctx); err != nil {
+			return err
 		}
 		route, bound := ct.roSiteFor(op.Doc)
 		if !bound {
@@ -335,12 +331,10 @@ func (s *Site) execSnapshotOp(ctx context.Context, ct *coordTxn, opIdx int) erro
 
 		var res localResult
 		if target == s.id {
-			res, _ = s.snapshotRead(id, ts, s.id, op.Doc, op.Query)
+			res = s.snapshotRead(id, ts, op.Doc, op.Query)
 		} else {
 			s.m.remoteOpsSent.Inc()
-			resp, err := s.send(ctx, target, transport.SnapshotReadReq{
-				Txn: id, TS: ts, Coordinator: s.id, Doc: op.Doc, Query: op.Query,
-			})
+			resp, err := s.send(ctx, target, transport.SnapshotReadReq{Txn: id, TS: ts, Doc: op.Doc, Query: op.Query})
 			if err != nil {
 				if s.liveness.enabled && ctx.Err() == nil && ct.rebindRoSite(op.Doc, target) {
 					// The site died before any read of this document

@@ -22,7 +22,7 @@ func TestPartialAcquireUndoneEverywhere(t *testing.T) {
 	// A foreign transaction holds conflicting locks at site 1 only, via the
 	// participant interface (as if coordinated elsewhere).
 	blocker := txn.ID{Site: 1, Seq: 999}
-	res := s1.processOperation(blocker, 50, 1, 0, txn.NewQuery("d1", "//person"))
+	res := s1.processOperation(blocker, 50, 0, txn.NewQuery("d1", "//person"))
 	if !res.executed {
 		t.Fatalf("blocker setup failed: %+v", res)
 	}
@@ -188,7 +188,7 @@ func TestUndoneOperationLeavesDocumentClean(t *testing.T) {
 	publishes := count(t, s, "dtx_snapshot_publishes_total")
 
 	id := txn.ID{Site: 0, Seq: 999}
-	res := s.processOperation(id, 50, 0, 0, txn.NewUpdate("d1", &xupdate.Update{
+	res := s.processOperation(id, 50, 0, txn.NewUpdate("d1", &xupdate.Update{
 		Kind: xupdate.Insert, Target: "/people", Pos: xmltree.Into, New: personSpec("22", "Patricia"),
 	}))
 	if !res.executed {
@@ -224,14 +224,14 @@ func TestLocalDeadlockVictimLeavesNoEdges(t *testing.T) {
 		Kind: xupdate.Change, Target: "//product[id='4']/price", Value: "60.00",
 	})
 	for _, id := range []txn.ID{older, younger} {
-		if r := s.processOperation(id, txn.TS(id.Site), id.Site, 0, txn.NewQuery("d2", "//product/price")); !r.executed {
+		if r := s.processOperation(id, txn.TS(id.Site), 0, txn.NewQuery("d2", "//product/price")); !r.executed {
 			t.Fatalf("%s scan: %+v", id, r)
 		}
 	}
-	if r := s.processOperation(older, 1, 1, 1, change); r.acquired || r.deadlock {
+	if r := s.processOperation(older, 1, 1, change); r.acquired || r.deadlock {
 		t.Fatalf("older change should wait on the younger scan: %+v", r)
 	}
-	r := s.processOperation(younger, 2, 2, 1, change)
+	r := s.processOperation(younger, 2, 1, change)
 	if r.acquired || !r.deadlock {
 		t.Fatalf("younger change should close the cycle: %+v", r)
 	}
@@ -244,7 +244,7 @@ func TestLocalDeadlockVictimLeavesNoEdges(t *testing.T) {
 			t.Fatalf("the victim kept a wait edge: %+v (all: %+v)", e, edges)
 		}
 	}
-	if r := s.processOperation(older, 1, 1, 1, change); r.deadlock {
+	if r := s.processOperation(older, 1, 1, change); r.deadlock {
 		t.Fatalf("the survivor's retry was chosen as a second victim: %+v", r)
 	}
 }

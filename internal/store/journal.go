@@ -3,8 +3,10 @@ package store
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -56,16 +58,17 @@ import (
 // decisions, max sequence numbers) in memory, rebuilt by OpenJournal from
 // the file. Once enough records are sealed the file is compacted: a marker
 // plus the still-live records are rewritten atomically (temp file + rename),
-// so the journal does not grow without bound.
+// so the journal does not grow without bound. Compaction writes each open
+// intent as one line holding the entries no checkpoint or abort has taken
+// out yet, so what those removed stays removed across a reopen.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
 	path string
 
 	// Live state, maintained across appends and rebuilt on open.
-	open          map[string]*openIntent // txn -> intent not yet fully covered
-	openOrder     []string               // intent order, for deterministic reports
-	decisions     map[string]bool        // live coordinator commit decisions
+	open          map[string][]intentEntry // txn -> its entries no checkpoint covers yet
+	decisions     map[string]bool          // live coordinator commit decisions
 	decisionOrder []string
 	decisionHead  int           // decisionOrder index of the oldest possibly-live entry
 	maxSeq        map[int]int64 // max sequence number seen per site
@@ -77,15 +80,9 @@ type Journal struct {
 	compactEvery int
 }
 
-// openIntent is the live state of one transaction's intent line(s). A
-// follower journals each shipped record as it arrives, so one transaction
-// that changed two documents can own two lines.
-type openIntent struct {
-	lines []string      // the I lines as written, copied verbatim by compaction
-	docs  []intentEntry // the documents no checkpoint covers yet
-}
-
-// intentEntry is one document's share of an intent.
+// intentEntry is one document's share of an intent. A follower journals
+// each shipped record as it arrives, so the entries of one transaction that
+// changed two documents can come from two lines.
 type intentEntry struct {
 	doc     string
 	index   int64  // the record's per-document log index; 0 without payload
@@ -116,7 +113,7 @@ const defaultCompactEvery = 4096
 func newJournal(path string) *Journal {
 	return &Journal{
 		path:         path,
-		open:         make(map[string]*openIntent),
+		open:         make(map[string][]intentEntry),
 		decisions:    make(map[string]bool),
 		maxSeq:       make(map[int]int64),
 		compactEvery: defaultCompactEvery,
@@ -200,7 +197,7 @@ func (j *Journal) applyLine(line string) error {
 		if err != nil {
 			return err
 		}
-		j.noteIntent(fields[1], line, docs)
+		j.noteIntent(fields[1], docs)
 	case kind == "C":
 		for _, t := range fields[1:] {
 			j.noteSealed(t)
@@ -259,18 +256,8 @@ func (j *Journal) noteID(t string) {
 	}
 }
 
-func (j *Journal) noteIntent(t, line string, docs []intentEntry) {
-	in := j.open[t]
-	if in == nil {
-		// t is a slice of the line; openOrder outlives the intent, and must
-		// not keep the whole line (payload included) alive with it.
-		t = strings.Clone(t)
-		in = &openIntent{}
-		j.open[t] = in
-		j.openOrder = append(j.openOrder, t)
-	}
-	in.lines = append(in.lines, line)
-	in.docs = append(in.docs, docs...)
+func (j *Journal) noteIntent(t string, docs []intentEntry) {
+	j.open[t] = append(j.open[t], docs...)
 	j.noteID(t)
 }
 
@@ -288,9 +275,10 @@ func (j *Journal) noteSealed(t string) {
 // closed whole; with them only those entries of its intent are dropped, and
 // the transaction is closed once none is left.
 func (j *Journal) noteAborted(t string, docs []string) {
-	if in := j.open[t]; in != nil && len(docs) > 0 {
-		in.docs = slices.DeleteFunc(in.docs, func(e intentEntry) bool { return slices.Contains(docs, e.doc) })
-		if len(in.docs) > 0 {
+	if entries, ok := j.open[t]; ok && len(docs) > 0 {
+		entries = slices.DeleteFunc(entries, func(e intentEntry) bool { return slices.Contains(docs, e.doc) })
+		if len(entries) > 0 {
+			j.open[t] = entries
 			return
 		}
 	}
@@ -332,30 +320,40 @@ func (j *Journal) AppendIntent(t string, docs []string, recs ...ReplRecord) ([]i
 		return nil, fmt.Errorf("store: journal: %d records for %d documents", len(recs), len(docs))
 	}
 	var sizes []int
-	var b strings.Builder
+	entries := make([]intentEntry, len(docs))
 	for i, d := range docs {
 		if !validToken(d) {
 			return nil, fmt.Errorf("store: journal: invalid document name %q", d)
 		}
-		index, payload := int64(0), noPayload
+		entries[i] = intentEntry{doc: d, payload: noPayload}
 		if len(recs) > 0 {
-			var err error
-			if payload, err = EncodeReplRecord(recs[i]); err != nil {
+			payload, err := EncodeReplRecord(recs[i])
+			if err != nil {
 				return nil, err
 			}
-			index = recs[i].Index
+			entries[i].index, entries[i].payload = recs[i].Index, payload
 			sizes = append(sizes, len(payload))
 		}
+	}
+	return sizes, j.append(intentLine(t, entries))
+}
+
+// intentLine formats one intent line over the given entries. AppendIntent
+// writes a commit's entries with it, and compaction rewrites each open
+// intent from its remaining entries with it.
+func intentLine(t string, entries []intentEntry) string {
+	var b strings.Builder
+	for i, e := range entries {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%s %d %s", d, index, payload)
+		fmt.Fprintf(&b, "%s %d %s", e.doc, e.index, e.payload)
 	}
 	line := "I " + t + " " + intentSum(t, b.String())
 	if b.Len() > 0 {
 		line += " " + b.String()
 	}
-	return sizes, j.append(line)
+	return line
 }
 
 // LogCommit seals the intents of the given transactions: whatever they
@@ -377,9 +375,10 @@ func (j *Journal) LogCheckpoint(doc string, index int64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var sealed []string
-	for t, in := range j.open {
-		in.docs = slices.DeleteFunc(in.docs, func(e intentEntry) bool { return e.doc == doc && e.index <= index })
-		if len(in.docs) == 0 {
+	for t, entries := range j.open {
+		entries = slices.DeleteFunc(entries, func(e intentEntry) bool { return e.doc == doc && e.index <= index })
+		j.open[t] = entries
+		if len(entries) == 0 {
 			sealed = append(sealed, t)
 		}
 	}
@@ -395,8 +394,8 @@ func (j *Journal) OpenRecords(doc string) ([]ReplRecord, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var out []ReplRecord
-	for t, in := range j.open {
-		for _, e := range in.docs {
+	for t, entries := range j.open {
+		for _, e := range entries {
 			if e.doc != doc || e.payload == noPayload {
 				continue
 			}
@@ -495,20 +494,32 @@ func (j *Journal) Decisions() []string {
 }
 
 // OpenIntents returns the intents no checkpoint has fully covered yet — the
-// commits a restart replays — in intent order.
+// commits a restart replays — in transaction order.
 func (j *Journal) OpenIntents() []OpenIntent {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var out []OpenIntent
-	for _, t := range j.openOrder {
-		if in, ok := j.open[t]; ok {
-			docs := make([]string, len(in.docs))
-			for i, e := range in.docs {
-				docs[i] = e.doc
-			}
-			out = append(out, OpenIntent{Txn: t, Docs: docs})
+	for _, t := range j.openTxnsLocked() {
+		docs := make([]string, len(j.open[t]))
+		for i, e := range j.open[t] {
+			docs[i] = e.doc
 		}
+		out = append(out, OpenIntent{Txn: t, Docs: docs})
 	}
+	return out
+}
+
+// openTxnsLocked lists the transactions with an open intent, ordered by
+// transaction ID. Callers hold j.mu.
+func (j *Journal) openTxnsLocked() []string {
+	ids := make(map[string]txn.ID, len(j.open))
+	for t := range j.open {
+		ids[t], _ = txn.ParseID(t)
+	}
+	out := slices.Collect(maps.Keys(ids))
+	slices.SortFunc(out, func(a, b string) int {
+		return cmp.Or(cmp.Compare(ids[a].Site, ids[b].Site), cmp.Compare(ids[a].Seq, ids[b].Seq), strings.Compare(a, b))
+	})
 	return out
 }
 
@@ -556,7 +567,8 @@ func (j *Journal) appendLocked(line string) error {
 }
 
 // compactLocked rewrites the journal to its live state: the sequence fence,
-// the open intents as written, the live decisions. Callers hold j.mu.
+// one line per open intent with its uncovered entries, the live decisions.
+// Callers hold j.mu.
 func (j *Journal) compactLocked() error {
 	tmp, err := os.CreateTemp(filepath.Dir(j.path), ".journal-*")
 	if err != nil {
@@ -566,13 +578,9 @@ func (j *Journal) compactLocked() error {
 	w := bufio.NewWriter(tmp)
 	lines := 1
 	fmt.Fprintf(w, "K %s\n", j.seqFenceLocked())
-	for _, t := range j.openOrder {
-		if in, ok := j.open[t]; ok {
-			for _, line := range in.lines {
-				fmt.Fprintln(w, line)
-				lines++
-			}
-		}
+	for _, t := range j.openTxnsLocked() {
+		fmt.Fprintln(w, intentLine(t, j.open[t]))
+		lines++
 	}
 	for _, t := range j.decisionOrder {
 		if j.decisions[t] {
@@ -608,22 +616,11 @@ func (j *Journal) compactLocked() error {
 	}
 	j.f.Close()
 	j.f = f
-	// Compact the order slices alongside the file.
-	j.openOrder = liveOrder(j.openOrder, func(t string) bool { _, ok := j.open[t]; return ok })
-	j.decisionOrder = liveOrder(j.decisionOrder, func(t string) bool { return j.decisions[t] })
+	// Compact the decision order alongside the file.
+	j.decisionOrder = slices.DeleteFunc(j.decisionOrder, func(t string) bool { return !j.decisions[t] })
 	j.decisionHead = 0
 	j.records = lines
 	return nil
-}
-
-func liveOrder(order []string, live func(string) bool) []string {
-	out := order[:0]
-	for _, t := range order {
-		if live(t) {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // seqFenceLocked renders the per-site max sequence numbers for the

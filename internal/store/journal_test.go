@@ -251,10 +251,9 @@ func TestJournalIntentCarriesOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	// Reopening forgets which half of an open intent was covered; the saved
-	// position makes the replay skip it, and the next checkpoint covers it
-	// again.
-	check(j2, "d1", 1, 3)
+	// Compaction rewrote t0.1 from its uncovered half alone, so the covered
+	// d1 record stays covered across the reopen.
+	check(j2, "d1", 3)
 	check(j2, "d2", 1)
 	before := countLines(t, path)
 	j2.LogCheckpoint("d1", 3)
@@ -438,6 +437,50 @@ func TestJournalCompaction(t *testing.T) {
 	// sealed records themselves are gone.
 	if got := j2.MaxSeq(0); got != 99 {
 		t.Fatalf("MaxSeq(0) = %d, want 99", got)
+	}
+}
+
+// TestJournalCompactionKeepsScopedAbort: an abort scoped to one document
+// of an open intent stays in force after compaction and a reopen. A revived
+// record would carry the index the document's next commit reuses, so a
+// restart could replay the aborted change.
+func TestJournalCompactionKeepsScopedAbort(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "commit.log")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.compactEvery = 10
+	rec := mkRec(0, 1)
+	rec.Index = 1
+	// A follower journals each shipped record of t0.1 as its own line.
+	j.LogIntent("t0.1", []string{"dA"}, rec)
+	j.LogIntent("t0.1", []string{"dB"}, rec)
+	if err := j.LogAbort("t0.1", "dA"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 2; i < 60; i++ {
+		id := "t0." + strconv.Itoa(i)
+		j.LogIntent(id, []string{"d"})
+		j.LogCommit(id)
+	}
+	if lines := countLines(t, path); lines > 10 {
+		t.Fatalf("journal not compacted: %d lines", lines)
+	}
+	j.Close()
+
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	for doc, want := range map[string]int{"dA": 0, "dB": 1} {
+		if recs, err := j2.OpenRecords(doc); err != nil || len(recs) != want {
+			t.Errorf("OpenRecords(%s) after compaction and reopen = %d records (err %v), want %d", doc, len(recs), err, want)
+		}
+	}
+	if open := j2.OpenIntents(); len(open) != 1 || fmt.Sprint(open[0].Docs) != "[dB]" {
+		t.Fatalf("open after reopen = %+v", open)
 	}
 }
 

@@ -163,12 +163,11 @@ func codeMsg(c *wire.Coder, msg *any) {
 func (m *ExecOpReq) code(c *wire.Coder) {
 	c.ID(&m.Txn)
 	c.TS(&m.TS)
-	c.Int(&m.Coordinator, &m.OpIdx)
+	c.Int(&m.OpIdx)
 	c.Op(&m.Op)
 }
 
 func (m *ExecOpResp) code(c *wire.Coder) {
-	c.Int(&m.Site)
 	c.Bool(&m.Executed, &m.AcquireLocking, &m.Deadlock, &m.Failed)
 	c.String(&m.Code, &m.Error)
 	c.Strings(&m.Results)
@@ -268,16 +267,13 @@ func (m *RecoverResp) code(c *wire.Coder) {
 func (m *SnapshotReadReq) code(c *wire.Coder) {
 	c.ID(&m.Txn)
 	c.TS(&m.TS)
-	c.Int(&m.Coordinator)
 	c.String(&m.Doc, &m.Query)
 }
 
 func (m *SnapshotReadResp) code(c *wire.Coder) {
-	c.Int(&m.Site)
 	c.Bool(&m.Failed)
 	c.String(&m.Code, &m.Error)
 	c.Strings(&m.Results)
-	c.TS(&m.VersionTS)
 }
 
 func (m *SnapshotReleaseReq) code(c *wire.Coder) { c.ID(&m.Txn) }

@@ -42,8 +42,8 @@ func everyMessage() []any {
 	id, id2 := txn.ID{Site: 2, Seq: 1 << 40}, txn.ID{Site: 1 << 20, Seq: 3}
 	rec := store.ReplRecord{Index: 9, Txn: id, TS: 12, Ops: []txn.Operation{fullOp(), txn.NewQuery("d", "/a")}}
 	return []any{
-		ExecOpReq{Txn: id, TS: -4, Coordinator: 1, OpIdx: 3, Op: fullOp()},
-		ExecOpResp{Site: 2, Executed: true, AcquireLocking: true, Deadlock: true, Failed: true,
+		ExecOpReq{Txn: id, TS: -4, OpIdx: 3, Op: fullOp()},
+		ExecOpResp{Executed: true, AcquireLocking: true, Deadlock: true, Failed: true,
 			Code: txn.CodeDeadlock, Error: "e", Results: []string{"<a/>", "", "<b>ü</b>"}},
 		UndoOpReq{Txn: id, OpIdx: 7},
 		CommitReq{Txn: id},
@@ -69,8 +69,8 @@ func everyMessage() []any {
 		MetricsResp{Site: 1, Text: "dtx_x 1\n"},
 		RecoverReq{},
 		RecoverResp{Resolved: 2, Report: "r", Error: "e"},
-		SnapshotReadReq{Txn: id, TS: 8, Coordinator: 2, Doc: "d1", Query: "//a"},
-		SnapshotReadResp{Site: 1, Failed: true, Code: "c", Error: "e", Results: []string{"x"}, VersionTS: 7},
+		SnapshotReadReq{Txn: id, TS: 8, Doc: "d1", Query: "//a"},
+		SnapshotReadResp{Failed: true, Code: "c", Error: "e", Results: []string{"x"}},
 		SnapshotReleaseReq{Txn: id},
 		LogShipReq{Doc: "d1", From: 1, Primary: 2, Head: 10, Records: []store.ReplRecord{rec, rec}},
 		LogAck{Site: 1, Applied: 2, NeedFrom: 3, OK: true, Error: "e"},
@@ -122,7 +122,7 @@ func TestTCPRoundTripsEveryMessage(t *testing.T) {
 // TestTCPUnencodableMessageFailsOneCall: a message the codec has no kind for
 // fails its own call at once, and the connection keeps serving.
 func TestTCPUnencodableMessageFailsOneCall(t *testing.T) {
-	n1, n2 := muxPair(t, &muxHandler{site: 2})
+	n1, n2 := muxPair(t, &muxHandler{})
 	defer n1.Close()
 	defer n2.Close()
 	if _, err := n1.Send(context.Background(), 2, struct{ X int }{1}); err == nil || !strings.Contains(err.Error(), "no wire kind") {
@@ -200,10 +200,10 @@ func FuzzWireDecode(f *testing.F) {
 // operation out to every replica, each connection's writer encoding it.
 // Encoding must only read it (run -race).
 func TestTCPSharedMessageConcurrentSends(t *testing.T) {
-	n1, n2 := muxPair(t, &muxHandler{site: 2})
+	n1, n2 := muxPair(t, &muxHandler{})
 	defer n1.Close()
 	defer n2.Close()
-	n3, err := ListenTCP(3, "127.0.0.1:0", &muxHandler{site: 3})
+	n3, err := ListenTCP(3, "127.0.0.1:0", &muxHandler{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,11 +23,10 @@ import (
 // sent to one replica, its document's read site, which locks and evaluates
 // it; an update is sent to every replica, and each locks and applies it.
 type ExecOpReq struct {
-	Txn         txn.ID
-	TS          txn.TS
-	Coordinator int
-	OpIdx       int
-	Op          txn.Operation
+	Txn   txn.ID
+	TS    txn.TS
+	OpIdx int
+	Op    txn.Operation
 }
 
 // ExecOpResp reports the outcome of a remote operation, carrying the status
@@ -35,7 +34,6 @@ type ExecOpReq struct {
 // failure with one of the txn error codes so the coordinator can rebuild a
 // typed error (txn.FromCode) instead of a bare string.
 type ExecOpResp struct {
-	Site           int
 	Executed       bool
 	AcquireLocking bool
 	Deadlock       bool
@@ -224,22 +222,18 @@ type RecoverResp struct {
 // coordinator dies) releases the pins. No locks are taken and no wait-for
 // edges are added.
 type SnapshotReadReq struct {
-	Txn         txn.ID
-	TS          txn.TS
-	Coordinator int
-	Doc         string
-	Query       string
+	Txn   txn.ID
+	TS    txn.TS
+	Doc   string
+	Query string
 }
 
-// SnapshotReadResp answers a SnapshotReadReq. VersionTS is the commit
-// timestamp of the version the query ran against.
+// SnapshotReadResp answers a SnapshotReadReq.
 type SnapshotReadResp struct {
-	Site      int
-	Failed    bool
-	Code      string
-	Error     string
-	Results   []string
-	VersionTS txn.TS
+	Failed  bool
+	Code    string
+	Error   string
+	Results []string
 }
 
 // SnapshotReleaseReq tells a site that a read-only transaction finished:

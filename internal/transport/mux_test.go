@@ -14,7 +14,6 @@ import (
 // muxHandler echoes each request's query string and can stall requests
 // whose document is "slow" until released.
 type muxHandler struct {
-	site    int
 	release chan struct{} // nil: never stall
 }
 
@@ -26,12 +25,12 @@ func (h *muxHandler) HandleMessage(from int, msg any) (any, error) {
 	if m.Op.Doc == "slow" && h.release != nil {
 		<-h.release
 	}
-	return ExecOpResp{Site: h.site, Executed: true, Results: []string{m.Op.Query}}, nil
+	return ExecOpResp{Executed: true, Results: []string{m.Op.Query}}, nil
 }
 
 func muxPair(t *testing.T, h2 Handler) (*TCPNode, *TCPNode) {
 	t.Helper()
-	n1, err := ListenTCP(1, "127.0.0.1:0", &muxHandler{site: 1})
+	n1, err := ListenTCP(1, "127.0.0.1:0", &muxHandler{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +48,7 @@ func muxPair(t *testing.T, h2 Handler) (*TCPNode, *TCPNode) {
 // each response is routed to the caller whose request ID it answers.
 func TestTCPInterleavedResponses(t *testing.T) {
 	release := make(chan struct{})
-	n1, n2 := muxPair(t, &muxHandler{site: 2, release: release})
+	n1, n2 := muxPair(t, &muxHandler{release: release})
 	defer n1.Close()
 	defer n2.Close()
 
@@ -93,7 +92,7 @@ func TestTCPInterleavedResponses(t *testing.T) {
 // fails with an error wrapping ErrPeerClosed, and a later Send redials.
 func TestTCPPeerCrashRejectsInFlight(t *testing.T) {
 	release := make(chan struct{})
-	n1, n2 := muxPair(t, &muxHandler{site: 2, release: release})
+	n1, n2 := muxPair(t, &muxHandler{release: release})
 	defer n1.Close()
 
 	const inflight = 8
@@ -131,7 +130,7 @@ func TestTCPPeerCrashRejectsInFlight(t *testing.T) {
 // connection nor misroutes the late response to another caller.
 func TestTCPCancelledCallLeavesConnectionHealthy(t *testing.T) {
 	release := make(chan struct{})
-	n1, n2 := muxPair(t, &muxHandler{site: 2, release: release})
+	n1, n2 := muxPair(t, &muxHandler{release: release})
 	defer n1.Close()
 	defer n2.Close()
 
@@ -160,7 +159,7 @@ func TestTCPCancelledCallLeavesConnectionHealthy(t *testing.T) {
 // and verifies every response matches its request — the demultiplexing
 // correctness the schedulers rely on, meant to run under -race.
 func TestTCPSharedPeerStress(t *testing.T) {
-	n1, n2 := muxPair(t, &muxHandler{site: 2})
+	n1, n2 := muxPair(t, &muxHandler{})
 	defer n1.Close()
 	defer n2.Close()
 

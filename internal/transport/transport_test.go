@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -22,11 +23,11 @@ func (h *echoHandler) HandleMessage(from int, msg any) (any, error) {
 	}
 	switch m := msg.(type) {
 	case ExecOpReq:
+		// The first result names the answering site.
 		return ExecOpResp{
-			Site:           h.site,
 			Executed:       true,
 			AcquireLocking: true,
-			Results:        []string{m.Op.Doc, m.Op.Query},
+			Results:        []string{strconv.Itoa(h.site), m.Op.Doc, m.Op.Query},
 		}, nil
 	case WFGReq:
 		return WFGResp{}, nil
@@ -37,11 +38,10 @@ func (h *echoHandler) HandleMessage(from int, msg any) (any, error) {
 
 func execReq() ExecOpReq {
 	return ExecOpReq{
-		Txn:         txn.ID{Site: 1, Seq: 7},
-		TS:          42,
-		Coordinator: 1,
-		OpIdx:       0,
-		Op:          txn.NewQuery("d1", "//person"),
+		Txn:   txn.ID{Site: 1, Seq: 7},
+		TS:    42,
+		OpIdx: 0,
+		Op:    txn.NewQuery("d1", "//person"),
 	}
 }
 
@@ -59,7 +59,7 @@ func TestNetworkRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, ok := resp.(ExecOpResp)
-	if !ok || r.Site != 2 || !r.Executed {
+	if !ok || r.Results[0] != "2" || !r.Executed {
 		t.Fatalf("resp = %#v", resp)
 	}
 	if n1.SiteID() != 1 {
@@ -155,7 +155,7 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, ok := resp.(ExecOpResp)
-	if !ok || r.Site != 2 || len(r.Results) != 2 || r.Results[1] != "//person" {
+	if !ok || len(r.Results) != 3 || r.Results[0] != "2" || r.Results[2] != "//person" {
 		t.Fatalf("resp = %#v", resp)
 	}
 	// Reverse direction over a fresh connection.
