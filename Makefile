@@ -53,7 +53,7 @@ loc:
 
 # The ratchet behind `make loc`: a PR that grows the program past the budget
 # fails the gate; one that shrinks it lowers LOC_BUDGET to its own result.
-LOC_BUDGET = 17256
+LOC_BUDGET = 17237
 
 loc-check:
 	@n=$$($(MAKE) -s loc); echo "non-test Go lines outside bench/: $$n (budget $(LOC_BUDGET))"; [ $$n -le $(LOC_BUDGET) ]

@@ -830,12 +830,12 @@ func BenchmarkSingleSiteTxn(b *testing.B) {
 
 // BenchmarkQueryDocSize is one read-only query transaction on a journaled
 // site against documents of growing size: a predicate-free child path, a
-// descendant scan, the workloads' positional point read, and the value point
-// lookup answered by scanning (predicate) and from an "id" value index
-// (indexed). A query should cost what its result costs — the child and
-// descendant results grow with the document, the point reads do not; the
-// descendant scan walks only the section the DataGuide's summary says can
-// match.
+// descendant scan, the workloads' positional point read down child steps and
+// one down a descendant step, and the value point lookup answered by scanning
+// (predicate) and from an "id" value index (indexed). A query should cost
+// what its result costs — the child and descendant results grow with the
+// document, the point reads do not; the descendant scan walks only the
+// section the DataGuide's summary says can match.
 func BenchmarkQueryDocSize(b *testing.B) {
 	pointLookup := xmark.PredicateQueryFor("people", 7)
 	for _, size := range []struct {
@@ -863,6 +863,7 @@ func BenchmarkQueryDocSize(b *testing.B) {
 				{"child", "/site/people/person/name", scanned},
 				{"descendant", "//open_auction/current", scanned},
 				{"positional", "/site/people/person[7]/name", scanned},
+				{"descendant-positional", "//person[7]/name", scanned},
 				{"predicate", pointLookup, scanned},
 				{"indexed", pointLookup, indexed},
 			} {
@@ -897,8 +898,8 @@ func BenchmarkQueryDocSize(b *testing.B) {
 // journaled site — against documents of growing size. The commit path is
 // meant to cost O(change): a checkpoint comes due once the journal since the
 // image is as large as the image, so each commit pays a share of the tree
-// copy in proportion to its record, not to the document. What still grows
-// with the document is the target path's evaluation.
+// copy in proportion to its record, not to the document, and the target
+// path's positional step ends at its first match.
 func BenchmarkTxnDocSize(b *testing.B) {
 	for _, size := range []struct {
 		name  string

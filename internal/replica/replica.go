@@ -66,23 +66,6 @@ func (c *Catalog) Documents() []string {
 	return out
 }
 
-// DocumentsAt returns the documents a site holds, sorted.
-func (c *Catalog) DocumentsAt(site int) []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []string
-	for d, ss := range c.sites {
-		for _, s := range ss {
-			if s == site {
-				out = append(out, d)
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Liveness reports whether a site is currently believed alive — the view a
 // failure detector maintains. The catalog itself is placement only; pairing
 // it with a Liveness yields availability-aware routing.
@@ -285,17 +268,6 @@ func buildFragment(src *xmltree.Document, idx int, units []unit) Fragment {
 		copyInto(parent, u.node)
 	}
 	return Fragment{Doc: fd, Size: fd.ByteSize()}
-}
-
-// AllocateTotal places every document on every site: total replication.
-func AllocateTotal(c *Catalog, docs []string, nSites int) {
-	all := make([]int, nSites)
-	for i := range all {
-		all[i] = i
-	}
-	for _, d := range docs {
-		c.Place(d, all...)
-	}
 }
 
 // AllocatePartial fragments each document into nSites pieces and assigns

@@ -24,9 +24,6 @@ func TestCatalogBasics(t *testing.T) {
 	if !c.Holds("d2", 1) || c.Holds("d2", 0) {
 		t.Fatal("Holds wrong")
 	}
-	if got := c.DocumentsAt(1); len(got) != 2 {
-		t.Fatalf("docs at 1 = %v", got)
-	}
 	if got := c.Documents(); len(got) != 2 || got[0] != "d1" {
 		t.Fatalf("documents = %v", got)
 	}
@@ -159,16 +156,6 @@ func TestFragmentContentPreserved(t *testing.T) {
 	for i, id := range ids {
 		if id != fmt.Sprintf("e%d", i) {
 			t.Fatalf("order broken at %d: %v", i, ids)
-		}
-	}
-}
-
-func TestAllocateTotal(t *testing.T) {
-	c := NewCatalog()
-	AllocateTotal(c, []string{"d1", "d2"}, 3)
-	for _, d := range []string{"d1", "d2"} {
-		if got := c.Sites(d); len(got) != 3 {
-			t.Fatalf("sites(%s) = %v", d, got)
 		}
 	}
 }

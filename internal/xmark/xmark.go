@@ -318,14 +318,3 @@ func MakeUpdate(kind UpdateKind, uniq int64, rng *rand.Rand) *xupdate.Update {
 		return MakeUpdate(UpdateKind(int(kind)%int(numUpdateKinds)), uniq, rng)
 	}
 }
-
-// RandomUpdate picks an update from the mix.
-func RandomUpdate(uniq int64, rng *rand.Rand) *xupdate.Update {
-	return MakeUpdate(UpdateKind(rng.Intn(int(numUpdateKinds))), uniq, rng)
-}
-
-// RandomQuery picks a query from the read mix.
-func RandomQuery(rng *rand.Rand) string {
-	qs := Queries()
-	return qs[rng.Intn(len(qs))]
-}

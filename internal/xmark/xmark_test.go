@@ -133,16 +133,17 @@ func TestGenFragmentsForPartialReplication(t *testing.T) {
 	}
 }
 
-// Property: RandomUpdate always yields a valid update and RandomQuery a
-// parseable query.
+// Property: MakeUpdate yields a valid update for any kind and seed, and
+// every query of the read mix parses.
 func TestPropertyRandomWorkloadValid(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		u := RandomUpdate(seed, rng)
+		u := MakeUpdate(UpdateKind(rng.Intn(int(numUpdateKinds))), seed, rng)
 		if err := u.Validate(); err != nil {
 			return false
 		}
-		if _, err := xpath.Parse(RandomQuery(rng)); err != nil {
+		qs := Queries()
+		if _, err := xpath.Parse(qs[rng.Intn(len(qs))]); err != nil {
 			return false
 		}
 		return true

@@ -176,17 +176,6 @@ func (n *Node) SetAttr(name, value string) (prev string, existed bool) {
 	return "", false
 }
 
-// RemoveAttr deletes the named attribute, returning its previous value.
-func (n *Node) RemoveAttr(name string) (prev string, existed bool) {
-	for i, a := range n.Attrs {
-		if a.Name == name {
-			n.Attrs = append(n.Attrs[:i], n.Attrs[i+1:]...)
-			return a.Value, true
-		}
-	}
-	return "", false
-}
-
 // Index returns n's position among its parent's children, or -1 for the
 // root or a detached node.
 func (n *Node) Index() int {

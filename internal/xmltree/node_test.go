@@ -248,13 +248,6 @@ func TestAttrOps(t *testing.T) {
 	if _, existed := p.SetAttr("new", "1"); existed {
 		t.Fatal("new attr reported as existing")
 	}
-	prev, existed = p.RemoveAttr("new")
-	if !existed || prev != "1" {
-		t.Fatalf("RemoveAttr prev=%q existed=%v", prev, existed)
-	}
-	if _, existed := p.RemoveAttr("absent"); existed {
-		t.Fatal("removing absent attr reported as existing")
-	}
 }
 
 func TestWalkAndCounts(t *testing.T) {

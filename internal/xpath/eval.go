@@ -25,7 +25,10 @@ import (
 // below a match, and predicates and the attribute filter keep both. So a
 // query pays for its result, not for the document: only a child step over
 // nested contexts (and every step after it) needs the per-step dedupe and
-// the final SortDocOrder. When the document's DataGuide publishes a label-path
+// the final SortDocOrder. That holds for a positional predicate only when it
+// comes first in its step: a leading [k] ends a child step, or a descendant
+// step over an ordered set, at its k-th match, while a later one filters the
+// step's whole sequence. When the document's DataGuide publishes a label-path
 // summary (Document.Paths), a descendant step also skips every subtree whose
 // path holds no element of the step's name: the same walk, in the same
 // order, minus subtrees that provably hold no match.
@@ -72,16 +75,30 @@ func EvalSteps(steps []Step, ctx []*xmltree.Node) []*xmltree.Node {
 func evalSteps(steps []Step, ctx []*xmltree.Node, ordered bool, sum *Summary) ([]*xmltree.Node, bool) {
 	flat := ordered // no node of ctx is an ancestor of another
 	for _, step := range steps {
+		// A leading [k] counts over the whole step's sequence, so the step
+		// can end at its k-th match and keep that node alone.
+		preds, k := step.Preds, 0
+		if len(preds) > 0 && preds[0].Kind == PredPosition {
+			preds, k = preds[1:], preds[0].Position
+		}
 		var next []*xmltree.Node
 		switch {
 		case step.Axis == Child:
 			// Every node has one parent, so children of distinct contexts
 			// are distinct; they stay in order only if the contexts'
 			// subtrees are disjoint.
+			n := 0
+		scan:
 			for _, c := range ctx {
 				for _, child := range c.Children {
-					if nameMatches(step.Name, child.Name) {
+					if !nameMatches(step.Name, child.Name) {
+						continue
+					}
+					if n++; k == 0 {
 						next = append(next, child)
+					} else if n == k {
+						next = []*xmltree.Node{child}
+						break scan
 					}
 				}
 			}
@@ -92,24 +109,30 @@ func evalSteps(steps []Step, ctx []*xmltree.Node, ordered bool, sum *Summary) ([
 			// only repeat nodes already emitted, in the same order, so the
 			// expanded subtrees are disjoint and the result nests only where
 			// the walk finds a match below a match.
-			d := descent{name: step.Name}
+			d := descent{name: step.Name, limit: k}
 			var last *xmltree.Node
 			for _, c := range ctx {
 				if !flat && last != nil && isAncestor(last, c) {
 					continue
 				}
 				last = c
-				d.walk(c, sum.at(c), false)
+				if d.walk(c, sum.at(c), false) {
+					break
+				}
 			}
 			next, flat = d.out, !d.nested
+			if k > 0 {
+				next, flat = next[min(k-1, len(next)):], true
+			}
 		default:
+			// This walk does not stop early; every predicate filters it.
 			d := descent{name: step.Name, seen: make(map[*xmltree.Node]bool)}
 			for _, c := range ctx {
 				d.walk(c, sum.at(c), false)
 			}
-			next = d.out
+			next, preds = d.out, step.Preds
 		}
-		ctx = applyPreds(step.Preds, next)
+		ctx = applyPreds(preds, next)
 		if len(ctx) == 0 {
 			return nil, true
 		}
@@ -124,12 +147,14 @@ type descent struct {
 	out    []*xmltree.Node
 	seen   map[*xmltree.Node]bool // drops nodes reached before; nil when walks cannot overlap
 	nested bool                   // some collected node lies below another
+	limit  int                    // stop once this many are collected; 0 for no limit
 }
 
 // walk visits the nodes strictly below n, whose summary path is at (nil
 // when unknown), except below a child whose path has no element named name
 // below it; under says n is itself collected or lies below a collected node.
-func (d *descent) walk(n *xmltree.Node, at *Summary, under bool) {
+// It reports whether the limit was reached, at which point it stops.
+func (d *descent) walk(n *xmltree.Node, at *Summary, under bool) bool {
 	for _, c := range n.Children {
 		match := nameMatches(d.name, c.Name) && !d.seen[c]
 		if match {
@@ -138,11 +163,17 @@ func (d *descent) walk(n *xmltree.Node, at *Summary, under bool) {
 			}
 			d.out = append(d.out, c)
 			d.nested = d.nested || under
+			if len(d.out) == d.limit {
+				return true
+			}
 		}
 		if cs := at.child(c.Name); cs == nil || cs.Below[d.name] || d.name == "*" {
-			d.walk(c, cs, under || match)
+			if d.walk(c, cs, under || match) {
+				return true
+			}
 		}
 	}
+	return false
 }
 
 // isAncestor reports whether a is a proper ancestor of n.

@@ -197,25 +197,49 @@ func describe(nodes []*xmltree.Node) string {
 	return "[" + strings.Join(parts, " ") + "]"
 }
 
+// spanXML has a position count that crosses from one context into the next
+// (the first b holds two c) and a chain of a nested in a.
+const spanXML = `<a>
+  <b><c k="1">1</c><c k="2">2</c></b>
+  <b><c k="1">3</c><c k="1">4</c><a><a><c>5</c></a></a></b>
+  <a><c k="2">6</c></a>
+</a>`
+
 func TestEvalMatchesOracleTable(t *testing.T) {
-	doc, err := xmltree.ParseString("nested", nestedXML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, raw := range []string{
-		"/a", "/b", "/a/a", "/a/*", "/a/*/b", "//a", "//b", "//*",
-		"//a//a", "//a//b", "//a/a", "//a/b", "//a/*/b", "//a//a/b",
-		"//a/a//b", "//*//*", "//a[2]", "//a/b[1]", "//a/b[2]", "//a//b[3]",
-		"//a[@k='1']//b", "//a[@k>'1']/a", "//a[b='2']", "//a[b>'1']//c",
-		"//b[text()<'4']", "//a//a/@k", "//a/@k", "/a/a[1]/@k", "//a[1]//a[1]",
-		"//a/a/a", "//a//a//a", "//c[@k!='3']", "//a[b='9']/b", "/a//a[2]/b",
-		"/a/b//a/a", "//a[@k='2'][1]", "//x", "//a/x",
+	for _, tc := range []struct {
+		xml     string
+		queries []string
+	}{
+		{nestedXML, []string{
+			"/a", "/b", "/a/a", "/a/*", "/a/*/b", "//a", "//b", "//*",
+			"//a//a", "//a//b", "//a/a", "//a/b", "//a/*/b", "//a//a/b",
+			"//a/a//b", "//*//*", "//a[2]", "//a/b[1]", "//a/b[2]", "//a//b[3]",
+			"//a[@k='1']//b", "//a[@k>'1']/a", "//a[b='2']", "//a[b>'1']//c",
+			"//b[text()<'4']", "//a//a/@k", "//a/@k", "/a/a[1]/@k", "//a[1]//a[1]",
+			"//a/a/a", "//a//a//a", "//c[@k!='3']", "//a[b='9']/b", "/a//a[2]/b",
+			"/a/b//a/a", "//a[@k='2'][1]", "//x", "//a/x",
+		}},
+		// A step that ends at its k-th match: across contexts, past the last
+		// match, before another predicate, after a value predicate (which
+		// must not end the step) and down nested matches.
+		{spanXML, []string{
+			"/a/b/c[3]", "/a/b/c[4]", "/a/b/c[5]", "//c[3]", "//c[7]", "/a/b[3]",
+			"/a/b/c[2][1]", "/a/b/c[2][2]", "//c[2][1]/@k",
+			"/a/b/c[@k='1'][2]", "//c[@k='1'][3]", "//c[@k='2'][2]",
+			"//a[2]", "//a[3]", "//a[4]/c", "//a[3]//c[1]", "//a//a[1]", "//a/a[1]/c",
+		}},
 	} {
-		q, err := Parse(raw)
+		doc, err := xmltree.ParseString("table", tc.xml)
 		if err != nil {
-			t.Fatalf("parse %s: %v", raw, err)
+			t.Fatal(err)
 		}
-		assertSameAsOracle(t, doc, q)
+		for _, raw := range tc.queries {
+			q, err := Parse(raw)
+			if err != nil {
+				t.Fatalf("parse %s: %v", raw, err)
+			}
+			assertSameAsOracle(t, doc, q)
+		}
 	}
 }
 
@@ -247,8 +271,9 @@ func genDoc(b []byte) *xmltree.Document {
 }
 
 // genQuery builds a query from bytes: one to four steps over the document's
-// repeating labels, mixing both axes, '*', positional and value predicates
-// and a trailing /@k.
+// repeating labels, mixing both axes, '*', positional predicates (small ones
+// and ones past most steps' match counts), value predicates and a trailing
+// /@k.
 func genQuery(b []byte) *Query {
 	i := 0
 	next := func(n int) int {
@@ -264,8 +289,11 @@ func genQuery(b []byte) *Query {
 		sb.WriteString([]string{"a", "b", "c", "*"}[next(4)])
 		for range next(3) {
 			switch next(5) {
-			case 0, 1:
+			case 0:
 				fmt.Fprintf(&sb, "[%d]", next(3)+1)
+			case 1:
+				// Far enough to run past the end of a step's matches.
+				fmt.Fprintf(&sb, "[%d]", next(16)+1)
 			case 2:
 				fmt.Fprintf(&sb, "[@k%s'%d']", []string{"=", "!=", ">"}[next(3)], next(4))
 			case 3:

@@ -164,6 +164,39 @@ func TestEvalPositionPredicate(t *testing.T) {
 	}
 }
 
+// TestPositionalStepCostsItsPosition: a step whose first predicate is [k]
+// ends at its k-th match, so a point read allocates the same whether the
+// section holds a hundred siblings or ten thousand.
+func TestPositionalStepCostsItsPosition(t *testing.T) {
+	wide := func(n int) *xmltree.Document {
+		doc := xmltree.NewDocument("wide", "r")
+		for i := range n {
+			c, x := doc.NewElement("c"), doc.NewElement("x")
+			if err := doc.AttachChildAt(doc.Root, c, i); err != nil {
+				t.Fatal(err)
+			}
+			if err := doc.AttachChildAt(c, x, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return doc
+	}
+	small, large := wide(100), wide(10_000)
+	for _, raw := range []string{"/r/c[3]/x", "//c[3]/x"} {
+		q := MustParse(raw)
+		allocs := func(doc *xmltree.Document) float64 {
+			return testing.AllocsPerRun(50, func() {
+				if got := Eval(q, doc); len(got) != 1 {
+					t.Fatalf("%s: %d matches, want 1", raw, len(got))
+				}
+			})
+		}
+		if a, b := allocs(small), allocs(large); a != b {
+			t.Errorf("%s: %.0f allocs at 100 children, %.0f at 10,000", raw, a, b)
+		}
+	}
+}
+
 func TestEvalAttrSelection(t *testing.T) {
 	doc := storeDoc(t)
 	got := evalTexts(t, doc, "/products/product/@id")
